@@ -60,12 +60,15 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _quad_spec(args) -> QuadSpec | None:
+def _quad_spec(args, parser) -> QuadSpec | None:
     if args.quad_abs_tol is None and args.quad_rel_tol is None:
         return None
     base = QuadSpec()
-    return QuadSpec(abs_tol=args.quad_abs_tol if args.quad_abs_tol is not None else base.abs_tol,
-                    rel_tol=args.quad_rel_tol if args.quad_rel_tol is not None else base.rel_tol)
+    try:
+        return QuadSpec(abs_tol=args.quad_abs_tol if args.quad_abs_tol is not None else base.abs_tol,
+                        rel_tol=args.quad_rel_tol if args.quad_rel_tol is not None else base.rel_tol)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _add_common(sub, formats=True):
@@ -97,7 +100,7 @@ def cmd_bound(args, parser) -> int:
         problem = ProblemSpec(d=args.d, sigma=args.sigma)
     except ValueError as exc:
         parser.error(str(exc))
-    quad_spec = _quad_spec(args)
+    quad_spec = _quad_spec(args, parser)
     c_value, trial = args.c_value, None
     if args.optimize:
         c_value, trial = _optimized_c(problem, args, quad_spec)
@@ -141,7 +144,7 @@ def cmd_optimize(args, parser) -> int:
         parser.error(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         parser.error(f"config is not valid JSON: {exc}")
-    quad_spec = _quad_spec(args)
+    quad_spec = _quad_spec(args, parser)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         records = optimize.run_sweep(configs, quad_spec=quad_spec)
@@ -208,7 +211,7 @@ def _paper_rows(quad_spec) -> list[dict]:
 def cmd_table(args, parser) -> int:
     if not args.paper:
         parser.error("table requires --paper")
-    rows = _paper_rows(_quad_spec(args))
+    rows = _paper_rows(_quad_spec(args, parser))
     if args.format == "json":
         _write(args, json.dumps(_sig15(rows), indent=2) + "\n")
     elif args.format == "csv":
@@ -232,6 +235,8 @@ def _label(pot: verify.PotentialSpec) -> str:
 
 
 def cmd_verify(args, parser) -> int:
+    if not (args.l_ratio > 0.0 and math.isfinite(args.l_ratio)):
+        parser.error(f"--l-ratio must be positive and finite, got {args.l_ratio!r}")
     if args.config:
         try:
             with open(args.config) as fh:
@@ -252,7 +257,7 @@ def cmd_verify(args, parser) -> int:
     else:
         suite = list(verify.default_suite())
 
-    quad_spec = _quad_spec(args)
+    quad_spec = _quad_spec(args, parser)
     cases = []
     for pot, grid in suite:
         result = verify.discretize_and_solve(pot, grid, quad_spec=quad_spec)

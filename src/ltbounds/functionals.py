@@ -31,6 +31,7 @@ the objective integrates the weight over the exact subinterval instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,9 +158,11 @@ def weight_l2(weight: WeightFamily, quad_spec: quad.QuadSpec | None = None) -> f
     return res.value
 
 
+@functools.lru_cache(maxsize=8)  # one entry per abs_tol-derived levels value
 def _graded_rule(levels: int):
     """Composite 15-point Gauss-Legendre rule on (0,1), geometrically graded
-    toward both endpoints down to 2^-levels; returns (nodes, weights)."""
+    toward both endpoints down to 2^-levels; returns read-only (nodes, weights),
+    built once per levels."""
     dyadic = 2.0 ** -np.arange(levels, 0, -1)  # 2^-levels .. 1/2
     cuts = np.unique(np.concatenate(([0.0], dyadic, 1.0 - dyadic, [1.0])))
     x15, w15 = np.polynomial.legendre.leggauss(15)
@@ -167,6 +170,8 @@ def _graded_rule(levels: int):
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     nodes = (mid[:, None] + half[:, None] * x15[None, :]).ravel()
     weights = (half[:, None] * w15[None, :]).ravel()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
 
 

@@ -1,17 +1,18 @@
-"""Adaptive panel quadrature with an embedded Gauss-Legendre pair.
+"""Adaptive panel quadrature with the embedded Gauss-Kronrod 15/7 pair.
 
 Every integral in the package funnels through integrate(): profile
 normalization cross-checks, the weighted deficit functionals, the averaging
 objective, and the potential integrals of the verification harness.  The
-scheme is plain adaptive bisection: each panel carries a 15-point
-Gauss-Legendre value and a 7-point embedded estimate, the difference is the
-panel's error estimate, and the worst panel is split until the summed error
-meets the tolerance or the subdivision budget runs out.  Budget exhaustion
-is reported through QuadResult.converged, never raised, so callers decide
-whether a slow integral is fatal.
+scheme is plain adaptive bisection: each panel carries the 15-point Kronrod
+value K15 and the 7-point Gauss value G7 taken from the same 15 integrand
+values (the K15 nodes contain the G7 nodes, as in QUADPACK's qk15),
+|K15 - G7| is the panel's error estimate, and the worst panel is split
+until the summed error meets the tolerance or the subdivision budget runs
+out.  Budget exhaustion is reported through QuadResult.converged, never
+raised, so callers decide whether a slow integral is fatal.
 
 Semi-infinite ranges are folded to (0,1) by the rational substitution
-t = a + u/(1-u), dt = du/(1-u)^2.  Gauss nodes are interior, so neither
+t = a + u/(1-u), dt = du/(1-u)^2.  Kronrod nodes are interior, so neither
 u = 1 nor an endpoint singularity of the integrand is ever evaluated.
 
 Integrands must be vectorized: they receive a float ndarray of nodes and
@@ -30,10 +31,30 @@ __all__ = ["QuadSpec", "QuadResult", "NonFiniteIntegrandError", "integrate"]
 
 TRANSFORMS = ("none", "semi_infinite_rational")
 
-# Embedded pair: value from the 15-point rule, error from disagreement with
-# the 7-point rule.  leggauss is exact to machine precision for the nodes.
-_X7, _W7 = np.polynomial.legendre.leggauss(7)
-_X15, _W15 = np.polynomial.legendre.leggauss(15)
+# QUADPACK qk15 constants (Piessens, de Doncker-Kapenga, Ueberhuber and
+# Kahaner, 1983): the non-negative K15 abscissae, largest first, their K15
+# weights, and the G7 weights of xgk[1], xgk[3], xgk[5], xgk[7].
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.000000000000000000000000000000000])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
+
+# The 15 nodes on [-1, 1], ascending; the G7 nodes sit at the odd positions.
+_XK15 = np.concatenate((-_XGK[:-1], _XGK[::-1]))
+_WK15 = np.concatenate((_WGK[:-1], _WGK[::-1]))
+_WG7 = np.zeros(15)
+_WG7[1::2] = np.concatenate((_WG[:-1], _WG[::-1]))
+# Rows: K15 weights, and K15 - G7 weights for the error estimate.
+_PANEL_WEIGHTS = np.array([_WK15, _WK15 - _WG7])
 
 
 class NonFiniteIntegrandError(ValueError):
@@ -55,10 +76,10 @@ class QuadSpec:
     transform: str = "semi_infinite_rational"
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol!r}")
-        if self.rel_tol < 0.0:
-            raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol!r}")
+        if not (0.0 < self.abs_tol < math.inf):
+            raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
+        if not (0.0 <= self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
         if self.max_subdivisions < 1:
             raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}")
         if self.transform not in TRANSFORMS:
@@ -82,18 +103,18 @@ DEFAULT_SPEC = QuadSpec()
 
 
 def _panel(func, lo: float, hi: float):
-    """15/7 pair on one panel -> (value, error, values_finite)."""
+    """Gauss-Kronrod 15/7 pair on one panel (QUADPACK qk15) -> (value, error).
+
+    One integrand call on the 15 Kronrod nodes; the value is K15 and the
+    error is |K15 - G7|, with G7 reusing the values at its own 7 nodes.
+    """
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    y15 = func(mid + half * _X15)
-    y7 = func(mid + half * _X7)
-    if not (np.all(np.isfinite(y15)) and np.all(np.isfinite(y7))):
-        bad = np.asarray(mid + half * _X15)[~np.isfinite(np.asarray(y15))]
-        where = bad[0] if bad.size else mid
-        raise NonFiniteIntegrandError(f"integrand non-finite near node {where!r}")
-    v15 = half * float(np.dot(_W15, y15))
-    v7 = half * float(np.dot(_W7, y7))
-    return v15, abs(v15 - v7)
+    x = 0.5 * (hi + lo) + half * _XK15
+    y = func(x)
+    if not np.isfinite(y).all():
+        raise NonFiniteIntegrandError(f"integrand non-finite near node {x[~np.isfinite(y)][0]!r}")
+    value, diff = (half * (_PANEL_WEIGHTS @ y)).tolist()
+    return value, abs(diff)
 
 
 def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadResult:

@@ -174,3 +174,28 @@ def test_verify_csv_format():
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     assert len(rows) == 4
     assert {"potential", "lhs", "rhs", "margin", "holds"} <= set(rows[0])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_bad_l_ratio(value):
+    proc = run_cli("verify", f"--l-ratio={value}")
+    assert proc.returncode == 2
+    assert "--l-ratio must be positive and finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["bound", "--d", "1", "--sigma", "1", "--method", "best-of", "--quad-abs-tol=-1"], "abs_tol"),
+    (["optimize", "CONFIG", "--quad-rel-tol", "nan"], "rel_tol"),
+    (["table", "--paper", "--quad-abs-tol=-1"], "abs_tol"),
+    (["table", "--paper", "--quad-abs-tol", "inf"], "abs_tol"),
+    (["verify", "--quad-rel-tol", "nan"], "rel_tol"),
+], ids=["bound", "optimize", "table", "table-inf", "verify"])
+def test_bad_quad_tol_is_usage_error(tmp_path, argv, field):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps([{"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5],
+                                   "phi_kind": "bump_simple", "max_iters": 1}]))
+    proc = run_cli(*(str(config) if arg == "CONFIG" else arg for arg in argv))
+    assert proc.returncode == 2
+    assert f"{field} must be" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -87,6 +87,24 @@ def test_averaged_profile_limits():
         functionals.averaged_profile(fam, w, -1.0)
 
 
+def test_graded_inner_rule_matches_adaptive_averaged_profile():
+    # the objective's graded 1 - g against the public adaptive g, both trials
+    pairs = [
+        (trial.normalize_profile("rational_power", a=4.5, p=0.25),
+         trial.normalize_weight("bump_rich", q=0.36, r=2.1)),
+        (trial.normalize_profile("rational_power", a=10.0, p=0.25),
+         trial.normalize_weight("bump_poly", q=2.0, r=4.0)),
+    ]
+    ts = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 49.0])
+    for fam, w in pairs:
+        graded = functionals._one_minus_g_factory(fam, w, quad.DEFAULT_SPEC)(ts)
+        adaptive = [1.0 - functionals.averaged_profile(fam, w, t) for t in ts]
+        np.testing.assert_allclose(graded, adaptive, rtol=0, atol=quad.DEFAULT_SPEC.abs_tol)
+    nodes, weights = functionals._graded_rule(45)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert functionals._graded_rule(45)[0] is nodes
+
+
 def test_weight_l2_values():
     # int (5(1 - t^(1/4)))^2 = 25 (1 - 8/5 + 2/3) = 5/3; uniform = 1
     np.testing.assert_allclose(functionals.weight_l2(trial.normalize_weight("bump_simple")),

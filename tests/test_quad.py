@@ -40,6 +40,11 @@ def test_spec_validation():
         quad.QuadSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         quad.QuadSpec(rel_tol=-1e-3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            quad.QuadSpec(abs_tol=bad)
+        with pytest.raises(ValueError):
+            quad.QuadSpec(rel_tol=bad)
     quad.QuadSpec(rel_tol=0.0)  # absolute-only mode is legal
     with pytest.raises(ValueError):
         quad.QuadSpec(max_subdivisions=0)
@@ -96,3 +101,38 @@ def test_deterministic_repeat():
     r2 = quad.integrate(f, 0.0, math.inf)
     assert r1.value == r2.value
     assert r1.subdivisions_used == r2.subdivisions_used
+
+
+def _monomial_error(nodes, weights, k):
+    exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+    return abs(float(weights @ nodes**k) - exact)
+
+
+def test_kronrod_15_degree_of_exactness():
+    for k in range(24):
+        assert _monomial_error(quad._XK15, quad._WK15, k) <= 1e-14, k
+    assert _monomial_error(quad._XK15, quad._WK15, 24) > 1e-10
+
+
+def test_embedded_gauss_7_exactness_and_nodes():
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    gauss = quad._WG7 != 0.0
+    np.testing.assert_allclose(quad._XK15[gauss], x7, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(quad._WG7[gauss], w7, rtol=0, atol=1e-15)
+    for k in range(14):
+        assert _monomial_error(quad._XK15, quad._WG7, k) <= 1e-14, k
+    np.testing.assert_allclose(quad._WK15.sum(), 2.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(quad._WG7.sum(), 2.0, rtol=0, atol=1e-15)
+
+
+def test_one_integrand_call_per_panel():
+    sizes = []
+
+    def f(t):
+        sizes.append(t.size)
+        return np.sqrt(t)
+
+    res = quad.integrate(f, 0.0, 1.0)
+    assert res.converged and res.subdivisions_used > 0
+    assert len(sizes) == 1 + 2 * res.subdivisions_used
+    assert set(sizes) == {15}
