@@ -103,7 +103,10 @@ def cmd_bound(args, parser) -> int:
     quad_spec = _quad_spec(args, parser)
     c_value, trial = args.c_value, None
     if args.optimize:
-        c_value, trial = _optimized_c(problem, args, quad_spec)
+        try:
+            c_value, trial = _optimized_c(problem, args, quad_spec)
+        except (optimize.ObjectiveFailureError, ValueError) as exc:
+            parser.error(f"--optimize: {exc}")
     try:
         if args.method == "rumin-original":
             report = constants.bound_rumin_original(problem)

@@ -21,24 +21,23 @@ re-checked numerically through quadrature convergence.
 The outer integrals split at t = 1: on (0,1) the integrand is small and
 vanishes at 0, on (1, inf) the known t^(-beta) decay is folded into a
 power substitution so the transformed integrand stays bounded.  Inside the
-objective the inner g integral is evaluated on a geometrically graded fixed
-Gauss-Legendre rule shared by all outer nodes (endpoint grading handles the
-t^q-type corners of every weight kind); the public averaged_profile keeps
-the fully adaptive path at 100x tighter tolerance, and the two are
-cross-validated in the test suite.  Indicator profiles jump at s = 1/t, so
-the objective integrates the weight over the exact subinterval instead.
+objective the inner g integral and int phi^2 share phi on the fixed rule
+quad.graded_rule, and mu (s t)^a = (mu s^a) t^a costs a batch of outer
+nodes t^a and one outer product; the public averaged_profile remains the
+adaptive oracle at 100x tighter tolerance, and the two are cross-validated
+in the test suite.  Indicator profiles jump at s = 1/t, so the objective
+integrates the weight adaptively over the exact subinterval instead.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quad
-from .trial import ProfileFamily, WeightFamily, eval_profile, eval_weight, one_minus_profile
+from .trial import ProfileFamily, WeightFamily, eval_profile, eval_weight, one_minus_profile, one_minus_rational
 
 __all__ = [
     "DivergentError",
@@ -151,35 +150,16 @@ def averaged_profile(fam: ProfileFamily, weight: WeightFamily, t: float,
 
 
 def weight_l2(weight: WeightFamily, quad_spec: quad.QuadSpec | None = None) -> float:
-    """int_0^1 phi(t)^2 dt."""
-    res = quad.integrate(lambda t: eval_weight(weight, t) ** 2, 0.0, 1.0, quad_spec)
-    if not res.converged:
-        raise DivergentError(f"weight L2 quadrature did not converge: {res!r}")
-    return res.value
+    """int_0^1 phi(t)^2 dt on quad.graded_rule(quad_spec)."""
+    s, w = quad.graded_rule(quad_spec)
+    return float(w @ eval_weight(weight, s) ** 2)
 
 
-@functools.lru_cache(maxsize=8)  # one entry per abs_tol-derived levels value
-def _graded_rule(levels: int):
-    """Composite 15-point Gauss-Legendre rule on (0,1), geometrically graded
-    toward both endpoints down to 2^-levels; returns read-only (nodes, weights),
-    built once per levels."""
-    dyadic = 2.0 ** -np.arange(levels, 0, -1)  # 2^-levels .. 1/2
-    cuts = np.unique(np.concatenate(([0.0], dyadic, 1.0 - dyadic, [1.0])))
-    x15, w15 = np.polynomial.legendre.leggauss(15)
-    half = 0.5 * np.diff(cuts)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    nodes = (mid[:, None] + half[:, None] * x15[None, :]).ravel()
-    weights = (half[:, None] * w15[None, :]).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _one_minus_g_factory(fam: ProfileFamily, weight: WeightFamily, spec: quad.QuadSpec):
+def _one_minus_g_factory(fam: ProfileFamily, weight: WeightFamily, spec: quad.QuadSpec, wphi):
     """Vectorized t -> 1 - g(t), exact at small t.
 
-    Since int phi = 1, 1 - g(t) = int phi(s)(1 - f(st)) ds, which the graded
-    product rule evaluates for a whole batch of outer nodes at once.
+    Since int phi = 1, 1 - g(t) = int phi(s)(1 - f(st)) ds: one matrix product
+    per batch of outer nodes with wphi, the graded rule's weights times phi.
     """
     if fam.kind == "indicator":
         inner = spec.tightened(100.0)
@@ -195,13 +175,16 @@ def _one_minus_g_factory(fam: ProfileFamily, weight: WeightFamily, spec: quad.Qu
 
         return one_minus_g
 
-    levels = max(45, int(math.ceil(-math.log2(spec.abs_tol))) + 8)
-    s_nodes, s_weights = _graded_rule(levels)
-    wphi = s_weights * eval_weight(weight, s_nodes)
+    s_nodes = quad.graded_rule(spec)[0]
+    mu_s_a = fam.mu * s_nodes**fam.a
 
     def one_minus_g(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return wphi @ one_minus_profile(fam, s_nodes[:, None] * t[None, :])
+        with np.errstate(over="ignore"):
+            t_a = t**fam.a
+            if not np.isfinite(t_a).all():  # t^a overflowed: take (s t)^a directly
+                return wphi @ one_minus_profile(fam, s_nodes[:, None] * t[None, :])
+            return wphi @ one_minus_rational(fam.p, np.multiply.outer(mu_s_a, t_a))
 
     return one_minus_g
 
@@ -216,7 +199,9 @@ def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: Probl
     spec = quad_spec or quad.DEFAULT_SPEC
     tau = problem.tau
     _require_admissible(fam, 1.0 + tau)
-    one_minus_g = _one_minus_g_factory(fam, weight, spec)
+    s_nodes, s_weights = quad.graded_rule(spec)
+    phi = eval_weight(weight, s_nodes)
+    one_minus_g = _one_minus_g_factory(fam, weight, spec, s_weights * phi)
 
     def integrand(t):
         omg = one_minus_g(t)
@@ -228,5 +213,4 @@ def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: Probl
     far = _tail_integral(lambda t: one_minus_g(t) ** 2, 1.0 + tau, spec)
     if not (near.converged and far.converged):
         raise DivergentError(f"averaging objective quadrature did not converge: near={near!r}, far={far!r}")
-    l2 = weight_l2(weight, spec)
-    return l2**tau * tau * (near.value + far.value)
+    return float((s_weights @ phi**2) ** tau * tau * (near.value + far.value))  # weight_l2, from phi

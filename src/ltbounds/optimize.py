@@ -12,7 +12,7 @@ Parameters are clipped into a fixed box before evaluation,
 
 and evaluations that are inadmissible anyway (2pa <= 1, divergent
 functionals) score a flat 1e6 penalty, so the simplex slides back into the
-feasible region on its own.
+feasible region on its own.  Results report the clipped, scored point.
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ __all__ = [
 
 PENALTY = 1.0e6
 
-_BOX_A = (1.1, 20.0)
-_BOX_P = (0.05, 3.0)
-_BOX_Q = (0.05, 3.0)
-_BOX_R = (0.5, 10.0)
+_BOX = ((1.1, 20.0), (0.05, 3.0), (0.05, 3.0), (0.5, 10.0))
 
 _PARAMETRIC_WEIGHTS = ("bump_rich", "bump_poly")
 _FIXED_WEIGHTS = ("bump_simple", "uniform")
@@ -98,7 +95,16 @@ def _initial_simplex(x0: np.ndarray, scale: float) -> np.ndarray:
     return simplex
 
 
-def _nelder_mead(objective, x0: np.ndarray, cfg: OptConfig) -> OptResult:
+def _clipped(x) -> tuple[float, ...]:
+    return tuple(min(max(float(v), lo), hi) for v, (lo, hi) in zip(x, _BOX))
+
+
+def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
+    """Minimize score(*clipped params) over raw simplex coordinates."""
+
+    def objective(x) -> float:
+        return score(*_clipped(x))
+
     n = x0.size
     simplex = _initial_simplex(x0, cfg.initial_simplex_scale)
     fvals = np.array([objective(x) for x in simplex])
@@ -158,13 +164,9 @@ def _nelder_mead(objective, x0: np.ndarray, cfg: OptConfig) -> OptResult:
 
     order = np.argsort(fvals, kind="stable")
     simplex, fvals = simplex[order], fvals[order]
-    return OptResult(best_params=tuple(float(v) for v in simplex[0]),
+    return OptResult(best_params=_clipped(simplex[0]),
                      best_value=float(fvals[0]), iterations=iters,
                      converged=converged, trace=tuple(trace))
-
-
-def _clip(value: float, box: tuple[float, float]) -> float:
-    return min(max(value, box[0]), box[1])
 
 
 def minimize_deficit(beta: float, cfg: OptConfig, quad_spec: quad.QuadSpec | None = None) -> OptResult:
@@ -177,8 +179,7 @@ def minimize_deficit(beta: float, cfg: OptConfig, quad_spec: quad.QuadSpec | Non
     if len(cfg.seed_params) != 2:
         raise ValueError("minimize_deficit expects seed_params = (a, p)")
 
-    def objective(x) -> float:
-        a, p = _clip(x[0], _BOX_A), _clip(x[1], _BOX_P)
+    def objective(a, p) -> float:
         try:
             fam = normalize_profile("rational_power", a=a, p=p)
             return weighted_deficit(fam, beta, quad_spec)
@@ -194,8 +195,8 @@ def minimize_averaging(problem: ProblemSpec, cfg: OptConfig, phi_kind: str = "bu
 
     Parametrized weights (bump_rich, bump_poly) optimize (a, p, q, r);
     fixed weights (bump_simple, uniform) optimize (a, p) only.  Every
-    evaluation rebuilds normalized families, so reported values are true
-    objective values of admissible pairs.
+    evaluation rebuilds normalized families, so the reported best_value is
+    the true objective value of the admissible pair in best_params.
     """
     if phi_kind in _PARAMETRIC_WEIGHTS:
         if len(cfg.seed_params) != 4:
@@ -206,13 +207,11 @@ def minimize_averaging(problem: ProblemSpec, cfg: OptConfig, phi_kind: str = "bu
     else:
         raise ValueError(f"unknown phi_kind {phi_kind!r}")
 
-    def objective(x) -> float:
-        a, p = _clip(x[0], _BOX_A), _clip(x[1], _BOX_P)
+    def objective(a, p, q=None, r=None) -> float:
         try:
             fam = normalize_profile("rational_power", a=a, p=p)
             if phi_kind in _PARAMETRIC_WEIGHTS:
-                weight = normalize_weight(phi_kind, q=_clip(x[2], _BOX_Q), r=_clip(x[3], _BOX_R),
-                                          quad_spec=quad_spec)
+                weight = normalize_weight(phi_kind, q=q, r=r, quad_spec=quad_spec)
             else:
                 weight = normalize_weight(phi_kind)
             return averaging_objective(fam, weight, problem, quad_spec)

@@ -1,15 +1,16 @@
 """Adaptive panel quadrature with the embedded Gauss-Kronrod 15/7 pair.
 
-Every integral in the package funnels through integrate(): profile
-normalization cross-checks, the weighted deficit functionals, the averaging
-objective, and the potential integrals of the verification harness.  The
-scheme is plain adaptive bisection: each panel carries the 15-point Kronrod
-value K15 and the 7-point Gauss value G7 taken from the same 15 integrand
-values (the K15 nodes contain the G7 nodes, as in QUADPACK's qk15),
-|K15 - G7| is the panel's error estimate, and the worst panel is split
-until the summed error meets the tolerance or the subdivision budget runs
-out.  Budget exhaustion is reported through QuadResult.converged, never
-raised, so callers decide whether a slow integral is fatal.
+Integrals of an averaging weight over (0,1) use the fixed graded_rule();
+every other integral funnels through integrate(): the weighted deficit
+functionals, the averaging objective's outer integrals, and the potential
+integrals of the verification harness.  The scheme is plain adaptive
+bisection: each panel carries the 15-point Kronrod value K15 and the
+7-point Gauss value G7 taken from the same 15 integrand values (the K15
+nodes contain the G7 nodes, as in QUADPACK's qk15), |K15 - G7| is the
+panel's error estimate, and the worst panel is split until the summed
+error meets the tolerance or the subdivision budget runs out.  Budget
+exhaustion is reported through QuadResult.converged, never raised, so
+callers decide whether a slow integral is fatal.
 
 Semi-infinite ranges are folded to (0,1) by the rational substitution
 t = a + u/(1-u), dt = du/(1-u)^2.  Kronrod nodes are interior, so neither
@@ -21,13 +22,14 @@ must return an ndarray of the same shape.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadSpec", "QuadResult", "NonFiniteIntegrandError", "integrate"]
+__all__ = ["QuadSpec", "QuadResult", "NonFiniteIntegrandError", "integrate", "graded_rule"]
 
 TRANSFORMS = ("none", "semi_infinite_rational")
 
@@ -179,3 +181,29 @@ def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadR
             total_e += e
 
     return QuadResult(total_v + frozen_v, total_e + frozen_e, splits, True)
+
+
+def graded_rule(spec: QuadSpec | None = None):
+    """Fixed rule on (0,1) -> read-only (nodes, weights), built once per levels.
+
+    Gauss-Legendre 15 panels graded to 2^-levels at both ends, levels =
+    max(45, ceil(-log2 abs_tol) + 8); the first panel, in s = 2^-levels u^8,
+    resolves a weight's s^q corner for q down to 0.05 even at large r.
+    """
+    return _graded_rule(max(45, math.ceil(-math.log2((spec or DEFAULT_SPEC).abs_tol)) + 8))
+
+
+@functools.lru_cache(maxsize=8)  # one entry per levels value
+def _graded_rule(levels: int):
+    dyadic = 2.0 ** -np.arange(levels, 0, -1)  # 2^-levels .. 1/2
+    cuts = np.unique(np.concatenate(([0.0], dyadic, 1.0 - dyadic, [1.0])))
+    x15, w15 = np.polynomial.legendre.leggauss(15)
+    half = 0.5 * np.diff(cuts)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    nodes = (mid[:, None] + half[:, None] * x15[None, :]).ravel()
+    weights = (half[:, None] * w15[None, :]).ravel()
+    u = 0.5 * (x15 + 1.0)  # the first panel in s = cuts[1] u^8
+    nodes[:15], weights[:15] = cuts[1] * u**8, cuts[1] * 4.0 * u**7 * w15
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights

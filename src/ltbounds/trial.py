@@ -16,7 +16,7 @@ L2 normalization.  Kinds:
 A weight phi lives on (0,1] with int phi = 1.  Kinds:
 
   bump_simple      phi(t) = 5 (1 - t^(1/4)), normalization exact
-  bump_rich        phi(t) = c (1 - t^q)^r / (1 + t), c by quadrature
+  bump_rich        phi(t) = c (1 - t^q)^r / (1 + t), c on quad.graded_rule
   bump_poly        phi(t) = c (1 - t^q)^r, c = q / B(1/q, r + 1)
   uniform          phi = 1 on (0,1]
 
@@ -136,16 +136,18 @@ def eval_profile(fam: ProfileFamily, t):
 
 
 def one_minus_profile(fam: ProfileFamily, t):
-    """1 - f(t) without cancellation at small t.
-
-    Near 0 the direct difference loses all digits once mu t^a drops under
-    machine epsilon; expm1/log1p keep the t^a leading order exact.
-    """
+    """1 - f(t) without cancellation at small t."""
     t = np.asarray(t, dtype=float)
     if fam.kind == "indicator":
         return np.where(t <= 1.0, 0.0, 1.0)
     with np.errstate(over="ignore"):
-        return -np.expm1(-fam.p * np.log1p(fam.mu * t**fam.a))
+        return one_minus_rational(fam.p, fam.mu * t**fam.a)
+
+
+def one_minus_rational(p: float, x):
+    """1 - (1 + x)^(-p), which is 1 - f at x = mu t^a; expm1/log1p keep the
+    leading order p x exact where the direct difference loses every digit."""
+    return -np.expm1(-p * np.log1p(x))
 
 
 def normalize_weight(kind: str, q: float | None = None, r: float | None = None,
@@ -153,7 +155,7 @@ def normalize_weight(kind: str, q: float | None = None, r: float | None = None,
     """Build a weight with int_0^1 phi = 1.
 
     bump_simple and uniform carry exact constants, bump_poly a Beta-function
-    closed form, bump_rich a quadrature value.  Raises
+    closed form, bump_rich 1 / mass on quad.graded_rule(quad_spec).  Raises
     ConstraintViolationError on bad parameters or a degenerate (zero /
     non-finite) unnormalized integral.
     """
@@ -174,12 +176,11 @@ def normalize_weight(kind: str, q: float | None = None, r: float | None = None,
         # int_0^1 (1 - t^q)^r dt = B(1/q, r+1)/q via u = t^q
         c = float(np.exp(np.log(q) - log_beta(1.0 / q, r + 1.0)))
         return WeightFamily(kind="bump_poly", q=q, r=r, c=c)
-    res = quad.integrate(lambda t: (1.0 - t**q) ** r / (1.0 + t), 0.0, 1.0, quad_spec)
-    if not res.converged:
-        raise ConstraintViolationError(f"weight normalization integral did not converge: {res!r}")
-    if not (res.value > 0.0) or not np.isfinite(res.value):
-        raise ConstraintViolationError(f"weight normalization integral degenerate: {res.value!r}")
-    return WeightFamily(kind="bump_rich", q=q, r=r, c=1.0 / res.value)
+    s, w = quad.graded_rule(quad_spec)
+    mass = float(w @ eval_weight(WeightFamily(kind="bump_rich", q=q, r=r, c=1.0), s))
+    if not (mass > 0.0) or not np.isfinite(mass):
+        raise ConstraintViolationError(f"weight normalization integral degenerate: {mass!r}")
+    return WeightFamily(kind="bump_rich", q=q, r=r, c=1.0 / mass)
 
 
 def eval_weight(fam: WeightFamily, t):

@@ -65,6 +65,18 @@ def test_bound_optimized_c(tmp_path):
     assert blob["trial"]["weight"]["kind"] == "bump_rich"
 
 
+@pytest.mark.parametrize("seed, message", [
+    ("2.0,0.05", "3 of 3 initial simplex points are infeasible"),
+    ("2.0,0.5,1.0", "expects seed_params = (a, p)"),
+], ids=["infeasible", "wrong-length"])
+def test_bound_optimize_bad_seed_is_usage_error(seed, message):
+    proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "from-c", "--optimize",
+                   "--phi-kind", "bump_simple", "--seed", seed)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bound_usage_errors():
     assert run_cli("bound", "--d", "1", "--sigma", "1").returncode == 2
     assert run_cli("bound", "--d", "0", "--sigma", "1", "--method", "best-of").returncode == 2

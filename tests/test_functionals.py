@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sci
@@ -96,19 +97,55 @@ def test_graded_inner_rule_matches_adaptive_averaged_profile():
          trial.normalize_weight("bump_poly", q=2.0, r=4.0)),
     ]
     ts = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 49.0])
+    nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
     for fam, w in pairs:
-        graded = functionals._one_minus_g_factory(fam, w, quad.DEFAULT_SPEC)(ts)
+        wphi = weights * trial.eval_weight(w, nodes)
+        graded = functionals._one_minus_g_factory(fam, w, quad.DEFAULT_SPEC, wphi)(ts)
         adaptive = [1.0 - functionals.averaged_profile(fam, w, t) for t in ts]
         np.testing.assert_allclose(graded, adaptive, rtol=0, atol=quad.DEFAULT_SPEC.abs_tol)
-    nodes, weights = functionals._graded_rule(45)
+    assert nodes.size == 1350
     assert not nodes.flags.writeable and not weights.flags.writeable
-    assert functionals._graded_rule(45)[0] is nodes
+    assert quad.graded_rule()[0] is nodes
+
+
+@pytest.mark.parametrize("a", [1.1, 5.2, 12.0, 20.0])
+def test_factored_inner_power_matches_direct(a):
+    # (mu s^a) t^a against mu (s t)^a; at a = 20 the smallest s^a underflows,
+    # and a t with t^a = inf takes the direct path
+    fam = trial.normalize_profile("rational_power", a=a, p=0.5)
+    w = trial.normalize_weight("bump_rich", q=0.36, r=2.1)
+    ts = np.concatenate((np.logspace(-300, 305, 243), [np.inf]))
+    for abs_tol in (1e-7, 1e-11, 1e-15):
+        spec = quad.QuadSpec(abs_tol=abs_tol)
+        nodes, weights = quad.graded_rule(spec)
+        wphi = weights * trial.eval_weight(w, nodes)
+        one_minus_g = functionals._one_minus_g_factory(fam, w, spec, wphi)
+        factored = np.array([one_minus_g(t)[0] for t in ts])  # one t per batch
+        direct = wphi @ trial.one_minus_profile(fam, nodes[:, None] * ts[None, :])
+        assert np.isfinite(factored).all() and np.isfinite(direct).all()
+        np.testing.assert_allclose(factored, direct, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("q, r", [(0.05, 0.5), (0.05, 10.0), (3.0, 0.5), (3.0, 10.0),
+                                  (0.36, 2.1), (0.42, 1.8)])
+def test_weight_integrals_against_mpmath(q, r):
+    # the optimizer's (q, r) box corners and the two paper trials, 30 digits
+    with mpmath.workdps(30):
+        qm, rm = mpmath.mpf(q), mpmath.mpf(r)
+        c_rich = 1 / mpmath.quad(lambda s: (1 - s**qm) ** rm / (1 + s), [0, 1])
+        l2_rich = c_rich**2 * mpmath.quad(lambda s: (1 - s**qm) ** (2 * rm) / (1 + s) ** 2, [0, 1])
+        poly_mass = mpmath.beta(1 / qm, 2 * rm + 1) / qm
+    rich = trial.normalize_weight("bump_rich", q=q, r=r)
+    np.testing.assert_allclose(rich.c, float(c_rich), rtol=1e-13)
+    np.testing.assert_allclose(functionals.weight_l2(rich), float(l2_rich), rtol=1e-13)
+    poly = trial.normalize_weight("bump_poly", q=q, r=r)
+    np.testing.assert_allclose(functionals.weight_l2(poly), float(poly.c**2 * poly_mass), rtol=1e-13)
 
 
 def test_weight_l2_values():
     # int (5(1 - t^(1/4)))^2 = 25 (1 - 8/5 + 2/3) = 5/3; uniform = 1
     np.testing.assert_allclose(functionals.weight_l2(trial.normalize_weight("bump_simple")),
-                               5.0 / 3.0, rtol=1e-10)
+                               5.0 / 3.0, rtol=1e-13)
     np.testing.assert_allclose(functionals.weight_l2(trial.normalize_weight("uniform")),
                                1.0, rtol=1e-12)
 

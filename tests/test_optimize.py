@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ltbounds import constants, optimize
+from ltbounds import constants, functionals, optimize, trial
 from ltbounds.functionals import ProblemSpec
 
 P11 = ProblemSpec(d=1, sigma=1.0)
@@ -71,6 +71,21 @@ def test_minimize_averaging_fixed_weight_takes_two_params():
     with pytest.raises(ValueError):
         optimize.minimize_averaging(P11, optimize.OptConfig(seed_params=(2.0, 0.5, 1.0, 1.0)),
                                     phi_kind="bump_simple")
+
+
+def test_reported_params_are_the_scored_pair():
+    # both searches push a past the box edge 20; the result must name the
+    # clipped point that earned best_value, not the raw simplex vertex
+    res = optimize.minimize_averaging(P11, optimize.OptConfig(seed_params=(19.5, 0.5), max_iters=60),
+                                      phi_kind="bump_simple")
+    assert res.best_params[0] == 20.0
+    fam = trial.normalize_profile("rational_power", a=res.best_params[0], p=res.best_params[1])
+    assert functionals.averaging_objective(fam, trial.normalize_weight("bump_simple"), P11) == res.best_value
+
+    res = optimize.minimize_deficit(25.0, optimize.OptConfig(seed_params=(19.0, 1.0), max_iters=60))
+    assert res.best_params[0] == 20.0
+    fam = trial.normalize_profile("rational_power", a=res.best_params[0], p=res.best_params[1])
+    assert functionals.weighted_deficit(fam, 25.0) == res.best_value
 
 
 def test_objective_failure_on_infeasible_seed():
