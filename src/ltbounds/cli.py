@@ -255,7 +255,7 @@ def cmd_verify(args, parser) -> int:
         try:
             suite = [(verify.potential_from_json(case["potential"]), verify.grid_from_json(case["grid"]))
                      for case in raw]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             parser.error(f"bad verify config: {exc}")
     else:
         suite = list(verify.default_suite())

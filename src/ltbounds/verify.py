@@ -6,13 +6,19 @@ harness finds every negative eigenvalue and checks
 
   sum |negative eigenvalues|  <=  l_ratio * L_cl(1,1) * int V_-^(3/2) dx
 
-with L_cl(1,1) = 2/(3 pi).  Negative eigenvalues are located by Sturm pivot
-counts plus bisection: the count of LDL^T pivots below a shift equals the
-count of eigenvalues below it, so each eigenvalue is boxed to absolute
-accuracy 1e-9 with exact bookkeeping and no full diagonalization.  The
-potential integral uses adaptive quadrature on the analytic potential, not
-the grid samples, so the two sides of the inequality carry independent
-discretization errors.
+with L_cl(1,1) = 2/(3 pi).  Negative eigenvalues are located by LDL^T pivot
+passes, with no full diagonalization.  The count of negative pivots at a
+shift equals the count of eigenvalues below it (Sturm), and every count
+tightens the brackets of all eigenvalues.  The same pass carries
+s = d/dx log|det(T - x)| (Wilkinson 1965; Li and Zeng 1994), so each
+eigenvalue is refined by the Newton step x - 1/s while that step lands
+inside its bracket and is at most half the move before last; otherwise the
+bracket is bisected.  A step under half the tolerance is lengthened by a
+quarter of it, so the next count closes the bracket from the far side.
+Every eigenvalue ends in a Sturm-certified bracket of width at most 1e-10,
+and its midpoint is returned.  The potential integral uses adaptive
+quadrature on the analytic potential, not the grid samples, so the two
+sides of the inequality carry independent discretization errors.
 
 Discretization error in the eigenvalue sum scales as h^2 (the tests check
 the 4x decay per grid doubling); a GridTooCoarseWarning advisory fires when
@@ -77,16 +83,16 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if not (self.width > 0.0):
-            raise ValueError(f"width must be positive, got {self.width!r}")
+        if not (0.0 < self.width < math.inf):
+            raise ValueError(f"width must be positive and finite, got {self.width!r}")
         if self.kind == "poschl_teller":
-            if self.nu is None or not (self.nu > 0.0):
-                raise ValueError(f"poschl_teller requires nu > 0, got {self.nu!r}")
+            if self.nu is None or not (0.0 < self.nu < math.inf):
+                raise ValueError(f"poschl_teller requires finite nu > 0, got {self.nu!r}")
             if self.depth is not None:
                 raise ValueError("poschl_teller takes nu/width, not depth")
         else:
-            if self.depth is None or self.depth < 0.0:
-                raise ValueError(f"{self.kind} requires depth >= 0, got {self.depth!r}")
+            if self.depth is None or not (0.0 <= self.depth < math.inf):
+                raise ValueError(f"{self.kind} requires finite depth >= 0, got {self.depth!r}")
             if self.nu is not None:
                 raise ValueError(f"{self.kind} takes depth/width, not nu")
 
@@ -107,9 +113,9 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not (self.half_width > 0.0):
-            raise ValueError(f"half_width must be positive, got {self.half_width!r}")
-        if int(self.n_points) != self.n_points or self.n_points < 3:
+        if not (0.0 < self.half_width < math.inf):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width!r}")
+        if not (3 <= self.n_points < math.inf) or int(self.n_points) != self.n_points:
             raise ValueError(f"n_points must be an integer >= 3, got {self.n_points!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
 
@@ -124,6 +130,7 @@ class SpectrumResult:
     negative_eigenvalues: tuple[float, ...]  # descending, closest to 0 first
     sum_negative: float
     potential_integral: float
+    sturm_passes: int  # LDL^T pivot passes spent on the spectrum
 
     def to_json(self) -> dict:
         return {
@@ -177,58 +184,66 @@ def sturm_count_below(diag, off, shift: float) -> int:
     standard tiny-pivot replacement, which is an exact eigenvalue count in
     floating point.
     """
+    if math.isnan(shift):
+        raise ValueError("shift must not be nan")
     diag = np.asarray(diag, dtype=float)
     off2 = np.square(np.asarray(off, dtype=float))
     if off2.ndim == 0:
         off2 = np.full(diag.size - 1, float(off2))
     if off2.size != diag.size - 1:
         raise ValueError(f"off-diagonal length {off2.size} does not match diagonal length {diag.size}")
-    return _count_below(diag.tolist(), off2.tolist(), float(shift),
-                        _SAFE_MIN * max(1.0, float(off2.max(initial=0.0))))
+    return _pivots(diag.tolist(), off2.tolist(), float(shift),
+                   _SAFE_MIN * max(1.0, float(off2.max(initial=0.0))))[0]
 
 
-def _count_below(diag: list, off2: list, shift: float, pivmin: float) -> int:
-    count = 0
+def _pivots(diag: list, off2: list, shift: float, pivmin: float) -> tuple[int, float]:
+    """One LDL^T pivot pass of T - shift: the count of negative pivots q_i and
+    s = sum q_i'/q_i = d/dshift log|det(T - shift)|, carried as t_i = q_i'/q_i."""
     q = diag[0] - shift
     if -pivmin < q < pivmin:
         q = -pivmin
-    if q < 0.0:
-        count = 1
-    for i in range(1, len(diag)):
-        q = diag[i] - shift - off2[i - 1] / q
+    count = 1 if q < 0.0 else 0
+    s = t = -1.0 / q
+    for d, e2 in zip(diag[1:], off2):
+        r = e2 / q
+        q = d - shift - r
         if -pivmin < q < pivmin:
             q = -pivmin
         if q < 0.0:
             count += 1
-    return count
+        t = (r * t - 1.0) / q
+        s += t
+    return count, s
 
 
-def _negative_eigenvalues(diag: np.ndarray, e2: float, lower: float) -> list:
-    """All eigenvalues in [lower, 0) by shared Sturm bisection, ascending."""
+def _negative_eigenvalues(diag: np.ndarray, e2: float, lower: float) -> tuple[list, int]:
+    """All eigenvalues in [lower, 0), ascending, and the pivot passes spent."""
     dlist = diag.tolist()
     off2 = [e2] * (len(dlist) - 1)
     pivmin = _SAFE_MIN * max(1.0, e2)
-    m = _count_below(dlist, off2, 0.0, pivmin)
-    if m == 0:
-        return []
+    m = _pivots(dlist, off2, 0.0, pivmin)[0]
+    passes = 1
     lo = [lower] * m
     hi = [0.0] * m
-    # every count at a shift sharpens every bracket, so scan the widest
-    # bracket until all are tighter than the target
-    for _ in range(64 * (m + 1)):
-        widths = [hi[k] - lo[k] for k in range(m)]
-        k = max(range(m), key=widths.__getitem__)
-        if widths[k] <= _BISECT_TOL:
-            break
-        mid = 0.5 * (lo[k] + hi[k])
-        count = _count_below(dlist, off2, mid, pivmin)
-        for j in range(m):
-            if count >= j + 1:
-                if mid < hi[j]:
-                    hi[j] = mid
-            elif mid > lo[j]:
-                lo[j] = mid
-    return [0.5 * (lo[k] + hi[k]) for k in range(m)]
+    for j in range(m):
+        x = 0.5 * (lo[j] + hi[j])
+        moved = older = hi[j] - lo[j]
+        while hi[j] - lo[j] > _BISECT_TOL:
+            count, s = _pivots(dlist, off2, x, pivmin)
+            passes += 1
+            for k in range(m):  # every count tightens every bracket
+                if count > k:
+                    hi[k] = min(hi[k], x)
+                else:
+                    lo[k] = max(lo[k], x)
+            step = -1.0 / s if s else math.inf
+            if abs(step) < 0.5 * _BISECT_TOL:  # converged: probe just past the root
+                step += math.copysign(0.25 * _BISECT_TOL, step)
+            y = x + step
+            if not (lo[j] < y < hi[j] and abs(step) <= 0.5 * max(older, _BISECT_TOL)):
+                y = 0.5 * (lo[j] + hi[j])
+            x, moved, older = y, abs(y - x), moved
+    return [0.5 * (lo[k] + hi[k]) for k in range(m)], passes
 
 
 def discretize_and_solve(pot: PotentialSpec, grid: GridSpec,
@@ -249,12 +264,13 @@ def discretize_and_solve(pot: PotentialSpec, grid: GridSpec,
                       "half_width truncates the tail", GridTooCoarseWarning, stacklevel=2)
     diag = 2.0 / h**2 + V
     e2 = (1.0 / h**2) ** 2
-    eigs = _negative_eigenvalues(diag, e2, lower=float(V.min()) - 1.0)
+    eigs, passes = _negative_eigenvalues(diag, e2, lower=float(V.min()) - 1.0)
     descending = tuple(sorted(eigs, reverse=True))
     result = SpectrumResult(potential=pot, grid=grid,
                             negative_eigenvalues=descending,
                             sum_negative=-float(sum(eigs)) + 0.0,
-                            potential_integral=potential_integral(pot, quad_spec))
+                            potential_integral=potential_integral(pot, quad_spec),
+                            sturm_passes=passes)
     if check_grid:
         finer = discretize_and_solve(pot, GridSpec(L, 2 * n), quad_spec, check_grid=False)
         scale = max(abs(finer.sum_negative), 1e-30)
@@ -312,4 +328,4 @@ def grid_from_json(obj: dict) -> GridSpec:
         raise ValueError(f"unexpected grid fields {sorted(extra)!r}")
     if "half_width" not in obj or "n_points" not in obj:
         raise ValueError("grid JSON requires half_width and n_points")
-    return GridSpec(half_width=float(obj["half_width"]), n_points=int(obj["n_points"]))
+    return GridSpec(half_width=float(obj["half_width"]), n_points=float(obj["n_points"]))

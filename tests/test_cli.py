@@ -211,3 +211,26 @@ def test_bad_quad_tol_is_usage_error(tmp_path, argv, field):
     assert proc.returncode == 2
     assert f"{field} must be" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", [
+    {"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0},
+     "grid": {"half_width": math.inf, "n_points": 1001}},
+    {"potential": {"kind": "gaussian_well", "depth": math.inf, "width": 2.0},
+     "grid": {"half_width": 10.0, "n_points": 1001}},
+    {"potential": {"kind": "poschl_teller", "nu": math.nan},
+     "grid": {"half_width": 10.0, "n_points": 1001}},
+    {"potential": {"kind": "square_well", "depth": 3.0, "width": math.inf},
+     "grid": {"half_width": 10.0, "n_points": 1001}},
+    {"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0},
+     "grid": {"half_width": 10.0, "n_points": 101.5}},
+    {"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0},
+     "grid": {"half_width": 10.0, "n_points": 10**400}},
+], ids=["half_width-inf", "depth-inf", "nu-nan", "width-inf", "n_points-fraction", "n_points-overflow"])
+def test_verify_non_finite_config_is_usage_error(tmp_path, case):
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps([case]))
+    proc = run_cli("verify", str(config))
+    assert proc.returncode == 2
+    assert "bad verify config" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from ltbounds import verify
@@ -167,3 +169,78 @@ def test_json_round_trips():
         verify.potential_from_json({"kind": "morse", "depth": 1.0})
     with pytest.raises(ValueError):
         verify.grid_from_json({"half_width": 5.0, "n_points": 101, "spacing": 0.1})
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"kind": "poschl_teller", "nu": math.inf},
+    {"kind": "poschl_teller", "nu": 1.0, "width": math.inf},
+    {"kind": "gaussian_well", "depth": math.inf},
+    {"kind": "gaussian_well", "depth": math.nan},
+    {"kind": "square_well", "depth": 3.0, "width": math.nan},
+], ids=["nu-inf", "width-inf", "depth-inf", "depth-nan", "width-nan"])
+def test_potential_spec_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        verify.PotentialSpec(**kwargs)
+
+
+@pytest.mark.parametrize("half_width, n_points", [
+    (math.inf, 101), (math.nan, 101), (5.0, math.inf), (5.0, math.nan), (5.0, 101.5),
+])
+def test_grid_spec_rejects_non_finite(half_width, n_points):
+    with pytest.raises(ValueError):
+        verify.GridSpec(half_width=half_width, n_points=n_points)
+    with pytest.raises(ValueError):
+        verify.grid_from_json({"half_width": half_width, "n_points": n_points})
+
+
+def test_sturm_count_rejects_nan_shift():
+    diag, off, _ = _tridiag(PT1, verify.GridSpec(half_width=10.0, n_points=101))
+    with pytest.raises(ValueError, match="nan"):
+        verify.sturm_count_below(diag, off, math.nan)
+
+
+def test_default_suite_pivot_passes():
+    """Pivot passes per case stay below the bisection-only scan's 36 / 74 / 139 / 72."""
+    passes = [verify.discretize_and_solve(pot, grid).sturm_passes for pot, grid in verify.default_suite()]
+    assert all(p < bisection for p, bisection in zip(passes, (36, 74, 139, 72))), passes
+    assert sum(passes) <= 190, passes
+    assert passes == [verify.discretize_and_solve(pot, grid).sturm_passes
+                      for pot, grid in verify.default_suite()]
+
+
+# one well per family with 1, 4 and 8 bound states, then the default suite
+ACCURACY_CASES = [
+    *((verify.PotentialSpec(kind="poschl_teller", nu=float(k)), verify.GridSpec(20.0, 4001), k)
+      for k in (1, 4, 8)),
+    *((verify.PotentialSpec(kind="gaussian_well", depth=depth), verify.GridSpec(10.0, 4001), k)
+      for depth, k in ((1.0, 1), (30.0, 4), (90.0, 8))),
+    *((verify.PotentialSpec(kind="square_well", depth=depth, width=2.0), verify.GridSpec(6.0, 4001), k)
+      for depth, k in ((1.0, 1), (30.0, 4), (140.0, 8))),
+    *((pot, grid, None) for pot, grid in verify.default_suite()),
+]
+
+
+@pytest.mark.parametrize("pot, grid, states", ACCURACY_CASES,
+                         ids=[f"{pot.kind}-{states or 'suite'}" for pot, _, states in ACCURACY_CASES])
+def test_eigenvalues_certified_and_match_dense_solver(pot, grid, states):
+    diag, off, vmin = _tridiag(pot, grid)
+    ascending = sorted(verify.discretize_and_solve(pot, grid).negative_eigenvalues)
+    if states is not None:
+        assert len(ascending) == states
+    for j, lam in enumerate(ascending):
+        assert verify.sturm_count_below(diag, off, lam - 1e-10) <= j
+        assert verify.sturm_count_below(diag, off, lam + 1e-10) > j
+    dense = eigvalsh_tridiagonal(diag, off, select="v", select_range=(vmin - 1.0, 0.0))
+    np.testing.assert_allclose(ascending, np.sort(dense), rtol=0.0, atol=5e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+           st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+           st.lists(st.floats(-10.0, 10.0), min_size=n - 1, max_size=n - 1))),
+       st.floats(-30.0, 30.0))
+def test_sturm_count_matches_dense_eigvalsh(entries, shift):
+    diag, off = (np.array(v, dtype=float) for v in entries)
+    eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    assume(np.min(np.abs(eigs - shift)) > 1e-8 * np.max(np.abs(eigs)))
+    assert verify.sturm_count_below(diag, off, shift) == int(np.sum(eigs < shift))
