@@ -86,13 +86,7 @@ def _optimized_c(problem: ProblemSpec, args, quad_spec):
     seed = tuple(args.seed) if args.seed else optimize.default_seed(problem, phi_kind)
     cfg = optimize.OptConfig(seed_params=seed, max_iters=args.max_iters)
     result = optimize.minimize_averaging(problem, cfg, phi_kind=phi_kind, quad_spec=quad_spec)
-    params = result.best_params
-    profile = normalize_profile("rational_power", a=params[0], p=params[1])
-    if len(params) == 4:
-        weight = normalize_weight(phi_kind, q=params[2], r=params[3], quad_spec=quad_spec)
-    else:
-        weight = normalize_weight(phi_kind)
-    return result.best_value, (profile, weight)
+    return result.best_value, optimize.trial_pair(phi_kind, result.best_params, quad_spec)
 
 
 def cmd_bound(args, parser) -> int:

@@ -10,9 +10,17 @@ and the kinetic and potential sides are exact duals of each other:
 
   l_ratio = k_ratio^(-d / (2 sigma)).
 
-Every formula is evaluated in log space so that large dimensions (d in the
-thousands) stay exact to roundoff instead of overflowing; the same applies
-to the closed-form minimum of the weighted deficit,
+A BoundReport stores log k alone, so the duality holds by construction.
+In eps = sigma/d, with x = 2 pi eps/(1 + 2 eps), the two log-k formulas
+
+  momentum_optimal  -log1p(4 eps) + (1 + 2 eps) (log1p(2 eps) + log(sin(x)/x))
+  from a value C    -log1p(2 eps) - 4 eps log1p(1/(2 eps)) - 2 eps log C
+
+subtract no two logs of size log d, so log l = -log k/(2 eps) keeps its
+digits for eps from 1e-12 to 1e3.  The other formulas are evaluated in log
+space so that large dimensions (d in the thousands) stay exact to roundoff
+instead of overflowing; the same applies to the closed-form minimum of the
+weighted deficit,
 
   deficit_min(beta) = (beta-1)^(beta-1)/beta^beta * ((pi/beta)/sin(pi/beta))^beta
 
@@ -34,7 +42,7 @@ Bound constructors return BoundReport records.  Methods:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .functionals import ProblemSpec
@@ -69,6 +77,10 @@ LIFTED_1D_L_RATIO = 1.455786
 # conjecture only, never used as a gate, shown in reports for reference.
 CONJECTURED_1D_L_RATIO = 2.0 / math.sqrt(3.0)
 
+# Bound on |log k| and |log l|: exp overflows just above 709.78 and leaves
+# the normal floats just below -708.4.
+_LOG_FLOAT_RANGE = 709.0
+
 
 class DeficitMin(NamedTuple):
     value: float
@@ -77,26 +89,32 @@ class DeficitMin(NamedTuple):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One bound on (k_ratio, l_ratio) for a problem, with its provenance.
+    """One bound for a problem, stored as log k, with its provenance.
 
-    k_ratio multiplies K_cl from below, l_ratio multiplies L_cl from above;
-    the two always satisfy l = k^(-d/(2 sigma)).  c_value and trial are set
-    when the bound came out of an averaging objective.
+    k_ratio = exp(log_k) multiplies K_cl from below and l_ratio =
+    exp(-tau log_k) multiplies L_cl from above, so l = k^(-d/(2 sigma))
+    holds by construction.  c_value and trial are set when the bound came
+    out of an averaging objective.
     """
 
     problem: ProblemSpec
     method: str
-    k_ratio: float
-    l_ratio: float
+    log_k: float
     c_value: float | None = None
     trial: tuple[ProfileFamily, WeightFamily] | None = None
 
     def __post_init__(self):
-        if not (self.k_ratio > 0.0 and self.l_ratio > 0.0):
-            raise ValueError(f"ratios must be positive, got k={self.k_ratio!r}, l={self.l_ratio!r}")
-        dual = dual_convert(self.problem, self.k_ratio)
-        if abs(dual - self.l_ratio) > 1e-12 * max(1.0, abs(self.l_ratio)):
-            raise ValueError(f"k/l pair violates duality: l={self.l_ratio!r}, k^-tau={dual!r}")
+        log_l = -self.problem.tau * self.log_k
+        if not (abs(self.log_k) <= _LOG_FLOAT_RANGE and abs(log_l) <= _LOG_FLOAT_RANGE):
+            raise ValueError(f"k or l leaves the float range: log k = {self.log_k!r}, log l = {log_l!r}")
+
+    @property
+    def k_ratio(self) -> float:
+        return math.exp(self.log_k)
+
+    @property
+    def l_ratio(self) -> float:
+        return math.exp(-self.problem.tau * self.log_k)
 
     def to_json(self) -> dict:
         trial = None
@@ -156,10 +174,16 @@ def dual_convert(problem: ProblemSpec, k_ratio: float) -> float:
     return math.exp(-problem.tau * math.log(k_ratio))
 
 
-def _log_k_momentum_optimal(d: int, sigma: float) -> float:
-    x = 2.0 * math.pi * sigma / (d + 2.0 * sigma)
-    log_bracket = 2.0 * math.log(d + 2.0 * sigma) + math.log(math.sin(x)) - math.log(2.0 * math.pi * sigma * d)
-    return math.log(d) - math.log(d + 4.0 * sigma) + (1.0 + 2.0 * sigma / d) * log_bracket
+def _log_k_momentum_optimal(problem: ProblemSpec) -> float:
+    eps = problem.sigma / problem.d
+    x = 2.0 * math.pi * eps / (1.0 + 2.0 * eps)
+    if x < 1e-2:  # Taylor series of log(sin(x)/x), exact to roundoff here
+        x2 = x * x
+        log_sinc = -x2 * (1.0 / 6.0 + x2 * (1.0 / 180.0 + x2 * (1.0 / 2835.0 + x2 / 37800.0)))
+    else:  # sin(x) = sin(pi - x) keeps its digits as x approaches pi
+        sin_x = math.sin(x) if x < 0.5 * math.pi else math.sin(math.pi / (1.0 + 2.0 * eps))
+        log_sinc = math.log(sin_x / x)
+    return -math.log1p(4.0 * eps) + (1.0 + 2.0 * eps) * (math.log1p(2.0 * eps) + log_sinc)
 
 
 def bound_momentum_optimal(problem: ProblemSpec) -> BoundReport:
@@ -168,19 +192,15 @@ def bound_momentum_optimal(problem: ProblemSpec) -> BoundReport:
     k = d/(d+4 sigma) * ((d+2 sigma)^2 sin(2 pi sigma/(d+2 sigma))
         / (2 pi sigma d))^(1+2 sigma/d).
     """
-    log_k = _log_k_momentum_optimal(problem.d, problem.sigma)
     method = "momentum_optimal" if problem.sigma == 1.0 else "fractional_first"
-    return BoundReport(problem=problem, method=method,
-                       k_ratio=math.exp(log_k), l_ratio=math.exp(-problem.tau * log_k))
+    return BoundReport(problem=problem, method=method, log_k=_log_k_momentum_optimal(problem))
 
 
 def bound_rumin_original(problem: ProblemSpec) -> BoundReport:
     """Uniform-splitting baseline k = d/(d+4), l = ((d+4)/d)^(d/2); sigma = 1 only."""
     if problem.sigma != 1.0:
         raise ValueError("rumin_original is stated for sigma = 1")
-    d = problem.d
-    return BoundReport(problem=problem, method="rumin_original",
-                       k_ratio=d / (d + 4.0), l_ratio=math.exp(0.5 * d * math.log1p(4.0 / d)))
+    return BoundReport(problem=problem, method="rumin_original", log_k=-math.log1p(4.0 / problem.d))
 
 
 def bound_from_c(problem: ProblemSpec, c_value: float,
@@ -191,20 +211,16 @@ def bound_from_c(problem: ProblemSpec, c_value: float,
     """
     if not (c_value > 0.0 and math.isfinite(c_value)):
         raise ValueError(f"c_value must be positive and finite, got {c_value!r}")
-    d, sigma = problem.d, problem.sigma
-    log_k = (math.log(d) - math.log(d + 2.0 * sigma)
-             + 4.0 * sigma / d * (math.log(2.0 * sigma) - math.log(d + 2.0 * sigma))
-             - 2.0 * sigma / d * math.log(c_value))
-    method = "low_momentum_avg" if sigma == 1.0 else "fractional_second"
-    return BoundReport(problem=problem, method=method, k_ratio=math.exp(log_k),
-                       l_ratio=math.exp(-problem.tau * log_k), c_value=c_value, trial=trial)
+    eps = problem.sigma / problem.d
+    # log(2 eps) - log1p(2 eps) = -log1p(1/(2 eps)), which does not cancel at large eps
+    log_k = -math.log1p(2.0 * eps) - 4.0 * eps * math.log1p(0.5 / eps) - 2.0 * eps * math.log(c_value)
+    method = "low_momentum_avg" if problem.sigma == 1.0 else "fractional_second"
+    return BoundReport(problem=problem, method=method, log_k=log_k, c_value=c_value, trial=trial)
 
 
 def _bound_lifted_1d(problem: ProblemSpec) -> BoundReport:
     # the d = 1 value transports to every dimension at sigma = 1
-    log_l = math.log(LIFTED_1D_L_RATIO)
-    return BoundReport(problem=problem, method="lifted_1d",
-                       k_ratio=math.exp(-log_l / problem.tau), l_ratio=LIFTED_1D_L_RATIO)
+    return BoundReport(problem=problem, method="lifted_1d", log_k=-math.log(LIFTED_1D_L_RATIO) / problem.tau)
 
 
 def bound_best_of(problem: ProblemSpec, c_value: float | None = None,
@@ -221,9 +237,7 @@ def bound_best_of(problem: ProblemSpec, c_value: float | None = None,
         candidates.append(_bound_lifted_1d(problem))
     if c_value is not None:
         candidates.append(bound_from_c(problem, c_value, trial))
-    best = max(candidates, key=lambda rep: rep.k_ratio)
-    return BoundReport(problem=problem, method="best_of", k_ratio=best.k_ratio,
-                       l_ratio=best.l_ratio, c_value=best.c_value, trial=best.trial)
+    return replace(max(candidates, key=lambda rep: rep.log_k), method="best_of")
 
 
 def product_identity_check(d1: int, d: int) -> float:
@@ -240,11 +254,10 @@ def product_identity_check(d1: int, d: int) -> float:
 
 
 def large_d_limit_probe(d: int, sigma: float = 1.0) -> float:
-    """l_ratio of the optimized momentum splitting at large d, in log space.
+    """l_ratio of the optimized momentum splitting at large d.
 
     Approaches e from below as d -> inf at sigma = 1 (log l =
     1 - (5 - pi^2/3) sigma/d + O(1/d^2)), which is the dimension-free
     envelope of that method.
     """
-    problem = ProblemSpec(d=d, sigma=sigma)
-    return math.exp(-problem.tau * _log_k_momentum_optimal(problem.d, problem.sigma))
+    return bound_momentum_optimal(ProblemSpec(d=d, sigma=sigma)).l_ratio

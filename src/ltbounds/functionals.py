@@ -68,6 +68,8 @@ class ProblemSpec:
         object.__setattr__(self, "sigma", float(self.sigma))
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not (self.d < 1e300 and self.tau < math.inf):  # the d bound keeps tau from OverflowError
+            raise ValueError(f"tau = d/(2 sigma) must be finite, got d={self.d!r}, sigma={self.sigma!r}")
 
     @property
     def tau(self) -> float:
@@ -177,6 +179,9 @@ def _one_minus_g_factory(fam: ProfileFamily, weight: WeightFamily, spec: quad.Qu
 
     s_nodes = quad.graded_rule(spec)[0]
     mu_s_a = fam.mu * s_nodes**fam.a
+    # one reused (s, t) buffer per batch size: fresh 160 KB arrays per batch can
+    # let malloc trim the heap and fault the pages in again, ~1e6 faults a sweep
+    work = {}
 
     def one_minus_g(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -184,7 +189,11 @@ def _one_minus_g_factory(fam: ProfileFamily, weight: WeightFamily, spec: quad.Qu
             t_a = t**fam.a
             if not np.isfinite(t_a).all():  # t^a overflowed: take (s t)^a directly
                 return wphi @ one_minus_profile(fam, s_nodes[:, None] * t[None, :])
-            return wphi @ one_minus_rational(fam.p, np.multiply.outer(mu_s_a, t_a))
+            buf = work.get(t.size)
+            if buf is None:
+                buf = work[t.size] = np.empty((s_nodes.size, t.size))
+            np.einsum("i,j->ij", mu_s_a, t_a, out=buf)  # np.multiply.outer buffers 130 KB
+            return wphi @ one_minus_rational(fam.p, buf, out=buf)
 
     return one_minus_g
 

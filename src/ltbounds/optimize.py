@@ -35,6 +35,7 @@ __all__ = [
     "minimize_averaging",
     "default_seed",
     "run_sweep",
+    "trial_pair",
 ]
 
 PENALTY = 1.0e6
@@ -100,10 +101,14 @@ def _clipped(x) -> tuple[float, ...]:
 
 
 def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
-    """Minimize score(*clipped params) over raw simplex coordinates."""
+    """Minimize score(*clipped params) over raw simplex coordinates; an
+    inadmissible or divergent point scores PENALTY."""
 
     def objective(x) -> float:
-        return score(*_clipped(x))
+        try:
+            return score(*_clipped(x))
+        except (ConstraintViolationError, DivergentError):
+            return PENALTY
 
     n = x0.size
     simplex = _initial_simplex(x0, cfg.initial_simplex_scale)
@@ -180,11 +185,7 @@ def minimize_deficit(beta: float, cfg: OptConfig, quad_spec: quad.QuadSpec | Non
         raise ValueError("minimize_deficit expects seed_params = (a, p)")
 
     def objective(a, p) -> float:
-        try:
-            fam = normalize_profile("rational_power", a=a, p=p)
-            return weighted_deficit(fam, beta, quad_spec)
-        except (ConstraintViolationError, DivergentError):
-            return PENALTY
+        return weighted_deficit(normalize_profile("rational_power", a=a, p=p), beta, quad_spec)
 
     return _nelder_mead(objective, np.asarray(cfg.seed_params, dtype=float), cfg)
 
@@ -207,18 +208,20 @@ def minimize_averaging(problem: ProblemSpec, cfg: OptConfig, phi_kind: str = "bu
     else:
         raise ValueError(f"unknown phi_kind {phi_kind!r}")
 
-    def objective(a, p, q=None, r=None) -> float:
-        try:
-            fam = normalize_profile("rational_power", a=a, p=p)
-            if phi_kind in _PARAMETRIC_WEIGHTS:
-                weight = normalize_weight(phi_kind, q=q, r=r, quad_spec=quad_spec)
-            else:
-                weight = normalize_weight(phi_kind)
-            return averaging_objective(fam, weight, problem, quad_spec)
-        except (ConstraintViolationError, DivergentError):
-            return PENALTY
+    def objective(*params) -> float:
+        return averaging_objective(*trial_pair(phi_kind, params, quad_spec), problem, quad_spec)
 
     return _nelder_mead(objective, np.asarray(cfg.seed_params, dtype=float), cfg)
+
+
+def trial_pair(phi_kind: str, params, quad_spec: quad.QuadSpec | None = None):
+    """The normalized (profile, weight) that minimize_averaging scores at
+    params = (a, p) or (a, p, q, r).  Raises ConstraintViolationError on
+    inadmissible parameters."""
+    profile = normalize_profile("rational_power", a=params[0], p=params[1])
+    if phi_kind in _PARAMETRIC_WEIGHTS:
+        return profile, normalize_weight(phi_kind, q=params[2], r=params[3], quad_spec=quad_spec)
+    return profile, normalize_weight(phi_kind)
 
 
 def default_seed(problem: ProblemSpec, phi_kind: str = "bump_rich") -> tuple[float, ...]:

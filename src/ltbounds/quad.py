@@ -31,8 +31,6 @@ import numpy as np
 
 __all__ = ["QuadSpec", "QuadResult", "NonFiniteIntegrandError", "integrate", "graded_rule"]
 
-TRANSFORMS = ("none", "semi_infinite_rational")
-
 # QUADPACK qk15 constants (Piessens, de Doncker-Kapenga, Ueberhuber and
 # Kahaner, 1983): the non-negative K15 abscissae, largest first, their K15
 # weights, and the G7 weights of xgk[1], xgk[3], xgk[5], xgk[7].
@@ -68,14 +66,11 @@ class QuadSpec:
     """Tolerance and budget knobs for integrate().
 
     Convergence means summed panel error <= max(abs_tol, rel_tol*|value|).
-    transform states how an infinite upper endpoint is handled; "none"
-    refuses it.
     """
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    transform: str = "semi_infinite_rational"
 
     def __post_init__(self):
         if not (0.0 < self.abs_tol < math.inf):
@@ -84,13 +79,10 @@ class QuadSpec:
             raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
         if self.max_subdivisions < 1:
             raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}")
-        if self.transform not in TRANSFORMS:
-            raise ValueError(f"transform must be one of {TRANSFORMS}, got {self.transform!r}")
 
     def tightened(self, factor: float) -> "QuadSpec":
         """Same spec with both tolerances divided by factor."""
-        return QuadSpec(self.abs_tol / factor, self.rel_tol / factor,
-                        self.max_subdivisions, self.transform)
+        return QuadSpec(self.abs_tol / factor, self.rel_tol / factor, self.max_subdivisions)
 
 
 @dataclass(frozen=True)
@@ -138,8 +130,6 @@ def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadR
         return QuadResult(0.0, 0.0, 0, True)
 
     if math.isinf(hi):
-        if spec.transform != "semi_infinite_rational":
-            raise ValueError("infinite upper endpoint requires transform='semi_infinite_rational'")
         base = func
         shift = lo
 

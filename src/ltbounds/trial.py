@@ -28,7 +28,7 @@ normalization.  Serialization uses a flat JSON object with keys drawn from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,8 @@ __all__ = [
     "eval_weight",
     "profile_from_json",
     "weight_from_json",
+    "spec_to_json",
+    "spec_from_json",
 ]
 
 PROFILE_KINDS = ("rational_power", "indicator", "deficit_optimal")
@@ -58,6 +60,11 @@ class ConstraintViolationError(ValueError):
     """Family parameters violate an admissibility constraint."""
 
 
+def spec_to_json(spec) -> dict:
+    """A spec dataclass as a flat JSON object, None fields omitted."""
+    return {f.name: getattr(spec, f.name) for f in fields(spec) if getattr(spec, f.name) is not None}
+
+
 @dataclass(frozen=True)
 class ProfileFamily:
     kind: str
@@ -65,13 +72,7 @@ class ProfileFamily:
     p: float | None = None
     mu: float | None = None
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for key in ("a", "p", "mu"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+    to_json = spec_to_json
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,7 @@ class WeightFamily:
     r: float | None = None
     c: float | None = None
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        for key in ("q", "r", "c"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+    to_json = spec_to_json
 
 
 def normalize_profile(kind: str, a: float | None = None, p: float | None = None) -> ProfileFamily:
@@ -144,10 +139,13 @@ def one_minus_profile(fam: ProfileFamily, t):
         return one_minus_rational(fam.p, fam.mu * t**fam.a)
 
 
-def one_minus_rational(p: float, x):
+def one_minus_rational(p: float, x, out=None):
     """1 - (1 + x)^(-p), which is 1 - f at x = mu t^a; expm1/log1p keep the
-    leading order p x exact where the direct difference loses every digit."""
-    return -np.expm1(-p * np.log1p(x))
+    leading order p x exact where the direct difference loses every digit.
+    An ndarray out (x itself allowed) takes the result without allocating."""
+    y = np.log1p(x, out=out)
+    y *= -p
+    return np.negative(np.expm1(y, out=out), out=out)
 
 
 def normalize_weight(kind: str, q: float | None = None, r: float | None = None,
@@ -203,33 +201,41 @@ _PROFILE_FIELDS = {"rational_power": ("a", "p", "mu"), "deficit_optimal": ("a", 
 _WEIGHT_FIELDS = {"bump_simple": ("c",), "uniform": ("c",), "bump_rich": ("q", "r", "c"), "bump_poly": ("q", "r", "c")}
 
 
-def _from_json(obj: dict, cls, fields_by_kind: dict, label: str):
+def spec_from_json(obj: dict, cls, label: str, fields_by_kind: dict | None = None):
+    """Inverse of spec_to_json for the dataclass cls; raises ValueError.
+
+    fields_by_kind maps each kind to the fields it takes; without it there is
+    no kind and every field of cls is taken.  Fields must be JSON numbers and
+    are required unless their dataclass default is a value other than None.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"{label} JSON must be an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind not in fields_by_kind:
-        raise ValueError(f"unknown {label} kind {kind!r}")
-    fields = fields_by_kind[kind]
-    extra = set(obj) - {"kind", *fields}
+    vals = dict(obj)
+    if fields_by_kind is None:
+        allowed, where, head = [f.name for f in fields(cls)], "", {}
+    else:
+        kind = vals.pop("kind", None)
+        if not isinstance(kind, str) or kind not in fields_by_kind:
+            raise ValueError(f"unknown {label} kind {kind!r}")
+        allowed, where, head = fields_by_kind[kind], f" for kind {kind!r}", {"kind": kind}
+    extra = set(vals) - set(allowed)
     if extra:
-        raise ValueError(f"unexpected {label} fields {sorted(extra)!r} for kind {kind!r}")
-    missing = [f for f in fields if f not in obj]
+        raise ValueError(f"unexpected {label} fields {sorted(extra)!r}{where}")
+    missing = [f.name for f in fields(cls)
+               if f.name in allowed and f.name not in vals and f.default in (None, MISSING)]
     if missing:
-        raise ValueError(f"missing {label} fields {missing!r} for kind {kind!r}")
-    vals = {}
-    for f in fields:
-        v = obj[f]
+        raise ValueError(f"missing {label} fields {missing!r}{where}")
+    for name, v in vals.items():
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ValueError(f"{label} field {f!r} must be a number, got {v!r}")
-        vals[f] = float(v)
-    return cls(kind=kind, **vals)
+            raise ValueError(f"{label} field {name!r} must be a number, got {v!r}")
+    return cls(**head, **{name: float(v) for name, v in vals.items()})
 
 
 def profile_from_json(obj: dict) -> ProfileFamily:
     """Inverse of ProfileFamily.to_json; rejects unknown kinds and fields."""
-    return _from_json(obj, ProfileFamily, _PROFILE_FIELDS, "profile")
+    return spec_from_json(obj, ProfileFamily, "profile", _PROFILE_FIELDS)
 
 
 def weight_from_json(obj: dict) -> WeightFamily:
     """Inverse of WeightFamily.to_json; rejects unknown kinds and fields."""
-    return _from_json(obj, WeightFamily, _WEIGHT_FIELDS, "weight")
+    return spec_from_json(obj, WeightFamily, "weight", _WEIGHT_FIELDS)

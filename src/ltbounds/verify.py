@@ -37,6 +37,7 @@ import numpy as np
 from . import quad
 from .constants import l_cl
 from .functionals import ProblemSpec
+from .trial import spec_from_json, spec_to_json
 
 __all__ = [
     "GridTooCoarseWarning",
@@ -59,6 +60,7 @@ POTENTIAL_KINDS = ("poschl_teller", "gaussian_well", "square_well")
 _L_CL_1D = l_cl(ProblemSpec(d=1, sigma=1.0))  # 2/(3 pi)
 _SAFE_MIN = 2.2250738585072014e-308  # smallest normal float64
 _BISECT_TOL = 1e-10
+MAX_GRID_POINTS = 10**7  # about 80 MB per float array; the largest grid in use has 16,001 nodes
 
 
 class GridTooCoarseWarning(UserWarning):
@@ -96,18 +98,13 @@ class PotentialSpec:
             if self.nu is not None:
                 raise ValueError(f"{self.kind} takes depth/width, not nu")
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "width": self.width}
-        if self.nu is not None:
-            out["nu"] = self.nu
-        if self.depth is not None:
-            out["depth"] = self.depth
-        return out
+    to_json = spec_to_json
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Dirichlet box [-half_width, half_width] with n_points interior nodes."""
+    """Dirichlet box [-half_width, half_width] with n_points interior nodes,
+    3 <= n_points <= MAX_GRID_POINTS."""
 
     half_width: float
     n_points: int
@@ -115,12 +112,11 @@ class GridSpec:
     def __post_init__(self):
         if not (0.0 < self.half_width < math.inf):
             raise ValueError(f"half_width must be positive and finite, got {self.half_width!r}")
-        if not (3 <= self.n_points < math.inf) or int(self.n_points) != self.n_points:
-            raise ValueError(f"n_points must be an integer >= 3, got {self.n_points!r}")
+        if not (3 <= self.n_points <= MAX_GRID_POINTS) or int(self.n_points) != self.n_points:
+            raise ValueError(f"n_points must be an integer in [3, {MAX_GRID_POINTS}], got {self.n_points!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
 
-    def to_json(self) -> dict:
-        return {"half_width": self.half_width, "n_points": self.n_points}
+    to_json = spec_to_json
 
 
 @dataclass(frozen=True)
@@ -307,25 +303,9 @@ _POTENTIAL_FIELDS = {"poschl_teller": {"nu", "width"}, "gaussian_well": {"depth"
 
 def potential_from_json(obj: dict) -> PotentialSpec:
     """Inverse of PotentialSpec.to_json; rejects unknown kinds and fields."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"potential JSON must be an object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if kind not in _POTENTIAL_FIELDS:
-        raise ValueError(f"unknown potential kind {kind!r}")
-    extra = set(obj) - {"kind"} - _POTENTIAL_FIELDS[kind]
-    if extra:
-        raise ValueError(f"unexpected potential fields {sorted(extra)!r} for kind {kind!r}")
-    kwargs = {k: float(obj[k]) for k in _POTENTIAL_FIELDS[kind] if k in obj}
-    return PotentialSpec(kind=kind, **kwargs)
+    return spec_from_json(obj, PotentialSpec, "potential", _POTENTIAL_FIELDS)
 
 
 def grid_from_json(obj: dict) -> GridSpec:
-    """Inverse of GridSpec.to_json; rejects unknown fields."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"grid JSON must be an object, got {type(obj).__name__}")
-    extra = set(obj) - {"half_width", "n_points"}
-    if extra:
-        raise ValueError(f"unexpected grid fields {sorted(extra)!r}")
-    if "half_width" not in obj or "n_points" not in obj:
-        raise ValueError("grid JSON requires half_width and n_points")
-    return GridSpec(half_width=float(obj["half_width"]), n_points=float(obj["n_points"]))
+    """Inverse of GridSpec.to_json; rejects unknown and missing fields."""
+    return spec_from_json(obj, GridSpec, "grid")

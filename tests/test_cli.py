@@ -77,11 +77,30 @@ def test_bound_optimize_bad_seed_is_usage_error(seed, message):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("d, sigma", [("100", "1e-3"), ("1000", "0.01"), ("100000", "1"), ("1", "1e-9")])
+def test_bound_best_of_at_large_tau(d, sigma):
+    proc = run_cli("bound", "--d", d, "--sigma", sigma, "--method", "best-of")
+    assert proc.returncode == 0, proc.stderr
+    blob = json.loads(proc.stdout)
+    assert 0.0 < blob["k_ratio"] < 1.0 < blob["l_ratio"]
+
+
+@pytest.mark.parametrize("sigma, c_value", [("1", "1e-320"), ("1e-9", "1e300")])
+def test_bound_c_value_outside_float_range_is_usage_error(sigma, c_value):
+    proc = run_cli("bound", "--d", "1", "--sigma", sigma, "--method", "from-c", "--c-value", c_value)
+    assert proc.returncode == 2
+    assert "float range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_bound_usage_errors():
     assert run_cli("bound", "--d", "1", "--sigma", "1").returncode == 2
     assert run_cli("bound", "--d", "0", "--sigma", "1", "--method", "best-of").returncode == 2
     assert run_cli("bound", "--d", "3", "--sigma", "0.5", "--method", "rumin-original").returncode == 2
     assert run_cli("bound", "--d", "1", "--sigma", "1", "--method", "from-c").returncode == 2
+    assert run_cli("bound", "--d", str(10**400), "--sigma", "1", "--method", "best-of").returncode == 2
+    assert run_cli("bound", "--d", "3", "--sigma", "5e-324", "--method", "from-c",
+                   "--c-value", "2").returncode == 2
 
 
 def test_out_writes_file(tmp_path):
@@ -226,7 +245,14 @@ def test_bad_quad_tol_is_usage_error(tmp_path, argv, field):
      "grid": {"half_width": 10.0, "n_points": 101.5}},
     {"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0},
      "grid": {"half_width": 10.0, "n_points": 10**400}},
-], ids=["half_width-inf", "depth-inf", "nu-nan", "width-inf", "n_points-fraction", "n_points-overflow"])
+    {"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0},
+     "grid": {"half_width": 10.0, "n_points": 1e300}},
+    {"potential": {"kind": "gaussian_well", "depth": "5", "width": 2.0},
+     "grid": {"half_width": 10.0, "n_points": 1001}},
+    {"potential": {"kind": "gaussian_well", "depth": 5.0, "width": True},
+     "grid": {"half_width": 10.0, "n_points": 1001}},
+], ids=["half_width-inf", "depth-inf", "nu-nan", "width-inf", "n_points-fraction", "n_points-overflow",
+        "n_points-1e300", "depth-string", "width-bool"])
 def test_verify_non_finite_config_is_usage_error(tmp_path, case):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([case]))

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ltbounds import constants, specfun
 from ltbounds.functionals import ProblemSpec
@@ -140,12 +143,17 @@ def test_best_of_takes_largest_k():
 
 
 def test_bound_report_duality_enforced():
-    with pytest.raises(ValueError):
-        constants.BoundReport(problem=P11, method="x", k_ratio=0.5, l_ratio=3.0)
-    with pytest.raises(ValueError):
-        constants.BoundReport(problem=P11, method="x", k_ratio=-0.5, l_ratio=2.0)
-    rep = constants.BoundReport(problem=P11, method="x", k_ratio=0.25, l_ratio=2.0)
+    # the report stores one log k, so k and l cannot disagree; what is left
+    # to reject is a log k whose k or l = k^(-tau) leaves the float range
+    rep = constants.BoundReport(problem=P11, method="x", log_k=math.log(0.25))
+    np.testing.assert_allclose(rep.k_ratio, 0.25, rtol=1e-15)
+    np.testing.assert_allclose(rep.l_ratio, 2.0, rtol=1e-15)
     assert rep.to_json()["d"] == 1
+    for bad in (math.nan, math.inf, -math.inf, 710.0, -710.0):
+        with pytest.raises(ValueError, match="float range"):
+            constants.BoundReport(problem=P11, method="x", log_k=bad)
+    with pytest.raises(ValueError, match="float range"):  # tau = 500: log l = 1000
+        constants.BoundReport(problem=ProblemSpec(d=1000, sigma=1.0), method="x", log_k=-2.0)
 
 
 def test_large_d_limit():
@@ -169,3 +177,56 @@ def test_named_ratios():
     np.testing.assert_allclose(constants.CONJECTURED_1D_L_RATIO, 2.0 / math.sqrt(3.0), rtol=1e-15)
     assert constants.LIFTED_1D_L_RATIO < constants.UNIVERSAL_L_RATIO
     assert constants.CONJECTURED_1D_L_RATIO < constants.LIFTED_1D_L_RATIO
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.floats(0.0, 6.0).map(lambda e: round(10.0**e)),
+       sigma=st.floats(-6.0, 3.0).map(lambda e: 10.0**e),
+       c=st.floats(1.0 / 3.0, 3.0))
+# problems that a 1e-12 re-check of separately computed k and l rejected
+@example(d=100, sigma=1e-3, c=1.0)
+@example(d=1000, sigma=0.01, c=1.0)
+@example(d=10**5, sigma=1.0, c=1.0)
+@example(d=1, sigma=1e-9, c=1.0)
+def test_every_problem_gets_a_report(d, sigma, c):
+    problem = ProblemSpec(d=d, sigma=sigma)
+    momentum = constants.bound_momentum_optimal(problem)
+    assert 0.0 < momentum.k_ratio < 1.0 < momentum.l_ratio
+    assert constants.bound_best_of(problem).l_ratio <= momentum.l_ratio
+    try:
+        constants.bound_from_c(problem, c)
+    except ValueError as exc:
+        assert "float range" in str(exc)
+
+
+def _mp_log_k(d, sigma, c=None):
+    # the textbook forms in d and sigma, at 50 digits
+    d, s = mpmath.mpf(d), mpmath.mpf(sigma)
+    if c is None:
+        x = 2 * mpmath.pi * s / (d + 2 * s)
+        return (mpmath.log(d / (d + 4 * s))
+                + (1 + 2 * s / d) * mpmath.log((d + 2 * s) ** 2 * mpmath.sin(x) / (2 * mpmath.pi * s * d)))
+    return (mpmath.log(d / (d + 2 * s)) + 4 * s / d * mpmath.log(2 * s / (d + 2 * s))
+            - 2 * s / d * mpmath.log(mpmath.mpf(c)))
+
+
+def test_log_l_against_mpmath():
+    rng = np.random.default_rng(1808)
+    checked = 0
+    with mpmath.workdps(50):
+        for _ in range(1000):
+            d = round(10.0 ** rng.uniform(0.0, 6.0))
+            sigma = float(10.0 ** rng.uniform(-6.0, 3.0))
+            c = float(np.exp(rng.uniform(-math.log(3.0), math.log(3.0))))
+            problem = ProblemSpec(d=d, sigma=sigma)
+            for build, log_k in ((lambda: constants.bound_momentum_optimal(problem), _mp_log_k(d, sigma)),
+                                 (lambda: constants.bound_from_c(problem, c), _mp_log_k(d, sigma, c))):
+                log_l = float(-mpmath.mpf(d) / (2 * mpmath.mpf(sigma)) * log_k)
+                if max(abs(float(log_k)), abs(log_l)) > 709.0:
+                    with pytest.raises(ValueError, match="float range"):
+                        build()
+                    continue
+                got = -problem.tau * build().log_k
+                assert abs(got - log_l) <= 1e-13 * max(1.0, abs(log_l)), (d, sigma, c, got, log_l)
+                checked += 1
+    assert checked > 1900

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -24,6 +25,9 @@ def test_problem_spec_validation():
         functionals.ProblemSpec(d=2, sigma=-1.0)
     with pytest.raises(ValueError):
         functionals.ProblemSpec(d=2, sigma=math.inf)
+    for d, sigma in ((10**400, 1.0), (3, 5e-324)):  # tau overflows
+        with pytest.raises(ValueError, match="tau"):
+            functionals.ProblemSpec(d=d, sigma=sigma)
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 4.0])
@@ -124,6 +128,25 @@ def test_factored_inner_power_matches_direct(a):
         direct = wphi @ trial.one_minus_profile(fam, nodes[:, None] * ts[None, :])
         assert np.isfinite(factored).all() and np.isfinite(direct).all()
         np.testing.assert_allclose(factored, direct, rtol=0, atol=1e-15)
+
+
+def test_inner_batches_reuse_one_buffer():
+    # a fresh 1350 x 15 array per batch lets malloc hand its pages back to the
+    # kernel, and every later batch faults them in again
+    fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
+    w = trial.normalize_weight("bump_rich", q=0.36, r=2.1)
+    nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
+    one_minus_g = functionals._one_minus_g_factory(fam, w, quad.DEFAULT_SPEC, weights * trial.eval_weight(w, nodes))
+    t = np.linspace(0.1, 3.0, 15)
+    first = one_minus_g(t)
+    tracemalloc.start()
+    try:
+        again = one_minus_g(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(again, first)
+    assert peak < nodes.size * t.size * 8 // 4, peak
 
 
 @pytest.mark.parametrize("q, r", [(0.05, 0.5), (0.05, 10.0), (3.0, 0.5), (3.0, 10.0),

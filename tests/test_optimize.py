@@ -81,6 +81,7 @@ def test_reported_params_are_the_scored_pair():
     assert res.best_params[0] == 20.0
     fam = trial.normalize_profile("rational_power", a=res.best_params[0], p=res.best_params[1])
     assert functionals.averaging_objective(fam, trial.normalize_weight("bump_simple"), P11) == res.best_value
+    assert optimize.trial_pair("bump_simple", res.best_params) == (fam, trial.normalize_weight("bump_simple"))
 
     res = optimize.minimize_deficit(25.0, optimize.OptConfig(seed_params=(19.0, 1.0), max_iters=60))
     assert res.best_params[0] == 20.0

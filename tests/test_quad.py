@@ -48,8 +48,6 @@ def test_spec_validation():
     quad.QuadSpec(rel_tol=0.0)  # absolute-only mode is legal
     with pytest.raises(ValueError):
         quad.QuadSpec(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        quad.QuadSpec(transform="chebyshev")
 
 
 def test_tightened_scales_both_tolerances():
@@ -67,9 +65,6 @@ def test_endpoint_validation():
         quad.integrate(lambda t: t, -math.inf, 0.0)
     with pytest.raises(ValueError):
         quad.integrate(lambda t: t, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        quad.integrate(lambda t: t, 0.0, math.inf,
-                       quad.QuadSpec(transform="none"))
 
 
 def test_non_finite_integrand_raises():

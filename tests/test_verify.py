@@ -193,6 +193,13 @@ def test_grid_spec_rejects_non_finite(half_width, n_points):
         verify.grid_from_json({"half_width": half_width, "n_points": n_points})
 
 
+def test_grid_spec_caps_n_points():
+    assert verify.GridSpec(half_width=5.0, n_points=verify.MAX_GRID_POINTS).n_points == verify.MAX_GRID_POINTS
+    for n_points in (verify.MAX_GRID_POINTS + 1, 1e9, 1e300):
+        with pytest.raises(ValueError, match="n_points"):
+            verify.GridSpec(half_width=5.0, n_points=n_points)
+
+
 def test_sturm_count_rejects_nan_shift():
     diag, off, _ = _tridiag(PT1, verify.GridSpec(half_width=10.0, n_points=101))
     with pytest.raises(ValueError, match="nan"):
