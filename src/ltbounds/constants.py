@@ -171,7 +171,10 @@ def dual_convert(problem: ProblemSpec, k_ratio: float) -> float:
     """l_ratio = k_ratio^(-d/(2 sigma)), in log space."""
     if not k_ratio > 0.0:
         raise ValueError(f"k_ratio must be positive, got {k_ratio!r}")
-    return math.exp(-problem.tau * math.log(k_ratio))
+    log_l = -problem.tau * math.log(k_ratio)
+    if not abs(log_l) <= _LOG_FLOAT_RANGE:
+        raise ValueError(f"l_ratio leaves the float range: log l = {log_l!r}")
+    return math.exp(log_l)
 
 
 def _log_k_momentum_optimal(problem: ProblemSpec) -> float:

@@ -25,8 +25,10 @@ objective the inner g integral and int phi^2 share phi on the fixed rule
 quad.graded_rule, and mu (s t)^a = (mu s^a) t^a costs a batch of outer
 nodes t^a and one outer product; the public averaged_profile remains the
 adaptive oracle at 100x tighter tolerance, and the two are cross-validated
-in the test suite.  Indicator profiles jump at s = 1/t, so the objective
-integrates the weight adaptively over the exact subinterval instead.
+in the test suite.  The indicator profile needs no integral over t: 1 - g(t)
+= T(1/t) with T(x) = int_x^1 phi, and by parts tau int_1^inf T(1/t)^2
+t^(-1-tau) dt = 2 int_0^1 phi x^tau T dx, one sum on the graded rule with T
+at its nodes from the later panels' mass and quad.graded_tails.
 """
 
 from __future__ import annotations
@@ -157,26 +159,12 @@ def weight_l2(weight: WeightFamily, quad_spec: quad.QuadSpec | None = None) -> f
     return float(w @ eval_weight(weight, s) ** 2)
 
 
-def _one_minus_g_factory(fam: ProfileFamily, weight: WeightFamily, spec: quad.QuadSpec, wphi):
-    """Vectorized t -> 1 - g(t), exact at small t.
+def _one_minus_g_factory(fam: ProfileFamily, spec: quad.QuadSpec, wphi):
+    """Vectorized t -> 1 - g(t) for a smooth profile, exact at small t.
 
     Since int phi = 1, 1 - g(t) = int phi(s)(1 - f(st)) ds: one matrix product
     per batch of outer nodes with wphi, the graded rule's weights times phi.
     """
-    if fam.kind == "indicator":
-        inner = spec.tightened(100.0)
-
-        def one_minus_g(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            out = np.zeros_like(t)
-            for i, ti in enumerate(t):
-                if ti > 1.0:
-                    # f(st) drops to 0 past s = 1/t, so 1 - g = int_{1/t}^1 phi
-                    out[i] = quad.integrate(lambda s: eval_weight(weight, s), 1.0 / ti, 1.0, inner).value
-            return out
-
-        return one_minus_g
-
     s_nodes = quad.graded_rule(spec)[0]
     mu_s_a = fam.mu * s_nodes**fam.a
     # one reused (s, t) buffer per batch size: fresh 160 KB arrays per batch can
@@ -210,7 +198,15 @@ def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: Probl
     _require_admissible(fam, 1.0 + tau)
     s_nodes, s_weights = quad.graded_rule(spec)
     phi = eval_weight(weight, s_nodes)
-    one_minus_g = _one_minus_g_factory(fam, weight, spec, s_weights * phi)
+    wphi = s_weights * phi
+    l2_tau = (s_weights @ phi**2) ** tau  # weight_l2, from phi
+    if fam.kind == "indicator":
+        tail_nodes, tail_weights = quad.graded_tails(spec)
+        mass = wphi.reshape(tail_nodes.shape[:2]).sum(axis=1)
+        later = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass past each panel, summed from s = 1
+        t_of_s = later[:, None] + np.einsum("kjm,kjm->kj", tail_weights, eval_weight(weight, tail_nodes))
+        return float(l2_tau * 2.0 * ((wphi * s_nodes**tau) @ t_of_s.ravel()))
+    one_minus_g = _one_minus_g_factory(fam, spec, wphi)
 
     def integrand(t):
         omg = one_minus_g(t)
@@ -222,4 +218,4 @@ def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: Probl
     far = _tail_integral(lambda t: one_minus_g(t) ** 2, 1.0 + tau, spec)
     if not (near.converged and far.converged):
         raise DivergentError(f"averaging objective quadrature did not converge: near={near!r}, far={far!r}")
-    return float((s_weights @ phi**2) ** tau * tau * (near.value + far.value))  # weight_l2, from phi
+    return float(l2_tau * tau * (near.value + far.value))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadSpec", "QuadResult", "NonFiniteIntegrandError", "integrate", "graded_rule"]
+__all__ = ["QuadSpec", "QuadResult", "NonFiniteIntegrandError", "integrate", "graded_rule", "graded_tails"]
 
 # QUADPACK qk15 constants (Piessens, de Doncker-Kapenga, Ueberhuber and
 # Kahaner, 1983): the non-negative K15 abscissae, largest first, their K15
@@ -174,26 +174,35 @@ def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadR
 
 
 def graded_rule(spec: QuadSpec | None = None):
-    """Fixed rule on (0,1) -> read-only (nodes, weights), built once per levels.
+    """Fixed rule on (0,1) -> read-only (nodes, weights), built once per abs_tol.
 
     Gauss-Legendre 15 panels graded to 2^-levels at both ends, levels =
     max(45, ceil(-log2 abs_tol) + 8); the first panel, in s = 2^-levels u^8,
     resolves a weight's s^q corner for q down to 0.05 even at large r.
     """
-    return _graded_rule(max(45, math.ceil(-math.log2((spec or DEFAULT_SPEC).abs_tol)) + 8))
+    return _graded_rule((spec or DEFAULT_SPEC).abs_tol)[:2]
 
 
-@functools.lru_cache(maxsize=8)  # one entry per levels value
-def _graded_rule(levels: int):
+def graded_tails(spec: QuadSpec | None = None):
+    """Read-only (nodes, weights) of shape (panels, 15, 15): row [k, j] is Gauss-Legendre 15
+    from node j of graded_rule(spec)'s panel k to the panel's end, in the panel's variable."""
+    return _graded_rule((spec or DEFAULT_SPEC).abs_tol)[2:]
+
+
+@functools.lru_cache(maxsize=8)  # one entry per abs_tol
+def _graded_rule(abs_tol: float):
+    levels = max(45, math.ceil(-math.log2(abs_tol)) + 8)
     dyadic = 2.0 ** -np.arange(levels, 0, -1)  # 2^-levels .. 1/2
     cuts = np.unique(np.concatenate(([0.0], dyadic, 1.0 - dyadic, [1.0])))
     x15, w15 = np.polynomial.legendre.leggauss(15)
-    half = 0.5 * np.diff(cuts)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    nodes = (mid[:, None] + half[:, None] * x15[None, :]).ravel()
-    weights = (half[:, None] * w15[None, :]).ravel()
-    u = 0.5 * (x15 + 1.0)  # the first panel in s = cuts[1] u^8
-    nodes[:15], weights[:15] = cuts[1] * u**8, cuts[1] * 4.0 * u**7 * w15
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    x_tail = x15[:, None] + 0.5 * (1.0 - x15[:, None]) * (1.0 + x15)  # row j spans [x15[j], 1]
+    w_tail = 0.5 * (1.0 - x15[:, None]) * w15
+    half = 0.5 * np.diff(cuts)[:, None]
+    mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
+    rule = [mid + half * x15, half * w15, mid[..., None] + half[..., None] * x_tail, half[..., None] * w_tail]
+    for i, x, w in ((0, x15, w15), (2, x_tail, w_tail)):
+        u = 0.5 * (x + 1.0)  # the first panel in s = cuts[1] u^8
+        rule[i][0], rule[i + 1][0] = cuts[1] * u**8, cuts[1] * 4.0 * u**7 * w
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule[0].ravel(), rule[1].ravel(), rule[2], rule[3]

@@ -251,6 +251,8 @@ def discretize_and_solve(pot: PotentialSpec, grid: GridSpec,
     when the sum moves by more than 1 percent (costs a second solve).
     """
     n, L = grid.n_points, grid.half_width
+    if check_grid and 2 * n > MAX_GRID_POINTS:
+        raise ValueError(f"check_grid doubles n_points to {2 * n}, above {MAX_GRID_POINTS}")
     h = 2.0 * L / (n + 1)
     x = -L + h * np.arange(1, n + 1)
     V = potential_values(pot, x)

@@ -64,6 +64,15 @@ def test_duality_round_trip(d, sigma):
         np.testing.assert_allclose(back, k, rtol=1e-13)
 
 
+def test_dual_convert_outside_float_range_raises_value_error():
+    # the |log| <= 709 rule of BoundReport: log l = -500 log k
+    prob = ProblemSpec(d=1000, sigma=1.0)
+    for k in (0.01, 1e10):
+        with pytest.raises(ValueError, match="float range"):
+            constants.dual_convert(prob, k)
+    np.testing.assert_allclose(constants.dual_convert(prob, math.exp(-1.4)), math.exp(700.0), rtol=1e-12)
+
+
 @pytest.mark.parametrize("d1,d", [(1, 2), (1, 3), (2, 5), (1, 6)])
 def test_product_identity(d1, d):
     assert constants.product_identity_check(d1, d) <= 1e-12

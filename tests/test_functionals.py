@@ -104,7 +104,7 @@ def test_graded_inner_rule_matches_adaptive_averaged_profile():
     nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
     for fam, w in pairs:
         wphi = weights * trial.eval_weight(w, nodes)
-        graded = functionals._one_minus_g_factory(fam, w, quad.DEFAULT_SPEC, wphi)(ts)
+        graded = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, wphi)(ts)
         adaptive = [1.0 - functionals.averaged_profile(fam, w, t) for t in ts]
         np.testing.assert_allclose(graded, adaptive, rtol=0, atol=quad.DEFAULT_SPEC.abs_tol)
     assert nodes.size == 1350
@@ -123,7 +123,7 @@ def test_factored_inner_power_matches_direct(a):
         spec = quad.QuadSpec(abs_tol=abs_tol)
         nodes, weights = quad.graded_rule(spec)
         wphi = weights * trial.eval_weight(w, nodes)
-        one_minus_g = functionals._one_minus_g_factory(fam, w, spec, wphi)
+        one_minus_g = functionals._one_minus_g_factory(fam, spec, wphi)
         factored = np.array([one_minus_g(t)[0] for t in ts])  # one t per batch
         direct = wphi @ trial.one_minus_profile(fam, nodes[:, None] * ts[None, :])
         assert np.isfinite(factored).all() and np.isfinite(direct).all()
@@ -136,7 +136,7 @@ def test_inner_batches_reuse_one_buffer():
     fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
     w = trial.normalize_weight("bump_rich", q=0.36, r=2.1)
     nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
-    one_minus_g = functionals._one_minus_g_factory(fam, w, quad.DEFAULT_SPEC, weights * trial.eval_weight(w, nodes))
+    one_minus_g = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, weights * trial.eval_weight(w, nodes))
     t = np.linspace(0.1, 3.0, 15)
     first = one_minus_g(t)
     tracemalloc.start()
@@ -190,11 +190,96 @@ def test_averaging_objective_frozen_trials():
     np.testing.assert_allclose(frac, C_FRACTIONAL, atol=1e-9)
 
 
+INDICATOR = trial.normalize_profile("indicator")
+# tau = 0.0005, 1/2, 3 and 40
+TAU_PROBLEMS = [functionals.ProblemSpec(1, 1000.0), P11, P3HALF, functionals.ProblemSpec(1, 0.0125)]
+
+
 def test_averaging_objective_indicator_uniform_exact():
-    # piecewise-polynomial case with a closed form: 8/15
-    value = functionals.averaging_objective(
-        trial.normalize_profile("indicator"), trial.normalize_weight("uniform"), P11)
-    np.testing.assert_allclose(value, 8.0 / 15.0, rtol=1e-10)
+    # piecewise-polynomial case with a closed form: 2/((tau + 1)(tau + 2)), 8/15 at (1, 1)
+    for problem in TAU_PROBLEMS[1:]:
+        value = functionals.averaging_objective(INDICATOR, trial.normalize_weight("uniform"), problem)
+        tau = problem.tau
+        np.testing.assert_allclose(value, 2.0 / ((tau + 1.0) * (tau + 2.0)), rtol=1e-13, err_msg=repr(problem))
+
+
+def _indicator_c(tail, l2, tau):
+    """The indicator objective from its definition with T(x) = int_x^1 phi:
+    l2^tau tau int_0^1 T(x)^2 x^(tau-1) dx, in y = x^tau for small tau."""
+    if tau <= 0.05:
+        return l2**tau * mpmath.quad(lambda y: tail(y ** (1 / tau)) ** 2, [0, 1])
+    return l2**tau * tau * mpmath.quad(lambda x: tail(x) ** 2 * x ** (tau - 1), [0, 1])
+
+
+@pytest.mark.parametrize("problem", TAU_PROBLEMS, ids=lambda p: f"tau={p.tau:g}")
+def test_averaging_objective_indicator_against_mpmath(problem):
+    # bump_simple: T = 1 - 5x + 4x^(5/4); bump_poly: T = (c/q) B_(1 - x^q)(r + 1, 1/q),
+    # the complement of betainc(1/q, r + 1, x^q, 1), which cancels near x = 1.
+    # c is the weight's own: C grows like c^(2 tau + 2), so at tau = 40 the last
+    # digits of a normalization constant would move C by 1e-12
+    weights = [trial.normalize_weight("bump_simple")]
+    weights += [trial.normalize_weight("bump_poly", q=q, r=r) for q in (0.05, 3.0) for r in (0.5, 10.0)]
+    with mpmath.workdps(30):
+        tau = mpmath.mpf(problem.tau)
+        for w in weights:
+            if w.kind == "bump_simple":
+                want = _indicator_c(lambda x: 1 - 5 * x + 4 * x ** mpmath.mpf(1.25), mpmath.mpf(5) / 3, tau)
+            else:
+                c, q, r = (mpmath.mpf(v) for v in (w.c, w.q, w.r))
+                want = _indicator_c(lambda x: c / q * mpmath.betainc(r + 1, 1 / q, 0, -mpmath.expm1(q * mpmath.log(x))),
+                                    c**2 * mpmath.beta(1 / q, 2 * r + 1) / q, tau)
+            got = functionals.averaging_objective(INDICATOR, w, problem)
+            np.testing.assert_allclose(got, float(want), rtol=1e-13, err_msg=repr(w))
+
+
+def _tanh_sinh(h=1.0 / 32.0, t_max=4.5):
+    """Double-exponential rule on (0, 1) -> (x, 1 - x, weights), both ends kept exact."""
+    t = np.arange(-t_max, t_max + 0.5 * h, h)
+    u = 0.5 * np.pi * np.sinh(t)
+    return 1.0 / (1.0 + np.exp(-2.0 * u)), 1.0 / (1.0 + np.exp(2.0 * u)), h * 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+
+
+def _indicator_c_rich(w, tau):
+    """l2^tau int_0^1 T(y^(1/tau))^2 dy for bump_rich by tanh-sinh in y and in s on [x, 1];
+    agrees with the mpmath reference above to 1.5e-14 when run on bump_poly."""
+    left, right, dw = _tanh_sinh()
+
+    def phi(x, xc):
+        with np.errstate(divide="ignore"):
+            lx = np.where(x < 0.5, np.log(x), np.log1p(-xc))
+        return w.c * (-np.expm1(w.q * lx)) ** w.r / (1.0 + x)
+
+    with np.errstate(divide="ignore"):
+        ly = np.where(left < 0.5, np.log(left), np.log1p(-right))[:, None]
+    x, xc = np.exp(ly / tau), -np.expm1(ly / tau)  # x = y^(1/tau) and 1 - x
+    tail = xc[:, 0] * (phi(x + xc * left, xc * right) @ dw)
+    return (phi(left, right) ** 2 @ dw) ** tau * (tail**2 @ dw)
+
+
+@pytest.mark.parametrize("q, r", [(0.05, 0.5), (0.05, 10.0), (3.0, 0.5), (3.0, 10.0), (0.36, 2.1)])
+def test_averaging_objective_indicator_bump_rich(q, r):
+    w = trial.normalize_weight("bump_rich", q=q, r=r)
+    for problem in TAU_PROBLEMS:
+        got = functionals.averaging_objective(INDICATOR, w, problem)
+        np.testing.assert_allclose(got, _indicator_c_rich(w, problem.tau), rtol=1e-13, err_msg=repr(problem))
+
+
+def test_indicator_objective_calls_no_adaptive_integral(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate(*args, **kwargs)
+
+    integrate = quad.integrate
+    monkeypatch.setattr(quad, "integrate", counting)
+    for kind, q, r in (("uniform", None, None), ("bump_simple", None, None),
+                       ("bump_poly", 2.0, 4.0), ("bump_rich", 0.36, 2.1)):
+        functionals.averaging_objective(INDICATOR, trial.normalize_weight(kind, q=q, r=r), P3HALF)
+    assert calls == []
+    functionals.averaging_objective(trial.normalize_profile("rational_power", a=4.5, p=0.25),
+                                    trial.normalize_weight("uniform"), P11)
+    assert len(calls) == 2  # the wrapper sees the smooth path's near and far integrals
 
 
 def test_averaging_objective_inadmissible_profile():

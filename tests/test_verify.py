@@ -200,6 +200,16 @@ def test_grid_spec_caps_n_points():
             verify.GridSpec(half_width=5.0, n_points=n_points)
 
 
+def test_check_grid_rejects_doubling_past_the_cap_before_solving(monkeypatch):
+    solves = []
+    monkeypatch.setattr(verify, "MAX_GRID_POINTS", 100)
+    monkeypatch.setattr(verify, "_negative_eigenvalues", lambda *args, **kwargs: solves.append(args))
+    grid = verify.GridSpec(half_width=5.0, n_points=51)  # inside the cap, its doubling is not
+    with pytest.raises(ValueError, match="check_grid"):
+        verify.discretize_and_solve(PT1, grid, check_grid=True)
+    assert solves == []
+
+
 def test_sturm_count_rejects_nan_shift():
     diag, off, _ = _tridiag(PT1, verify.GridSpec(half_width=10.0, n_points=101))
     with pytest.raises(ValueError, match="nan"):
