@@ -18,6 +18,7 @@ carry identical values; text rounds to 6 decimals for reading.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -42,12 +43,19 @@ def _sig15(value):
     return value
 
 
-def _write(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(args, parser):
+    """The --out file opened for writing, or stdout; an unopenable path is a usage error."""
+    if not args.out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.out, "w")
+    except OSError as exc:
+        parser.error(f"cannot write --out: {exc}")
+
+
+def _write(args, parser, text: str) -> None:
+    with _output(args, parser) as fh:
+        fh.write(text)
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -116,10 +124,10 @@ def cmd_bound(args, parser) -> int:
         parser.error(str(exc))
     payload = report.to_json()
     if args.format == "json":
-        _write(args, json.dumps(_sig15(payload), indent=2) + "\n")
+        _write(args, parser, json.dumps(_sig15(payload), indent=2) + "\n")
     elif args.format == "csv":
         row = {k: payload[k] for k in ("d", "sigma", "method", "k_ratio", "l_ratio", "c_value")}
-        _write(args, _csv_text([row]))
+        _write(args, parser, _csv_text([row]))
     else:
         lines = [f"problem            d={payload['d']} sigma={payload['sigma']:g}",
                  f"method             {payload['method']}",
@@ -127,7 +135,7 @@ def cmd_bound(args, parser) -> int:
                  f"l_ratio            {payload['l_ratio']:.6f}"]
         if payload["c_value"] is not None:
             lines.append(f"c_value            {payload['c_value']:.6f}")
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, parser, "\n".join(lines) + "\n")
     return 0
 
 
@@ -142,17 +150,13 @@ def cmd_optimize(args, parser) -> int:
     except json.JSONDecodeError as exc:
         parser.error(f"config is not valid JSON: {exc}")
     quad_spec = _quad_spec(args, parser)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        records = optimize.run_sweep(configs, quad_spec=quad_spec)
-        for record in records:
-            out.write(json.dumps(_sig15(record)) + "\n")
-            out.flush()
-    except ValueError as exc:
-        parser.error(str(exc))
-    finally:
-        if args.out:
-            out.close()
+    with _output(args, parser) as out:
+        try:
+            for record in optimize.run_sweep(configs, quad_spec=quad_spec):
+                out.write(json.dumps(_sig15(record)) + "\n")
+                out.flush()
+        except ValueError as exc:
+            parser.error(str(exc))
     return 0
 
 
@@ -210,16 +214,16 @@ def cmd_table(args, parser) -> int:
         parser.error("table requires --paper")
     rows = _paper_rows(_quad_spec(args, parser))
     if args.format == "json":
-        _write(args, json.dumps(_sig15(rows), indent=2) + "\n")
+        _write(args, parser, json.dumps(_sig15(rows), indent=2) + "\n")
     elif args.format == "csv":
-        _write(args, _csv_text(rows))
+        _write(args, parser, _csv_text(rows))
     else:
         lines = [f"{'quantity':<50} {'paper':>12} {'computed':>12} {'diff':>10} {'status':>6}"]
         for row in rows:
             diff = f"{row['abs_diff']:.2e}" if row["abs_diff"] is not None else "-"
             lines.append(f"{row['quantity']:<50} {row['paper']:>12.6f} {row['computed']:>12.6f} "
                          f"{diff:>10} {row['status']:>6}")
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, parser, "\n".join(lines) + "\n")
     return 0 if all(row["status"] != "fail" for row in rows) else 1
 
 
@@ -267,11 +271,11 @@ def cmd_verify(args, parser) -> int:
     payload = {"l_ratio": args.l_ratio, "cases": cases, "all_hold": all_hold}
 
     if args.format == "json":
-        _write(args, json.dumps(_sig15(payload), indent=2) + "\n")
+        _write(args, parser, json.dumps(_sig15(payload), indent=2) + "\n")
     elif args.format == "csv":
         flat = [{k: case[k] for k in ("potential", "n_points", "half_width", "lhs", "rhs", "margin", "holds")}
                 for case in cases]
-        _write(args, _csv_text(flat))
+        _write(args, parser, _csv_text(flat))
     else:
         lines = [f"l_ratio = {args.l_ratio:g}"]
         for case in cases:
@@ -279,7 +283,7 @@ def cmd_verify(args, parser) -> int:
             lines.append(f"{case['potential']:<42} lhs={case['lhs']:>10.6f} rhs={case['rhs']:>10.6f} "
                          f"margin={case['margin']:>10.6f} {verdict}")
         lines.append("all hold" if all_hold else "INEQUALITY VIOLATED")
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, parser, "\n".join(lines) + "\n")
     return 0 if all_hold else 1
 
 

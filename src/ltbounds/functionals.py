@@ -18,17 +18,18 @@ through constants.bound_from_c.  Admissibility at small t needs the profile
 to vanish fast enough: 1 - f ~ t^a requires a > tau/2, checked up front and
 re-checked numerically through quadrature convergence.
 
-The outer integrals split at t = 1: on (0,1) the integrand is small and
-vanishes at 0, on (1, inf) the known t^(-beta) decay is folded into a
-power substitution so the transformed integrand stays bounded.  Inside the
-objective the inner g integral and int phi^2 share phi on the fixed rule
-quad.graded_rule, and mu (s t)^a = (mu s^a) t^a costs a batch of outer
-nodes t^a and one outer product; the public averaged_profile remains the
-adaptive oracle at 100x tighter tolerance, and the two are cross-validated
-in the test suite.  The indicator profile needs no integral over t: 1 - g(t)
-= T(1/t) with T(x) = int_x^1 phi, and by parts tau int_1^inf T(1/t)^2
-t^(-1-tau) dt = 2 int_0^1 phi x^tau T dx, one sum on the graded rule with T
-at its nodes from the later panels' mass and quad.graded_tails.
+Both functionals are one deficit integral over t of a 1 - h, h = f or g,
+split at t = 1: on (0,1) the integrand is small and vanishes at 0, on
+(1, inf) the known t^(-beta) decay is folded into a power substitution so
+the transformed integrand stays bounded.  Every integral over s runs on the
+fixed rule quad.graded_rule: inside the objective the inner g integral and
+int phi^2 share phi at its nodes, and mu (s t)^a = (mu s^a) t^a costs a
+batch of outer nodes t^a and one outer product; the test suite checks this
+1 - g against 30-digit mpmath.  The indicator profile needs no integral
+over t: 1 - g(t) = T(1/t) with T(x) = int_x^1 phi, and by parts tau
+int_1^inf T(1/t)^2 t^(-1-tau) dt = 2 int_0^1 phi x^tau T dx, one sum on the
+graded rule with T at its nodes from the later panels' mass and
+quad.graded_tails.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quad
-from .trial import ProfileFamily, WeightFamily, eval_profile, eval_weight, one_minus_profile, one_minus_rational
+from .trial import ProfileFamily, WeightFamily, eval_weight, one_minus_profile, one_minus_rational
 
 __all__ = [
     "DivergentError",
     "ProblemSpec",
     "weighted_deficit",
     "deficit_functional",
-    "averaged_profile",
     "weight_l2",
     "averaging_objective",
 ]
@@ -79,78 +79,59 @@ class ProblemSpec:
         return self.d / (2.0 * self.sigma)
 
 
-def _small_t_exponent(fam: ProfileFamily) -> float:
-    # leading order of 1 - f(t) at t -> 0
-    if fam.kind == "indicator":
-        return math.inf
-    return fam.a
-
-
 def _require_admissible(fam: ProfileFamily, beta: float):
-    if not 2.0 * _small_t_exponent(fam) > beta - 1.0:
-        raise DivergentError(
-            f"deficit diverges at t -> 0: profile vanishes like t^{_small_t_exponent(fam)!r}, "
-            f"weight needs exponent > {(beta - 1.0) / 2.0!r}")
+    a = math.inf if fam.kind == "indicator" else fam.a  # 1 - f ~ t^a at t -> 0
+    if not 2.0 * a > beta - 1.0:
+        raise DivergentError(f"deficit diverges at t -> 0: profile vanishes like t^{a!r}, "
+                             f"weight needs exponent > {(beta - 1.0) / 2.0!r}")
 
 
-def _tail_integral(bounded, beta: float, quad_spec: quad.QuadSpec | None) -> quad.QuadResult:
-    """int_1^inf bounded(t) t^(-beta) dt via the substitution t = y^(-m).
+def _deficit_integral(one_minus, beta: float, spec: quad.QuadSpec | None, what: str) -> float:
+    """int_0^inf one_minus(t)^2 t^(-beta) dt, split at t = 1.
 
-    The generic rational transform stalls on tails slower than t^-2: its
-    transformed integrand blows up at u = 1, where float spacing is too
-    coarse to refine further.  Choosing m with m*(beta-1) >= 2 makes the
-    substituted integrand vanish at least linearly at y = 0 instead.
+    On (1, inf) the substitution t = y^(-m) with m (beta - 1) >= 2 makes the
+    integrand vanish at least linearly at y = 0; the generic rational
+    transform stalls on tails slower than t^-2, where its transformed
+    integrand blows up at u = 1 and float spacing is too coarse to refine.
+    Raises DivergentError naming `what` for beta <= 1 or a blown budget.
     """
+    if not beta > 1.0:
+        raise DivergentError(f"{what}: weight exponent must satisfy beta > 1, got {beta!r}")
     m = float(max(1, math.ceil(2.0 / (beta - 1.0))))
     expo = m * (beta - 1.0) - 1.0
 
-    def transformed(y):
-        with np.errstate(over="ignore"):
-            t = y**-m
-        return m * bounded(t) * y**expo
-
-    return quad.integrate(transformed, 0.0, 1.0, quad_spec)
-
-
-def weighted_deficit(fam: ProfileFamily, beta: float, quad_spec: quad.QuadSpec | None = None) -> float:
-    """J_beta(f) = int_0^inf (1 - f)^2 t^(-beta) dt, split at t = 1.
-
-    Raises DivergentError when the small-t behavior makes the integral
-    infinite or the quadrature budget runs out.
-    """
-    if not beta > 1.0:
-        raise DivergentError(f"weight exponent must satisfy beta > 1, got {beta!r}")
-    _require_admissible(fam, beta)
-
-    def integrand(t):
-        omf = one_minus_profile(fam, t)
+    def near_integrand(t):
+        omf = one_minus(t)
         with np.errstate(over="ignore"):
             val = omf * omf * t ** (-beta)
         return np.where(omf == 0.0, 0.0, val)
 
-    near = quad.integrate(integrand, 0.0, 1.0, quad_spec)
-    far = _tail_integral(lambda t: one_minus_profile(fam, t) ** 2, beta, quad_spec)
+    def far_integrand(y):
+        with np.errstate(over="ignore"):
+            t = y**-m
+        return m * one_minus(t) ** 2 * y**expo
+
+    near = quad.integrate(near_integrand, 0.0, 1.0, spec)
+    far = quad.integrate(far_integrand, 0.0, 1.0, spec)
     if not (near.converged and far.converged):
-        raise DivergentError(f"weighted deficit quadrature did not converge: near={near!r}, far={far!r}")
+        raise DivergentError(f"{what} quadrature did not converge: near={near!r}, far={far!r}")
     return near.value + far.value
+
+
+def weighted_deficit(fam: ProfileFamily, beta: float, quad_spec: quad.QuadSpec | None = None) -> float:
+    """J_beta(f) = int_0^inf (1 - f)^2 t^(-beta) dt.
+
+    Raises DivergentError when the small-t behavior makes the integral
+    infinite or the quadrature budget runs out.
+    """
+    _require_admissible(fam, beta)
+    return _deficit_integral(lambda t: one_minus_profile(fam, t), beta, quad_spec, "weighted deficit")
 
 
 def deficit_functional(fam: ProfileFamily, problem: ProblemSpec, quad_spec: quad.QuadSpec | None = None) -> float:
     """A(f) = tau * J_{1+tau}(f) for the given problem."""
     tau = problem.tau
     return tau * weighted_deficit(fam, 1.0 + tau, quad_spec)
-
-
-def averaged_profile(fam: ProfileFamily, weight: WeightFamily, t: float,
-                     quad_spec: quad.QuadSpec | None = None) -> float:
-    """g(t) = int_0^1 phi(s) f(s t) ds, adaptively at 100x tighter tolerance."""
-    if not (t >= 0.0) or not math.isfinite(t):
-        raise ValueError(f"averaged profile needs finite t >= 0, got {t!r}")
-    spec = (quad_spec or quad.DEFAULT_SPEC).tightened(100.0)
-    res = quad.integrate(lambda s: eval_weight(weight, s) * eval_profile(fam, s * t), 0.0, 1.0, spec)
-    if not res.converged:
-        raise DivergentError(f"averaged profile quadrature did not converge at t={t!r}: {res!r}")
-    return res.value
 
 
 def weight_l2(weight: WeightFamily, quad_spec: quad.QuadSpec | None = None) -> float:
@@ -207,15 +188,4 @@ def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: Probl
         t_of_s = later[:, None] + np.einsum("kjm,kjm->kj", tail_weights, eval_weight(weight, tail_nodes))
         return float(l2_tau * 2.0 * ((wphi * s_nodes**tau) @ t_of_s.ravel()))
     one_minus_g = _one_minus_g_factory(fam, spec, wphi)
-
-    def integrand(t):
-        omg = one_minus_g(t)
-        with np.errstate(over="ignore"):
-            val = omg * omg * t ** (-1.0 - tau)
-        return np.where(omg == 0.0, 0.0, val)
-
-    near = quad.integrate(integrand, 0.0, 1.0, spec)
-    far = _tail_integral(lambda t: one_minus_g(t) ** 2, 1.0 + tau, spec)
-    if not (near.converged and far.converged):
-        raise DivergentError(f"averaging objective quadrature did not converge: near={near!r}, far={far!r}")
-    return float(l2_tau * tau * (near.value + far.value))
+    return float(l2_tau * tau * _deficit_integral(one_minus_g, 1.0 + tau, spec, "averaging objective"))

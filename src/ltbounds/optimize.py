@@ -24,7 +24,7 @@ import numpy as np
 
 from . import quad
 from .functionals import DivergentError, ProblemSpec, averaging_objective, weighted_deficit
-from .trial import ConstraintViolationError, normalize_profile, normalize_weight
+from .trial import ConstraintViolationError, _is_json_number, normalize_profile, normalize_weight
 
 __all__ = [
     "PENALTY",
@@ -243,9 +243,10 @@ def run_sweep(configs: list[dict], quad_spec: quad.QuadSpec | None = None):
     """Run minimize_averaging for each config dict; yield one record per run
     and then one summary record per distinct (d, sigma).
 
-    Config keys: d, sigma, seed_params required; phi_kind plus the OptConfig
-    fields optional; anything else is rejected.  A failing run yields a
-    record with an "error" field instead of aborting the sweep.
+    Config keys: d, sigma (numbers) and seed_params (an array of numbers)
+    required; phi_kind plus the OptConfig fields optional; anything else is
+    rejected up front.  A failing run yields a record with an "error" field
+    instead of aborting the sweep.
     """
     if not isinstance(configs, list):
         raise ValueError("sweep config must be a JSON array of run objects")
@@ -258,6 +259,10 @@ def run_sweep(configs: list[dict], quad_spec: quad.QuadSpec | None = None):
         missing = _RUN_REQUIRED - set(raw)
         if missing:
             raise ValueError(f"run {idx}: missing config fields {sorted(missing)!r}")
+        seed = raw["seed_params"]
+        if not (isinstance(seed, (list, tuple))
+                and all(map(_is_json_number, (raw["d"], raw["sigma"], *seed)))):
+            raise ValueError(f"run {idx}: d and sigma must be numbers and seed_params an array of numbers")
 
     best: dict[tuple[int, float], float] = {}
     keys_in_order: list[tuple[int, float]] = []

@@ -80,10 +80,6 @@ class QuadSpec:
         if self.max_subdivisions < 1:
             raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}")
 
-    def tightened(self, factor: float) -> "QuadSpec":
-        """Same spec with both tolerances divided by factor."""
-        return QuadSpec(self.abs_tol / factor, self.rel_tol / factor, self.max_subdivisions)
-
 
 @dataclass(frozen=True)
 class QuadResult:

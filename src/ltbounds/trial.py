@@ -60,6 +60,11 @@ class ConstraintViolationError(ValueError):
     """Family parameters violate an admissibility constraint."""
 
 
+def _is_json_number(v) -> bool:
+    """A JSON number as json.load returns it: an int or float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def spec_to_json(spec) -> dict:
     """A spec dataclass as a flat JSON object, None fields omitted."""
     return {f.name: getattr(spec, f.name) for f in fields(spec) if getattr(spec, f.name) is not None}
@@ -226,7 +231,7 @@ def spec_from_json(obj: dict, cls, label: str, fields_by_kind: dict | None = Non
     if missing:
         raise ValueError(f"missing {label} fields {missing!r}{where}")
     for name, v in vals.items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        if not _is_json_number(v):
             raise ValueError(f"{label} field {name!r} must be a number, got {v!r}")
     return cls(**head, **{name: float(v) for name, v in vals.items()})
 

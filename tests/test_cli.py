@@ -77,6 +77,15 @@ def test_bound_optimize_bad_seed_is_usage_error(seed, message):
     assert "Traceback" not in proc.stderr
 
 
+def test_bound_optimize_at_tau_below_float_spacing_is_usage_error():
+    # tau = 5e-17: 1 + tau == 1.0, so every simplex point is divergent
+    proc = run_cli("bound", "--d", "1", "--sigma", "1e16", "--method", "from-c", "--optimize",
+                   "--max-iters", "5")
+    assert proc.returncode == 2
+    assert "--optimize: 5 of 5 initial simplex points are infeasible" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("d, sigma", [("100", "1e-3"), ("1000", "0.01"), ("100000", "1"), ("1", "1e-9")])
 def test_bound_best_of_at_large_tau(d, sigma):
     proc = run_cli("bound", "--d", d, "--sigma", sigma, "--method", "best-of")
@@ -112,6 +121,27 @@ def test_out_writes_file(tmp_path):
     assert json.loads(target.read_text())["method"] == "momentum_optimal"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--d", "1", "--sigma", "1", "--method", "momentum-optimal"],
+    ["optimize", "CONFIG"],
+    ["table", "--paper", "--quad-abs-tol", "1e-7", "--quad-rel-tol", "1e-6"],
+    ["verify", "CONFIG"],
+], ids=["bound", "optimize", "table", "verify"])
+def test_unopenable_out_is_usage_error(tmp_path, argv):
+    config = tmp_path / "config.json"
+    if argv[0] == "optimize":
+        config.write_text(json.dumps([{"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5],
+                                       "phi_kind": "bump_simple", "max_iters": 1}]))
+    else:
+        config.write_text(json.dumps([{"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0},
+                                       "grid": {"half_width": 10.0, "n_points": 201}}]))
+    proc = run_cli(*(str(config) if arg == "CONFIG" else arg for arg in argv),
+                   "--out", str(tmp_path / "missing" / "x"))
+    assert proc.returncode == 2
+    assert "cannot write --out" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_optimize_streams_json_lines(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps([
@@ -137,6 +167,12 @@ def test_optimize_config_errors(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert run_cli("optimize", str(notjson)).returncode == 2
+    for run in ({"d": 1, "sigma": 1.0, "seed_params": 5}, {"d": [1], "sigma": 1.0, "seed_params": [2.0, 0.5]}):
+        bad.write_text(json.dumps([run]))
+        proc = run_cli("optimize", str(bad))
+        assert proc.returncode == 2
+        assert "run 0: d and sigma must be numbers" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_table_paper_passes():

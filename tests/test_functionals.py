@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import tracemalloc
 
 import mpmath
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sci
 
+import ltbounds
 from ltbounds import constants, functionals, quad, trial
 
 P11 = functionals.ProblemSpec(d=1, sigma=1.0)
@@ -72,41 +75,54 @@ def test_weighted_deficit_divergence_guards():
         functionals.weighted_deficit(fam, 1.0)  # beta must exceed 1
 
 
-def test_averaged_profile_matches_direct_integral():
+def test_tau_below_float_spacing_of_one_is_divergent():
+    # tau = 5e-17 rounds 1 + tau to 1.0: the deficit weight t^-1 is not integrable
+    problem = functionals.ProblemSpec(1, 1e16)
+    assert 1.0 + problem.tau == 1.0
+    fam = trial.normalize_profile("rational_power", a=4.0, p=0.25)
+    with pytest.raises(functionals.DivergentError, match="averaging objective"):
+        functionals.averaging_objective(fam, trial.normalize_weight("bump_poly", q=2.0, r=4.0), problem)
+    with pytest.raises(functionals.DivergentError, match="weighted deficit"):
+        functionals.deficit_functional(fam, problem)
+
+
+def test_blown_quadrature_budget_names_the_functional():
+    spec = quad.QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_subdivisions=1)
     fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
-    w = trial.normalize_weight("bump_simple")
-    for t in (0.7, 1.0, 3.2):
-        want, _ = sci.quad(
-            lambda s: float(trial.eval_weight(w, np.array([s]))[0])
-            * float(trial.eval_profile(fam, np.array([s * t]))[0]), 0.0, 1.0, limit=200)
-        np.testing.assert_allclose(functionals.averaged_profile(fam, w, t), want, rtol=1e-9)
+    with pytest.raises(functionals.DivergentError, match="weighted deficit quadrature did not converge"):
+        functionals.weighted_deficit(fam, 2.0, spec)
+    with pytest.raises(functionals.DivergentError, match="averaging objective quadrature did not converge"):
+        functionals.averaging_objective(fam, trial.normalize_weight("uniform"), P11, spec)
 
 
-def test_averaged_profile_limits():
-    fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
-    w = trial.normalize_weight("bump_simple")
-    np.testing.assert_allclose(functionals.averaged_profile(fam, w, 0.0), 1.0, rtol=1e-10)
-    g = [functionals.averaged_profile(fam, w, t) for t in (0.0, 0.5, 1.0, 2.0, 8.0)]
-    assert all(x > y for x, y in zip(g, g[1:]))
-    with pytest.raises(ValueError):
-        functionals.averaged_profile(fam, w, -1.0)
+def _one_minus_g_mpmath(fam, w, t):
+    """1 - g(t) = int_0^1 phi(s) (1 - f(s t)) ds at 30 digits, split where f(s t) turns over."""
+    with mpmath.workdps(30):
+        a, p, mu, c, q, r = (mpmath.mpf(v) for v in (fam.a, fam.p, fam.mu, w.c, w.q, w.r))
+        t = mpmath.mpf(t)
+
+        def integrand(s):
+            phi = c * (1 - s**q) ** r / ((1 + s) if w.kind == "bump_rich" else 1)
+            return phi * -mpmath.expm1(-p * mpmath.log1p(mu * (s * t) ** a))
+
+        return float(mpmath.quad(integrand, [0, min(mpmath.mpf(0.5), mu ** (-1 / a) / t), 1]))
 
 
-def test_graded_inner_rule_matches_adaptive_averaged_profile():
-    # the objective's graded 1 - g against the public adaptive g, both trials
+def test_graded_inner_rule_matches_mpmath():
+    # the objective's graded 1 - g against 30-digit mpmath, both trials, out to t = 1e6
     pairs = [
         (trial.normalize_profile("rational_power", a=4.5, p=0.25),
          trial.normalize_weight("bump_rich", q=0.36, r=2.1)),
         (trial.normalize_profile("rational_power", a=10.0, p=0.25),
          trial.normalize_weight("bump_poly", q=2.0, r=4.0)),
     ]
-    ts = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 49.0])
+    ts = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 49.0, 1e3, 1e6])
     nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
     for fam, w in pairs:
         wphi = weights * trial.eval_weight(w, nodes)
         graded = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, wphi)(ts)
-        adaptive = [1.0 - functionals.averaged_profile(fam, w, t) for t in ts]
-        np.testing.assert_allclose(graded, adaptive, rtol=0, atol=quad.DEFAULT_SPEC.abs_tol)
+        want = [_one_minus_g_mpmath(fam, w, t) for t in ts]
+        np.testing.assert_allclose(graded, want, rtol=0, atol=quad.DEFAULT_SPEC.abs_tol, err_msg=w.kind)
     assert nodes.size == 1350
     assert not nodes.flags.writeable and not weights.flags.writeable
     assert quad.graded_rule()[0] is nodes
@@ -280,6 +296,17 @@ def test_indicator_objective_calls_no_adaptive_integral(monkeypatch):
     functionals.averaging_objective(trial.normalize_profile("rational_power", a=4.5, p=0.25),
                                     trial.normalize_weight("uniform"), P11)
     assert len(calls) == 2  # the wrapper sees the smooth path's near and far integrals
+    calls.clear()
+    functionals.weighted_deficit(trial.normalize_profile("rational_power", a=4.5, p=0.25), 2.0)
+    assert len(calls) == 2  # the same two
+
+
+def test_every_export_resolves():
+    modules = [ltbounds] + [importlib.import_module(f"ltbounds.{info.name}")
+                            for info in pkgutil.iter_modules(ltbounds.__path__) if info.name != "__main__"]
+    for module in modules:
+        stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert stale == [], module.__name__
 
 
 def test_averaging_objective_inadmissible_profile():

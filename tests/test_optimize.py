@@ -129,3 +129,14 @@ def test_run_sweep_validates_upfront():
                                   "stepsize": 0.1}]))  # unknown field
     with pytest.raises(ValueError):
         list(optimize.run_sweep({"d": 1}))  # not a list
+    for bad in ({"seed_params": 5}, {"seed_params": [2.0, "0.5"]}, {"d": [1]}, {"d": True}, {"sigma": "1"}):
+        run = {"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5], "phi_kind": "bump_simple", **bad}
+        with pytest.raises(ValueError, match="run 1: d and sigma must be numbers"):
+            list(optimize.run_sweep([{"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5]}, run]))
+
+
+def test_run_sweep_bad_numbers_are_per_run_errors():
+    configs = [{"d": 0, "sigma": 1.0, "seed_params": [2.0, 0.5], "phi_kind": "bump_simple"},
+               {"d": 1, "sigma": 1.0, "seed_params": [], "phi_kind": "bump_simple"}]
+    runs = [r for r in optimize.run_sweep(configs) if not r.get("summary")]
+    assert all("ValueError" in r["error"] for r in runs)

@@ -50,14 +50,6 @@ def test_spec_validation():
         quad.QuadSpec(max_subdivisions=0)
 
 
-def test_tightened_scales_both_tolerances():
-    spec = quad.QuadSpec(abs_tol=1e-8, rel_tol=1e-6)
-    tight = spec.tightened(100.0)
-    np.testing.assert_allclose(tight.abs_tol, 1e-10)
-    np.testing.assert_allclose(tight.rel_tol, 1e-8)
-    assert tight.max_subdivisions == spec.max_subdivisions
-
-
 def test_endpoint_validation():
     with pytest.raises(ValueError):
         quad.integrate(lambda t: t, math.nan, 1.0)
