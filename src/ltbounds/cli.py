@@ -150,13 +150,14 @@ def cmd_optimize(args, parser) -> int:
     except json.JSONDecodeError as exc:
         parser.error(f"config is not valid JSON: {exc}")
     quad_spec = _quad_spec(args, parser)
+    try:  # validate before --out truncates the file
+        records = optimize.run_sweep(configs, quad_spec=quad_spec)
+    except ValueError as exc:
+        parser.error(str(exc))
     with _output(args, parser) as out:
-        try:
-            for record in optimize.run_sweep(configs, quad_spec=quad_spec):
-                out.write(json.dumps(_sig15(record)) + "\n")
-                out.flush()
-        except ValueError as exc:
-            parser.error(str(exc))
+        for record in records:
+            out.write(json.dumps(_sig15(record)) + "\n")
+            out.flush()
     return 0
 
 

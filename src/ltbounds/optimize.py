@@ -245,8 +245,9 @@ def run_sweep(configs: list[dict], quad_spec: quad.QuadSpec | None = None):
 
     Config keys: d, sigma (numbers) and seed_params (an array of numbers)
     required; phi_kind plus the OptConfig fields optional; anything else is
-    rejected up front.  A failing run yields a record with an "error" field
-    instead of aborting the sweep.
+    rejected by a ValueError from the call itself, before the first run.  A
+    failing run yields a record with an "error" field instead of aborting the
+    sweep.
     """
     if not isinstance(configs, list):
         raise ValueError("sweep config must be a JSON array of run objects")
@@ -263,7 +264,10 @@ def run_sweep(configs: list[dict], quad_spec: quad.QuadSpec | None = None):
         if not (isinstance(seed, (list, tuple))
                 and all(map(_is_json_number, (raw["d"], raw["sigma"], *seed)))):
             raise ValueError(f"run {idx}: d and sigma must be numbers and seed_params an array of numbers")
+    return _sweep_records(configs, quad_spec)
 
+
+def _sweep_records(configs: list[dict], quad_spec: quad.QuadSpec | None):
     best: dict[tuple[int, float], float] = {}
     keys_in_order: list[tuple[int, float]] = []
     for idx, raw in enumerate(configs):

@@ -176,29 +176,42 @@ def graded_rule(spec: QuadSpec | None = None):
     max(45, ceil(-log2 abs_tol) + 8); the first panel, in s = 2^-levels u^8,
     resolves a weight's s^q corner for q down to 0.05 even at large r.
     """
-    return _graded_rule((spec or DEFAULT_SPEC).abs_tol)[:2]
+    return _graded_rule((spec or DEFAULT_SPEC).abs_tol)
 
 
 def graded_tails(spec: QuadSpec | None = None):
     """Read-only (nodes, weights) of shape (panels, 15, 15): row [k, j] is Gauss-Legendre 15
-    from node j of graded_rule(spec)'s panel k to the panel's end, in the panel's variable."""
-    return _graded_rule((spec or DEFAULT_SPEC).abs_tol)[2:]
+    from node j of graded_rule(spec)'s panel k to the panel's end, in the panel's variable.
+    Built on first use, once per abs_tol."""
+    return _graded_tails((spec or DEFAULT_SPEC).abs_tol)
+
+
+# leggauss is called inside the builders: importing numpy.polynomial costs
+# about 1.6 MiB and 10 ms, which code that never integrates a weight skips
+@functools.lru_cache(maxsize=8)  # one entry per abs_tol
+def _graded_rule(abs_tol: float):
+    nodes, weights = _graded_panels(abs_tol, *np.polynomial.legendre.leggauss(15))
+    return nodes.ravel(), weights.ravel()
 
 
 @functools.lru_cache(maxsize=8)  # one entry per abs_tol
-def _graded_rule(abs_tol: float):
+def _graded_tails(abs_tol: float):
+    x15, w15 = np.polynomial.legendre.leggauss(15)
+    x_tail = x15[:, None] + 0.5 * (1.0 - x15[:, None]) * (1.0 + x15)  # row j spans [x15[j], 1]
+    return _graded_panels(abs_tol, x_tail, 0.5 * (1.0 - x15[:, None]) * w15)
+
+
+def _graded_panels(abs_tol: float, x, w):
+    """A rule (x, w) on [-1, 1] mapped onto every graded panel -> read-only
+    (nodes, weights) with a leading panel axis; the first panel in s = 2^-levels u^8."""
     levels = max(45, math.ceil(-math.log2(abs_tol)) + 8)
     dyadic = 2.0 ** -np.arange(levels, 0, -1)  # 2^-levels .. 1/2
     cuts = np.unique(np.concatenate(([0.0], dyadic, 1.0 - dyadic, [1.0])))
-    x15, w15 = np.polynomial.legendre.leggauss(15)
-    x_tail = x15[:, None] + 0.5 * (1.0 - x15[:, None]) * (1.0 + x15)  # row j spans [x15[j], 1]
-    w_tail = 0.5 * (1.0 - x15[:, None]) * w15
-    half = 0.5 * np.diff(cuts)[:, None]
-    mid = 0.5 * (cuts[:-1] + cuts[1:])[:, None]
-    rule = [mid + half * x15, half * w15, mid[..., None] + half[..., None] * x_tail, half[..., None] * w_tail]
-    for i, x, w in ((0, x15, w15), (2, x_tail, w_tail)):
-        u = 0.5 * (x + 1.0)  # the first panel in s = cuts[1] u^8
-        rule[i][0], rule[i + 1][0] = cuts[1] * u**8, cuts[1] * 4.0 * u**7 * w
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule[0].ravel(), rule[1].ravel(), rule[2], rule[3]
+    half = (0.5 * np.diff(cuts)).reshape(-1, *(1,) * x.ndim)
+    mid = (0.5 * (cuts[:-1] + cuts[1:])).reshape(half.shape)
+    nodes, weights = mid + half * x, half * w
+    u = 0.5 * (x + 1.0)  # the first panel in s = cuts[1] u^8
+    nodes[0], weights[0] = cuts[1] * u**8, cuts[1] * 4.0 * u**7 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights

@@ -175,6 +175,18 @@ def test_optimize_config_errors(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_optimize_bad_config_keeps_out_file(tmp_path):
+    # the sweep is validated before --out opens (and truncates) the file
+    target = tmp_path / "results.jsonl"
+    target.write_text('{"run": 0}\n')
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([{"d": [1], "sigma": 1.0, "seed_params": [2.0, 0.5]}]))
+    proc = run_cli("optimize", str(bad), "--out", str(target))
+    assert proc.returncode == 2
+    assert "run 0: d and sigma must be numbers" in proc.stderr
+    assert target.read_text() == '{"run": 0}\n'
+
+
 def test_table_paper_passes():
     proc = run_cli("table", "--paper")
     assert proc.returncode == 0

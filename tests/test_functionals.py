@@ -6,6 +6,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sci
 
 import ltbounds
@@ -163,6 +165,74 @@ def test_inner_batches_reuse_one_buffer():
         tracemalloc.stop()
     np.testing.assert_array_equal(again, first)
     assert peak < nodes.size * t.size * 8 // 4, peak
+
+
+def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
+    """1 - g over every row of the graded rule: wphi @ (1 - f(s t)) for a batch
+    in which t^a overflows, as the factory takes it, else the sum of wphi
+    (1 - f) at x = (mu s^a) t^a, column by column with math.fsum unless
+    exact_sum is false.  A matrix product adds the ~580 tiny s -> 1 terms of a
+    column to a large partial sum, which on some columns costs 2.4e-15."""
+    nodes = quad.graded_rule(quad.DEFAULT_SPEC)[0]
+    with np.errstate(over="ignore"):
+        t_a = ts**fam.a
+        if not np.isfinite(t_a).all():
+            return wphi @ trial.one_minus_profile(fam, nodes[:, None] * ts[None, :])
+    terms = trial.one_minus_rational(fam.p, np.multiply.outer(fam.mu * nodes**fam.a, t_a))
+    if not exact_sum:
+        return wphi @ terms
+    return np.array([math.fsum(column) for column in (wphi[:, None] * terms).T])
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(1.1, 400.0), p_frac=st.floats(0.0, 1.0), kind=st.sampled_from(trial.WEIGHT_KINDS),
+       q=st.floats(0.05, 3.0), r=st.floats(0.5, 10.0),
+       us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=15))
+def test_compressed_inner_rule_matches_full_rule(a, p_frac, kind, q, r, us):
+    # the s -> 1 rows folded into Gauss rows against the sum over all 1,350 rows
+    p_lo = max(0.05, 0.55 / a)
+    p = p_lo * (100.0 / p_lo) ** p_frac
+    fam = trial.normalize_profile("rational_power", a=a, p=p)
+    parametric = kind in ("bump_rich", "bump_poly")
+    w = trial.normalize_weight(kind, q=q if parametric else None, r=r if parametric else None)
+    nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
+    wphi = weights * trial.eval_weight(w, nodes)
+    ts = fam.mu ** (-1.0 / a) * 10.0 ** np.array(us)
+    got = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, wphi)(ts)
+    # atol: near the subnormal range x = mu s^a t^a keeps an absolute error of
+    # 2^-1074 per row, so a relative test says nothing about 1 - g < 1e-300
+    np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=1e-300)
+
+
+def test_compressed_inner_rule_falls_back_to_full_rows():
+    nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
+    ts = np.logspace(-2, 2, 15)
+    # at p = 1e16 delta_0 ~ 9e-16 leaves one row in the suffix, fewer than 2M
+    fam = trial.normalize_profile("rational_power", a=2.0, p=1e16)
+    assert nodes.size - np.searchsorted(nodes**fam.a, 1.0 - functionals._suffix_width(fam.p)) < 8
+    wphi = weights * trial.eval_weight(trial.normalize_weight("uniform"), nodes)
+    one_minus_g = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, wphi)
+    np.testing.assert_array_equal(one_minus_g(ts), _full_rule_one_minus_g(fam, wphi, ts, exact_sum=False))
+    # a weight with no mass on the suffix: Lanczos breaks down at its first step
+    fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
+    wphi = np.where(nodes < 0.99, wphi, 0.0)
+    one_minus_g = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, wphi)
+    np.testing.assert_array_equal(one_minus_g(ts), _full_rule_one_minus_g(fam, wphi, ts, exact_sum=False))
+
+
+def test_compressed_inner_rows_at_criterion_5_start(monkeypatch):
+    # one batch of 15 outer nodes multiplies <= 830 rows instead of 1,350
+    sizes = []
+
+    def counting(p, x, out=None):
+        sizes.append(x.shape)
+        return one_minus_rational(p, x, out=out)
+
+    one_minus_rational = functionals.one_minus_rational
+    monkeypatch.setattr(functionals, "one_minus_rational", counting)
+    fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
+    functionals.averaging_objective(fam, trial.normalize_weight("bump_rich", q=0.42, r=1.8), P11)
+    assert sizes and all(cols == 15 and rows * cols <= 830 * 15 for rows, cols in sizes)
 
 
 @pytest.mark.parametrize("q, r", [(0.05, 0.5), (0.05, 10.0), (3.0, 0.5), (3.0, 10.0),

@@ -128,7 +128,7 @@ def test_run_sweep_validates_upfront():
         list(optimize.run_sweep([{"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5],
                                   "stepsize": 0.1}]))  # unknown field
     with pytest.raises(ValueError):
-        list(optimize.run_sweep({"d": 1}))  # not a list
+        optimize.run_sweep({"d": 1})  # not a list; raised by the call, before any record is asked for
     for bad in ({"seed_params": 5}, {"seed_params": [2.0, "0.5"]}, {"d": [1]}, {"d": True}, {"sigma": "1"}):
         run = {"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5], "phi_kind": "bump_simple", **bad}
         with pytest.raises(ValueError, match="run 1: d and sigma must be numbers"):

@@ -123,3 +123,24 @@ def test_one_integrand_call_per_panel():
     assert res.converged and res.subdivisions_used > 0
     assert len(sizes) == 1 + 2 * res.subdivisions_used
     assert set(sizes) == {15}
+
+
+def test_graded_tails_built_on_first_use():
+    # the indicator-only tails (2 x 162 KB) are not built along with the rule
+    spec = quad.QuadSpec(abs_tol=3.7e-9)  # an abs_tol no other test uses
+    tails_built = quad._graded_tails.cache_info().misses
+    nodes, weights = quad.graded_rule(spec)
+    assert quad._graded_tails.cache_info().misses == tails_built
+    tail_nodes, tail_weights = quad.graded_tails(spec)
+    assert quad._graded_tails.cache_info().misses == tails_built + 1
+    assert quad.graded_tails(spec)[0] is tail_nodes
+    assert tail_nodes.shape == tail_weights.shape == (nodes.size // 15, 15, 15)
+    assert not tail_nodes.flags.writeable and not tail_weights.flags.writeable
+    # row [k, j] integrates 1 over s from node j to the end of panel k; nodes
+    # near s = 1 are rounded, so the lengths come from the panel variable
+    x15 = np.polynomial.legendre.leggauss(15)[0]
+    dyadic = 2.0 ** -np.arange(45, 0, -1)  # levels = 45 at this abs_tol
+    cuts = np.unique(np.concatenate(([0.0], dyadic, 1.0 - dyadic, [1.0])))
+    lengths = 0.5 * np.diff(cuts)[:, None] * (1.0 - x15)
+    lengths[0] = cuts[1] * (1.0 - (0.5 * (x15 + 1.0)) ** 8)  # s = cuts[1] u^8
+    np.testing.assert_allclose(tail_weights.sum(axis=2), lengths, rtol=1e-14)
