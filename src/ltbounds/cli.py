@@ -30,7 +30,7 @@ from .functionals import ProblemSpec, averaging_objective
 from .quad import QuadSpec
 from .trial import normalize_profile, normalize_weight
 
-_METHODS = ("rumin-original", "momentum-optimal", "fractional-first", "from-c", "best-of")
+_METHODS = ("rumin-original", "momentum-optimal", "from-c", "best-of")
 
 
 def _sig15(value):
@@ -68,23 +68,31 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _quad_spec(args, parser) -> QuadSpec | None:
-    if args.quad_abs_tol is None and args.quad_rel_tol is None:
-        return None
-    base = QuadSpec()
+def _quad_spec(args, parser) -> QuadSpec:
     try:
-        return QuadSpec(abs_tol=args.quad_abs_tol if args.quad_abs_tol is not None else base.abs_tol,
-                        rel_tol=args.quad_rel_tol if args.quad_rel_tol is not None else base.rel_tol)
+        return QuadSpec(abs_tol=args.quad_abs_tol, rel_tol=args.quad_rel_tol)
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _add_common(sub, formats=True):
+def _read_config(path: str, parser):
+    """The parsed JSON at path; an unreadable file or invalid JSON is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        parser.error(f"cannot read config: {exc}")
+    except json.JSONDecodeError as exc:
+        parser.error(f"config is not valid JSON: {exc}")
+
+
+def _add_common(sub, formats=True, quad_tols=True):
     if formats:
         sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-    sub.add_argument("--quad-abs-tol", type=float, default=None)
-    sub.add_argument("--quad-rel-tol", type=float, default=None)
+    if quad_tols:
+        sub.add_argument("--quad-abs-tol", type=float, default=QuadSpec.abs_tol)
+        sub.add_argument("--quad-rel-tol", type=float, default=QuadSpec.rel_tol)
 
 
 # ---------------------------------------------------------------- bound --
@@ -112,7 +120,7 @@ def cmd_bound(args, parser) -> int:
     try:
         if args.method == "rumin-original":
             report = constants.bound_rumin_original(problem)
-        elif args.method in ("momentum-optimal", "fractional-first"):
+        elif args.method == "momentum-optimal":
             report = constants.bound_momentum_optimal(problem)
         elif args.method == "from-c":
             if c_value is None:
@@ -142,13 +150,7 @@ def cmd_bound(args, parser) -> int:
 # ------------------------------------------------------------- optimize --
 
 def cmd_optimize(args, parser) -> int:
-    try:
-        with open(args.config) as fh:
-            configs = json.load(fh)
-    except OSError as exc:
-        parser.error(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        parser.error(f"config is not valid JSON: {exc}")
+    configs = _read_config(args.config, parser)
     quad_spec = _quad_spec(args, parser)
     try:  # validate before --out truncates the file
         records = optimize.run_sweep(configs, quad_spec=quad_spec)
@@ -240,13 +242,7 @@ def cmd_verify(args, parser) -> int:
     if not (args.l_ratio > 0.0 and math.isfinite(args.l_ratio)):
         parser.error(f"--l-ratio must be positive and finite, got {args.l_ratio!r}")
     if args.config:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            parser.error(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
-            parser.error(f"config is not valid JSON: {exc}")
+        raw = _read_config(args.config, parser)
         if isinstance(raw, dict):
             raw = raw.get("cases", [])
         if not isinstance(raw, list):
@@ -259,10 +255,9 @@ def cmd_verify(args, parser) -> int:
     else:
         suite = list(verify.default_suite())
 
-    quad_spec = _quad_spec(args, parser)
     cases = []
     for pot, grid in suite:
-        result = verify.discretize_and_solve(pot, grid, quad_spec=quad_spec)
+        result = verify.discretize_and_solve(pot, grid)
         chk = verify.check_inequality(result, args.l_ratio)
         cases.append({"potential": _label(pot), "n_points": grid.n_points,
                       "half_width": grid.half_width,
@@ -329,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify", help="spectral check of the eigenvalue-sum inequality")
     ver.add_argument("config", nargs="?", default=None, help="JSON suite of {potential, grid} cases")
     ver.add_argument("--l-ratio", type=float, default=1.456)
-    _add_common(ver)
+    _add_common(ver, quad_tols=False)
     ver.set_defaults(func=cmd_verify)
     return parser
 

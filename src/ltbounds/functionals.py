@@ -93,10 +93,9 @@ def _require_admissible(fam: ProfileFamily, beta: float):
 def _deficit_integral(one_minus, beta: float, spec: quad.QuadSpec | None, what: str) -> float:
     """int_0^inf one_minus(t)^2 t^(-beta) dt, split at t = 1.
 
-    On (1, inf) the substitution t = y^(-m) with m (beta - 1) >= 2 makes the
-    integrand vanish at least linearly at y = 0; the generic rational
-    transform stalls on tails slower than t^-2, where its transformed
-    integrand blows up at u = 1 and float spacing is too coarse to refine.
+    On (1, inf) the substitution t = y^(-m) with m (beta - 1) >= 2 maps the
+    range onto (0, 1) and makes the integrand vanish at least linearly at
+    y = 0, also for tails slower than t^-2.
     Raises DivergentError naming `what` for beta <= 1 or a blown budget.
     """
     if not beta > 1.0:

@@ -1,20 +1,20 @@
 """Adaptive panel quadrature with the embedded Gauss-Kronrod 15/7 pair.
 
 Integrals of an averaging weight over (0,1) use the fixed graded_rule();
-every other integral funnels through integrate(): the weighted deficit
-functionals, the averaging objective's outer integrals, and the potential
-integrals of the verification harness.  The scheme is plain adaptive
-bisection: each panel carries the 15-point Kronrod value K15 and the
-7-point Gauss value G7 taken from the same 15 integrand values (the K15
-nodes contain the G7 nodes, as in QUADPACK's qk15), |K15 - G7| is the
-panel's error estimate, and the worst panel is split until the summed
-error meets the tolerance or the subdivision budget runs out.  Budget
-exhaustion is reported through QuadResult.converged, never raised, so
-callers decide whether a slow integral is fatal.
+every other integral funnels through integrate(): the two finite halves of
+the deficit integral over t behind the weighted deficit functionals and the
+averaging objective.  The scheme is plain adaptive bisection: each panel
+carries the 15-point Kronrod value K15 and the 7-point Gauss value G7 taken
+from the same 15 integrand values (the K15 nodes contain the G7 nodes, as in
+QUADPACK's qk15), |K15 - G7| is the panel's error estimate, and the worst
+panel is split until the summed error meets the tolerance or the
+subdivision budget runs out.  Budget exhaustion is reported through
+QuadResult.converged, never raised, so callers decide whether a slow
+integral is fatal.
 
-Semi-infinite ranges are folded to (0,1) by the rational substitution
-t = a + u/(1-u), dt = du/(1-u)^2.  Kronrod nodes are interior, so neither
-u = 1 nor an endpoint singularity of the integrand is ever evaluated.
+Ranges are finite; callers fold an infinite range to a finite one with a
+substitution that suits the integrand's decay.  Kronrod nodes are interior,
+so an endpoint singularity of the integrand is never evaluated.
 
 Integrands must be vectorized: they receive a float ndarray of nodes and
 must return an ndarray of the same shape.
@@ -108,7 +108,7 @@ def _panel(func, lo: float, hi: float):
 
 
 def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadResult:
-    """Integrate func over (lo, hi), hi possibly math.inf.
+    """Integrate func over the finite range (lo, hi).
 
     func maps an ndarray of nodes to an ndarray of values.  Endpoints are
     never evaluated.  Raises NonFiniteIntegrandError on nan/inf at a node;
@@ -116,24 +116,12 @@ def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadR
     """
     if spec is None:
         spec = DEFAULT_SPEC
-    if math.isnan(lo) or math.isnan(hi):
-        raise ValueError("integration endpoints must not be nan")
-    if not math.isfinite(lo):
-        raise ValueError(f"lower endpoint must be finite, got {lo!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"integration endpoints must be finite, got ({lo!r}, {hi!r})")
     if hi < lo:
         raise ValueError(f"need lo <= hi, got ({lo!r}, {hi!r})")
     if lo == hi:
         return QuadResult(0.0, 0.0, 0, True)
-
-    if math.isinf(hi):
-        base = func
-        shift = lo
-
-        def func(u, _f=base, _a=shift):
-            w = 1.0 / (1.0 - u)
-            return _f(_a + u * w) * w * w
-
-        lo, hi = 0.0, 1.0
 
     # Heap of (-error, seq, lo, hi, value, error); seq breaks ties so the
     # refinement order, and hence the result, is deterministic.

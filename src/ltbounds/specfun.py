@@ -1,18 +1,18 @@
-"""Special functions used throughout: log-Gamma, Beta, unit-ball volume.
+"""Special functions used throughout: log-Gamma, log-Beta, unit-ball volume.
 
 Everything downstream (closed-form normalization constants, semiclassical
 constants, the closed-form deficit minimum) reduces to Gamma-function
 arithmetic, so it is centralized here with explicit domain checks.  Values
-are computed in log space and exponentiated once, which keeps ratios like
-Gamma(a)Gamma(b)/Gamma(a+b) finite well past the overflow point of the
-Gamma function itself.
+are returned in log space for callers to exponentiate once, which keeps
+ratios like Gamma(a)Gamma(b)/Gamma(a+b) finite well past the overflow point
+of the Gamma function itself.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["log_gamma", "gamma", "beta", "log_beta", "unit_ball_volume"]
+__all__ = ["log_gamma", "log_beta", "unit_ball_volume"]
 
 
 def log_gamma(x: float) -> float:
@@ -27,27 +27,9 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def gamma(x: float) -> float:
-    """Gamma(x) for x > 0; overflows to an error rather than inf."""
-    lg = log_gamma(x)
-    if lg > 709.0:  # exp overflow threshold for float64
-        raise OverflowError(f"gamma({x}) exceeds float range")
-    return math.exp(lg)
-
-
 def log_beta(a: float, b: float) -> float:
     """log B(a,b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), a,b > 0."""
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
-
-
-def beta(a: float, b: float) -> float:
-    """Euler Beta function B(a,b) for a, b > 0.
-
-    Evaluated via log-Gamma differences so that large arguments cancel
-    before exponentiation; relative error below 1e-12 for a, b in
-    [1e-3, 1e3].
-    """
-    return math.exp(log_beta(a, b))
 
 
 def unit_ball_volume(d: int) -> float:

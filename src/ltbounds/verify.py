@@ -15,10 +15,9 @@ eigenvalue is refined by the Newton step x - 1/s while that step lands
 inside its bracket and is at most half the move before last; otherwise the
 bracket is bisected.  A step under half the tolerance is lengthened by a
 quarter of it, so the next count closes the bracket from the far side.
-Every eigenvalue ends in a Sturm-certified bracket of width at most 1e-10,
-and its midpoint is returned.  The potential integral uses adaptive
-quadrature on the analytic potential, not the grid samples, so the two
-sides of the inequality carry independent discretization errors.
+Every eigenvalue ends in a Sturm-certified bracket of width at most
+max(1e-10, 4 ulp(lower end of the spectrum)), and its midpoint is returned.
+The potential integral is each kind's closed form, exact up to rounding.
 
 Discretization error in the eigenvalue sum scales as h^2 (the tests check
 the 4x decay per grid doubling); a GridTooCoarseWarning advisory fires when
@@ -34,7 +33,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import quad
 from .constants import l_cl
 from .functionals import ProblemSpec
 from .trial import spec_from_json, spec_to_json
@@ -97,6 +95,12 @@ class PotentialSpec:
                 raise ValueError(f"{self.kind} requires finite depth >= 0, got {self.depth!r}")
             if self.nu is not None:
                 raise ValueError(f"{self.kind} takes depth/width, not nu")
+        try:
+            integral = potential_integral(self)
+        except (OverflowError, ZeroDivisionError):
+            integral = math.inf
+        if not math.isfinite(integral):
+            raise ValueError(f"int V_-^(3/2) of this {self.kind} must be finite, got {integral!r}")
 
     to_json = spec_to_json
 
@@ -157,19 +161,18 @@ def potential_values(pot: PotentialSpec, x):
     return np.where(np.abs(x) <= 0.5 * pot.width, -pot.depth, 0.0)
 
 
-def potential_integral(pot: PotentialSpec, quad_spec: quad.QuadSpec | None = None) -> float:
-    """int_R V_-(x)^(3/2) dx by quadrature on the analytic potential.
+def potential_integral(pot: PotentialSpec) -> float:
+    """int_R V_-(x)^(3/2) dx in closed form:
 
-    All kinds are even, so the integral is 2 int_0^inf (square wells stop at
-    their edge).
+    poschl_teller  (nu(nu+1))^(3/2) pi / (2 width^2), from int sech^3 = pi/2
+    gaussian_well  depth^(3/2) width sqrt(pi/1.5)
+    square_well    depth^(3/2) width
     """
-    if pot.kind == "square_well":
-        res = quad.integrate(lambda x: np.full_like(x, pot.depth**1.5), 0.0, 0.5 * pot.width, quad_spec)
-        return 2.0 * res.value
-    res = quad.integrate(lambda x: np.maximum(-potential_values(pot, x), 0.0) ** 1.5, 0.0, math.inf, quad_spec)
-    if not res.converged:
-        raise ValueError(f"potential integral did not converge: {res!r}")
-    return 2.0 * res.value
+    if pot.kind == "poschl_teller":
+        return (pot.nu * (pot.nu + 1.0)) ** 1.5 * math.pi / (2.0 * pot.width**2)
+    if pot.kind == "gaussian_well":
+        return pot.depth**1.5 * pot.width * math.sqrt(math.pi / 1.5)
+    return pot.depth**1.5 * pot.width
 
 
 def sturm_count_below(diag, off, shift: float) -> int:
@@ -183,13 +186,18 @@ def sturm_count_below(diag, off, shift: float) -> int:
     if math.isnan(shift):
         raise ValueError("shift must not be nan")
     diag = np.asarray(diag, dtype=float)
-    off2 = np.square(np.asarray(off, dtype=float))
+    off = np.asarray(off, dtype=float)
+    # one power of two brings the largest magnitude into [0.5, 1): off^2 cannot underflow
+    top = max(float(np.abs(diag).max(initial=0.0)), float(np.abs(off).max(initial=0.0)), abs(shift))
+    if 0.0 < top < math.inf:
+        exponent = -math.frexp(top)[1]
+        diag, off, shift = np.ldexp(diag, exponent), np.ldexp(off, exponent), math.ldexp(shift, exponent)
+    off2 = np.square(off)
     if off2.ndim == 0:
         off2 = np.full(diag.size - 1, float(off2))
     if off2.size != diag.size - 1:
         raise ValueError(f"off-diagonal length {off2.size} does not match diagonal length {diag.size}")
-    return _pivots(diag.tolist(), off2.tolist(), float(shift),
-                   _SAFE_MIN * max(1.0, float(off2.max(initial=0.0))))[0]
+    return _pivots(diag.tolist(), off2.tolist(), float(shift), _SAFE_MIN)[0]  # max off^2 <= 1
 
 
 def _pivots(diag: list, off2: list, shift: float, pivmin: float) -> tuple[int, float]:
@@ -214,6 +222,7 @@ def _pivots(diag: list, off2: list, shift: float, pivmin: float) -> tuple[int, f
 
 def _negative_eigenvalues(diag: np.ndarray, e2: float, lower: float) -> tuple[list, int]:
     """All eigenvalues in [lower, 0), ascending, and the pivot passes spent."""
+    tol = max(_BISECT_TOL, 4.0 * math.ulp(lower))  # from |lower| = 2^19 on, ulp(lower) > _BISECT_TOL
     dlist = diag.tolist()
     off2 = [e2] * (len(dlist) - 1)
     pivmin = _SAFE_MIN * max(1.0, e2)
@@ -224,7 +233,7 @@ def _negative_eigenvalues(diag: np.ndarray, e2: float, lower: float) -> tuple[li
     for j in range(m):
         x = 0.5 * (lo[j] + hi[j])
         moved = older = hi[j] - lo[j]
-        while hi[j] - lo[j] > _BISECT_TOL:
+        while hi[j] - lo[j] > tol:
             count, s = _pivots(dlist, off2, x, pivmin)
             passes += 1
             for k in range(m):  # every count tightens every bracket
@@ -233,18 +242,16 @@ def _negative_eigenvalues(diag: np.ndarray, e2: float, lower: float) -> tuple[li
                 else:
                     lo[k] = max(lo[k], x)
             step = -1.0 / s if s else math.inf
-            if abs(step) < 0.5 * _BISECT_TOL:  # converged: probe just past the root
-                step += math.copysign(0.25 * _BISECT_TOL, step)
+            if abs(step) < 0.5 * tol:  # converged: probe just past the root
+                step += math.copysign(0.25 * tol, step)
             y = x + step
-            if not (lo[j] < y < hi[j] and abs(step) <= 0.5 * max(older, _BISECT_TOL)):
+            if not (lo[j] < y < hi[j] and abs(step) <= 0.5 * max(older, tol)):
                 y = 0.5 * (lo[j] + hi[j])
             x, moved, older = y, abs(y - x), moved
     return [0.5 * (lo[k] + hi[k]) for k in range(m)], passes
 
 
-def discretize_and_solve(pot: PotentialSpec, grid: GridSpec,
-                         quad_spec: quad.QuadSpec | None = None,
-                         check_grid: bool = False) -> SpectrumResult:
+def discretize_and_solve(pot: PotentialSpec, grid: GridSpec, check_grid: bool = False) -> SpectrumResult:
     """Negative spectrum of -d^2/dx^2 + V on the Dirichlet grid.
 
     check_grid re-solves at doubled n_points and emits GridTooCoarseWarning
@@ -267,10 +274,10 @@ def discretize_and_solve(pot: PotentialSpec, grid: GridSpec,
     result = SpectrumResult(potential=pot, grid=grid,
                             negative_eigenvalues=descending,
                             sum_negative=-float(sum(eigs)) + 0.0,
-                            potential_integral=potential_integral(pot, quad_spec),
+                            potential_integral=potential_integral(pot),
                             sturm_passes=passes)
     if check_grid:
-        finer = discretize_and_solve(pot, GridSpec(L, 2 * n), quad_spec, check_grid=False)
+        finer = discretize_and_solve(pot, GridSpec(L, 2 * n), check_grid=False)
         scale = max(abs(finer.sum_negative), 1e-30)
         if abs(result.sum_negative - finer.sum_negative) / scale > 1e-2:
             warnings.warn(
@@ -284,7 +291,7 @@ def check_inequality(result: SpectrumResult, l_ratio: float) -> InequalityCheck:
     if not (l_ratio > 0.0 and math.isfinite(l_ratio)):
         raise ValueError(f"l_ratio must be positive and finite, got {l_ratio!r}")
     lhs = result.sum_negative
-    rhs = l_ratio * _L_CL_1D * result.potential_integral
+    rhs = l_ratio * (_L_CL_1D * result.potential_integral)  # l_ratio times the semiclassical sum
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs, margin=rhs - lhs)
 
 

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "ltbounds", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_bound_momentum_optimal_json():
@@ -110,6 +110,34 @@ def test_bound_usage_errors():
     assert run_cli("bound", "--d", str(10**400), "--sigma", "1", "--method", "best-of").returncode == 2
     assert run_cli("bound", "--d", "3", "--sigma", "5e-324", "--method", "from-c",
                    "--c-value", "2").returncode == 2
+
+
+def test_bound_fractional_first_alias_is_gone():
+    # momentum-optimal already labels sigma != 1 as fractional_first
+    proc = run_cli("bound", "--d", "3", "--sigma", "0.5", "--method", "fractional-first")
+    assert proc.returncode == 2
+    assert "invalid choice: 'fractional-first'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    proc = run_cli("bound", "--d", "3", "--sigma", "0.5", "--method", "momentum-optimal")
+    assert json.loads(proc.stdout)["method"] == "fractional_first"
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_unreadable_config_is_usage_error(tmp_path, command):
+    proc = run_cli(command, str(tmp_path / "missing.json"))
+    assert proc.returncode == 2
+    assert "error: cannot read config: [Errno 2] No such file or directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_invalid_json_config_is_usage_error(tmp_path, command):
+    config = tmp_path / "config.json"
+    config.write_text("[{")
+    proc = run_cli(command, str(config))
+    assert proc.returncode == 2
+    assert "error: config is not valid JSON: Expecting property name enclosed in double quotes" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_out_writes_file(tmp_path):
@@ -268,7 +296,8 @@ def test_verify_rejects_bad_l_ratio(value):
     (["optimize", "CONFIG", "--quad-rel-tol", "nan"], "rel_tol"),
     (["table", "--paper", "--quad-abs-tol=-1"], "abs_tol"),
     (["table", "--paper", "--quad-abs-tol", "inf"], "abs_tol"),
-    (["verify", "--quad-rel-tol", "nan"], "rel_tol"),
+    # verify integrates nothing, so it takes no quadrature tolerances
+    (["verify", "--quad-rel-tol", "nan"], "unrecognized arguments: --quad-rel-tol"),
 ], ids=["bound", "optimize", "table", "table-inf", "verify"])
 def test_bad_quad_tol_is_usage_error(tmp_path, argv, field):
     config = tmp_path / "sweep.json"
@@ -276,7 +305,7 @@ def test_bad_quad_tol_is_usage_error(tmp_path, argv, field):
                                    "phi_kind": "bump_simple", "max_iters": 1}]))
     proc = run_cli(*(str(config) if arg == "CONFIG" else arg for arg in argv))
     assert proc.returncode == 2
-    assert f"{field} must be" in proc.stderr
+    assert field in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -299,8 +328,10 @@ def test_bad_quad_tol_is_usage_error(tmp_path, argv, field):
      "grid": {"half_width": 10.0, "n_points": 1001}},
     {"potential": {"kind": "gaussian_well", "depth": 5.0, "width": True},
      "grid": {"half_width": 10.0, "n_points": 1001}},
+    {"potential": {"kind": "square_well", "depth": 1e250, "width": 2.0},
+     "grid": {"half_width": 10.0, "n_points": 101}},
 ], ids=["half_width-inf", "depth-inf", "nu-nan", "width-inf", "n_points-fraction", "n_points-overflow",
-        "n_points-1e300", "depth-string", "width-bool"])
+        "n_points-1e300", "depth-string", "width-bool", "integral-overflow"])
 def test_verify_non_finite_config_is_usage_error(tmp_path, case):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([case]))
@@ -308,3 +339,15 @@ def test_verify_non_finite_config_is_usage_error(tmp_path, case):
     assert proc.returncode == 2
     assert "bad verify config" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_deep_well_terminates(tmp_path):
+    # |E| > 2^19: float spacing near the lowest eigenvalue is wider than 1e-10
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps([{"potential": {"kind": "square_well", "depth": depth, "width": 2.0},
+                                   "grid": {"half_width": 10.0, "n_points": 101}} for depth in (5.5e5, 4e6)]))
+    proc = run_cli("verify", str(config), timeout=60)
+    assert proc.returncode == 0
+    cases = json.loads(proc.stdout)["cases"]
+    assert [len(case["negative_eigenvalues"]) for case in cases] == [11, 11]  # one per node in the well
+    assert cases[0]["negative_eigenvalues"][-1] < -2.0**19

@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci
 
@@ -174,11 +174,11 @@ def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
     exact_sum is false.  A matrix product adds the ~580 tiny s -> 1 terms of a
     column to a large partial sum, which on some columns costs 2.4e-15."""
     nodes = quad.graded_rule(quad.DEFAULT_SPEC)[0]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # x = inf is exact here: 1 - f = 1
         t_a = ts**fam.a
         if not np.isfinite(t_a).all():
             return wphi @ trial.one_minus_profile(fam, nodes[:, None] * ts[None, :])
-    terms = trial.one_minus_rational(fam.p, np.multiply.outer(fam.mu * nodes**fam.a, t_a))
+        terms = trial.one_minus_rational(fam.p, np.multiply.outer(fam.mu * nodes**fam.a, t_a))
     if not exact_sum:
         return wphi @ terms
     return np.array([math.fsum(column) for column in (wphi[:, None] * terms).T])
@@ -188,6 +188,7 @@ def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
 @given(a=st.floats(1.1, 400.0), p_frac=st.floats(0.0, 1.0), kind=st.sampled_from(trial.WEIGHT_KINDS),
        q=st.floats(0.05, 3.0), r=st.floats(0.5, 10.0),
        us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=15))
+@example(a=291.0, p_frac=0.0, kind="bump_simple", q=1.0, r=1.0, us=[1.0625])  # x overflows, t^a does not
 def test_compressed_inner_rule_matches_full_rule(a, p_frac, kind, q, r, us):
     # the s -> 1 rows folded into Gauss rows against the sum over all 1,350 rows
     p_lo = max(0.05, 0.55 / a)

@@ -5,28 +5,11 @@ import pytest
 
 from ltbounds import quad
 
-# int_0^inf dt / (1 + t^(3/2))^2 = 4 pi / (9 sqrt(3))
-RATIONAL_TAIL_EXACT = 4.0 * math.pi / (9.0 * math.sqrt(3.0))
-
-
 def test_polynomial_is_exact_in_one_panel():
     res = quad.integrate(lambda t: 3.0 * t**2, 0.0, 2.0)
     np.testing.assert_allclose(res.value, 8.0, rtol=1e-14)
     assert res.converged
     assert res.subdivisions_used == 0
-
-
-def test_semi_infinite_rational_tail():
-    res = quad.integrate(lambda t: 1.0 / (1.0 + t**1.5) ** 2, 0.0, math.inf)
-    assert res.converged
-    np.testing.assert_allclose(res.value, RATIONAL_TAIL_EXACT, atol=5e-12)
-    assert res.error_estimate < 1e-10
-
-
-def test_gaussian_full_line_split():
-    # erf tail: int_0^inf exp(-t^2) = sqrt(pi)/2
-    res = quad.integrate(lambda t: np.exp(-(t**2)), 0.0, math.inf)
-    np.testing.assert_allclose(res.value, math.sqrt(math.pi) / 2.0, rtol=1e-12)
 
 
 def test_zero_width_interval():
@@ -55,6 +38,8 @@ def test_endpoint_validation():
         quad.integrate(lambda t: t, math.nan, 1.0)
     with pytest.raises(ValueError):
         quad.integrate(lambda t: t, -math.inf, 0.0)
+    with pytest.raises(ValueError, match="finite"):  # infinite ranges are the caller's to fold
+        quad.integrate(lambda t: np.exp(-t), 0.0, math.inf)
     with pytest.raises(ValueError):
         quad.integrate(lambda t: t, 2.0, 1.0)
 
@@ -84,8 +69,9 @@ def test_error_estimate_is_conservative():
 
 def test_deterministic_repeat():
     f = lambda t: np.log1p(t) / (1.0 + t**3)
-    r1 = quad.integrate(f, 0.0, math.inf)
-    r2 = quad.integrate(f, 0.0, math.inf)
+    r1 = quad.integrate(f, 0.0, 50.0)
+    r2 = quad.integrate(f, 0.0, 50.0)
+    assert r1.subdivisions_used > 0
     assert r1.value == r2.value
     assert r1.subdivisions_used == r2.subdivisions_used
 

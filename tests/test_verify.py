@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
@@ -59,6 +60,31 @@ def test_potential_integral_closed_forms():
                                5.0**1.5 * 2.0 * math.sqrt(math.pi / 1.5), rtol=1e-10)
     s = verify.PotentialSpec(kind="square_well", depth=3.0, width=2.0)
     np.testing.assert_allclose(verify.potential_integral(s), 2.0 * 3.0**1.5, rtol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(verify.POTENTIAL_KINDS), st.floats(0.1, 20.0), st.floats(0.0, 1e4), st.floats(0.1, 10.0))
+@example(kind="gaussian_well", nu=1.0, depth=8.771695823295842e-43, width=1.0)
+def test_potential_integral_against_mpmath(kind, nu, depth, width):
+    """The closed forms against 30-digit quadrature of |V|^(3/2) over the line.
+
+    The well's scale |V(0)|^(3/2) is taken out of the integrand: mpmath's
+    tolerance is absolute, and depth reaches down to subnormal numbers."""
+    if kind == "poschl_teller":
+        pot = verify.PotentialSpec(kind=kind, nu=nu, width=width)
+        scale = mpmath.mpf(nu) * (nu + 1) / mpmath.mpf(width) ** 2
+        shape = lambda x: mpmath.sech(x / width) ** 2
+    else:
+        pot = verify.PotentialSpec(kind=kind, depth=depth, width=width)
+        scale = mpmath.mpf(depth)
+        shape = lambda x: mpmath.exp(-((x / width) ** 2))
+    with mpmath.workdps(30):
+        if kind == "square_well":
+            want = scale**1.5 * mpmath.quad(lambda x: 1, [-width / 2, width / 2])
+        else:
+            want = scale**1.5 * mpmath.quad(lambda x: shape(x) ** 1.5, [-mpmath.inf, -width, 0, width, mpmath.inf])
+    # atol: an integral below the normal range keeps only an absolute precision of 2^-1074
+    np.testing.assert_allclose(verify.potential_integral(pot), float(want), rtol=1e-13, atol=1e-300)
 
 
 def test_poschl_teller_exact_spectra():
@@ -177,7 +203,13 @@ def test_json_round_trips():
     {"kind": "gaussian_well", "depth": math.inf},
     {"kind": "gaussian_well", "depth": math.nan},
     {"kind": "square_well", "depth": 3.0, "width": math.nan},
-], ids=["nu-inf", "width-inf", "depth-inf", "depth-nan", "width-nan"])
+    # finite fields whose int V_-^(3/2) is not
+    {"kind": "square_well", "depth": 1e250},
+    {"kind": "gaussian_well", "depth": 1e200, "width": 1e300},
+    {"kind": "poschl_teller", "nu": 1e160},
+    {"kind": "poschl_teller", "nu": 1.0, "width": 1e-200},
+], ids=["nu-inf", "width-inf", "depth-inf", "depth-nan", "width-nan",
+        "integral-depth", "integral-width", "integral-nu", "integral-width-squared"])
 def test_potential_spec_rejects_non_finite(kwargs):
     with pytest.raises(ValueError, match="finite"):
         verify.PotentialSpec(**kwargs)
@@ -234,6 +266,8 @@ ACCURACY_CASES = [
     *((verify.PotentialSpec(kind="square_well", depth=depth, width=2.0), verify.GridSpec(6.0, 4001), k)
       for depth, k in ((1.0, 1), (30.0, 4), (140.0, 8))),
     *((pot, grid, None) for pot, grid in verify.default_suite()),
+    # below E = -2^19 float spacing exceeds 1e-10, so brackets close at 4 ulp(lower)
+    (verify.PotentialSpec(kind="square_well", depth=5.5e5, width=2.0), verify.GridSpec(10.0, 101), 11),
 ]
 
 
@@ -244,9 +278,10 @@ def test_eigenvalues_certified_and_match_dense_solver(pot, grid, states):
     ascending = sorted(verify.discretize_and_solve(pot, grid).negative_eigenvalues)
     if states is not None:
         assert len(ascending) == states
+    tol = max(1e-10, 4.0 * math.ulp(vmin - 1.0))
     for j, lam in enumerate(ascending):
-        assert verify.sturm_count_below(diag, off, lam - 1e-10) <= j
-        assert verify.sturm_count_below(diag, off, lam + 1e-10) > j
+        assert verify.sturm_count_below(diag, off, lam - tol) <= j
+        assert verify.sturm_count_below(diag, off, lam + tol) > j
     dense = eigvalsh_tridiagonal(diag, off, select="v", select_range=(vmin - 1.0, 0.0))
     np.testing.assert_allclose(ascending, np.sort(dense), rtol=0.0, atol=5e-9)
 
@@ -256,6 +291,7 @@ def test_eigenvalues_certified_and_match_dense_solver(pot, grid, states):
            st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
            st.lists(st.floats(-10.0, 10.0), min_size=n - 1, max_size=n - 1))),
        st.floats(-30.0, 30.0))
+@example(entries=([0.0, 3.1e-172], [3.1e-172]), shift=3.1e-172)  # off^2 underflows unless scaled
 def test_sturm_count_matches_dense_eigvalsh(entries, shift):
     diag, off = (np.array(v, dtype=float) for v in entries)
     eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
