@@ -291,21 +291,22 @@ def test_verify_rejects_bad_l_ratio(value):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv, field", [
-    (["bound", "--d", "1", "--sigma", "1", "--method", "best-of", "--quad-abs-tol=-1"], "abs_tol"),
-    (["optimize", "CONFIG", "--quad-rel-tol", "nan"], "rel_tol"),
-    (["table", "--paper", "--quad-abs-tol=-1"], "abs_tol"),
-    (["table", "--paper", "--quad-abs-tol", "inf"], "abs_tol"),
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--d", "1", "--sigma", "1", "--method", "best-of", "--quad-abs-tol=-1"],
+     "abs_tol must be"),
+    (["optimize", "CONFIG", "--quad-rel-tol", "nan"], "rel_tol must be"),
+    (["table", "--paper", "--quad-abs-tol=-1"], "abs_tol must be"),
+    (["table", "--paper", "--quad-abs-tol", "inf"], "abs_tol must be"),
     # verify integrates nothing, so it takes no quadrature tolerances
     (["verify", "--quad-rel-tol", "nan"], "unrecognized arguments: --quad-rel-tol"),
 ], ids=["bound", "optimize", "table", "table-inf", "verify"])
-def test_bad_quad_tol_is_usage_error(tmp_path, argv, field):
+def test_bad_quad_tol_is_usage_error(tmp_path, argv, message):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps([{"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5],
                                    "phi_kind": "bump_simple", "max_iters": 1}]))
     proc = run_cli(*(str(config) if arg == "CONFIG" else arg for arg in argv))
     assert proc.returncode == 2
-    assert field in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
