@@ -27,7 +27,6 @@ import sys
 
 from . import constants, optimize, verify
 from .functionals import ProblemSpec, averaging_objective
-from .quad import QuadSpec
 from .trial import normalize_profile, normalize_weight
 
 _METHODS = ("rumin-original", "momentum-optimal", "from-c", "best-of")
@@ -68,13 +67,6 @@ def _csv_text(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _quad_spec(args, parser) -> QuadSpec:
-    try:
-        return QuadSpec(abs_tol=args.quad_abs_tol, rel_tol=args.quad_rel_tol)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _read_config(path: str, parser):
     """The parsed JSON at path; an unreadable file or invalid JSON is a usage error."""
     try:
@@ -86,23 +78,20 @@ def _read_config(path: str, parser):
         parser.error(f"config is not valid JSON: {exc}")
 
 
-def _add_common(sub, formats=True, quad_tols=True):
+def _add_common(sub, formats=True):
     if formats:
         sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-    if quad_tols:
-        sub.add_argument("--quad-abs-tol", type=float, default=QuadSpec.abs_tol)
-        sub.add_argument("--quad-rel-tol", type=float, default=QuadSpec.rel_tol)
 
 
 # ---------------------------------------------------------------- bound --
 
-def _optimized_c(problem: ProblemSpec, args, quad_spec):
+def _optimized_c(problem: ProblemSpec, args):
     phi_kind = args.phi_kind or ("bump_rich" if (problem.d, problem.sigma) == (1, 1.0) else "bump_poly")
     seed = tuple(args.seed) if args.seed else optimize.default_seed(problem, phi_kind)
     cfg = optimize.OptConfig(seed_params=seed, max_iters=args.max_iters)
-    result = optimize.minimize_averaging(problem, cfg, phi_kind=phi_kind, quad_spec=quad_spec)
-    return result.best_value, optimize.trial_pair(phi_kind, result.best_params, quad_spec)
+    result = optimize.minimize_averaging(problem, cfg, phi_kind=phi_kind)
+    return result.best_value, optimize.trial_pair(phi_kind, result.best_params)
 
 
 def cmd_bound(args, parser) -> int:
@@ -110,11 +99,10 @@ def cmd_bound(args, parser) -> int:
         problem = ProblemSpec(d=args.d, sigma=args.sigma)
     except ValueError as exc:
         parser.error(str(exc))
-    quad_spec = _quad_spec(args, parser)
     c_value, trial = args.c_value, None
     if args.optimize:
         try:
-            c_value, trial = _optimized_c(problem, args, quad_spec)
+            c_value, trial = _optimized_c(problem, args)
         except (optimize.ObjectiveFailureError, ValueError) as exc:
             parser.error(f"--optimize: {exc}")
     try:
@@ -151,9 +139,8 @@ def cmd_bound(args, parser) -> int:
 
 def cmd_optimize(args, parser) -> int:
     configs = _read_config(args.config, parser)
-    quad_spec = _quad_spec(args, parser)
     try:  # validate before --out truncates the file
-        records = optimize.run_sweep(configs, quad_spec=quad_spec)
+        records = optimize.run_sweep(configs)
     except ValueError as exc:
         parser.error(str(exc))
     with _output(args, parser) as out:
@@ -165,7 +152,7 @@ def cmd_optimize(args, parser) -> int:
 
 # ---------------------------------------------------------------- table --
 
-def _paper_rows(quad_spec) -> list[dict]:
+def _paper_rows() -> list[dict]:
     """Recomputed headline values next to their published counterparts."""
     p11 = ProblemSpec(d=1, sigma=1.0)
     p31 = ProblemSpec(d=3, sigma=1.0)
@@ -176,12 +163,11 @@ def _paper_rows(quad_spec) -> list[dict]:
     rumin_11 = constants.bound_rumin_original(p11)
 
     simple = averaging_objective(normalize_profile("deficit_optimal", a=1.5),
-                                 normalize_weight("bump_simple"), p11, quad_spec)
+                                 normalize_weight("bump_simple"), p11)
     rich = averaging_objective(normalize_profile("rational_power", a=4.5, p=0.25),
-                               normalize_weight("bump_rich", q=0.36, r=2.1, quad_spec=quad_spec),
-                               p11, quad_spec)
+                               normalize_weight("bump_rich", q=0.36, r=2.1), p11)
     frac = averaging_objective(normalize_profile("rational_power", a=10.0, p=0.25),
-                               normalize_weight("bump_poly", q=2.0, r=4.0), p3h, quad_spec)
+                               normalize_weight("bump_poly", q=2.0, r=4.0), p3h)
     from_rich = constants.bound_from_c(p11, rich)
     from_frac = constants.bound_from_c(p3h, frac)
 
@@ -215,7 +201,7 @@ def _paper_rows(quad_spec) -> list[dict]:
 def cmd_table(args, parser) -> int:
     if not args.paper:
         parser.error("table requires --paper")
-    rows = _paper_rows(_quad_spec(args, parser))
+    rows = _paper_rows()
     if args.format == "json":
         _write(args, parser, json.dumps(_sig15(rows), indent=2) + "\n")
     elif args.format == "csv":
@@ -324,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = subs.add_parser("verify", help="spectral check of the eigenvalue-sum inequality")
     ver.add_argument("config", nargs="?", default=None, help="JSON suite of {potential, grid} cases")
     ver.add_argument("--l-ratio", type=float, default=1.456)
-    _add_common(ver, quad_tols=False)
+    _add_common(ver)
     ver.set_defaults(func=cmd_verify)
     return parser
 

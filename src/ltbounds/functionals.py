@@ -90,7 +90,7 @@ def _require_admissible(fam: ProfileFamily, beta: float):
                              f"weight needs exponent > {(beta - 1.0) / 2.0!r}")
 
 
-def _deficit_integral(one_minus, beta: float, spec: quad.QuadSpec | None, what: str) -> float:
+def _deficit_integral(one_minus, beta: float, what: str) -> float:
     """int_0^inf one_minus(t)^2 t^(-beta) dt, split at t = 1.
 
     On (1, inf) the substitution t = y^(-m) with m (beta - 1) >= 2 maps the
@@ -114,32 +114,32 @@ def _deficit_integral(one_minus, beta: float, spec: quad.QuadSpec | None, what: 
             t = y**-m
         return m * one_minus(t) ** 2 * y**expo
 
-    near = quad.integrate(near_integrand, 0.0, 1.0, spec)
-    far = quad.integrate(far_integrand, 0.0, 1.0, spec)
+    near = quad.integrate(near_integrand, 0.0, 1.0)
+    far = quad.integrate(far_integrand, 0.0, 1.0)
     if not (near.converged and far.converged):
         raise DivergentError(f"{what} quadrature did not converge: near={near!r}, far={far!r}")
     return near.value + far.value
 
 
-def weighted_deficit(fam: ProfileFamily, beta: float, quad_spec: quad.QuadSpec | None = None) -> float:
+def weighted_deficit(fam: ProfileFamily, beta: float) -> float:
     """J_beta(f) = int_0^inf (1 - f)^2 t^(-beta) dt.
 
     Raises DivergentError when the small-t behavior makes the integral
     infinite or the quadrature budget runs out.
     """
     _require_admissible(fam, beta)
-    return _deficit_integral(lambda t: one_minus_profile(fam, t), beta, quad_spec, "weighted deficit")
+    return _deficit_integral(lambda t: one_minus_profile(fam, t), beta, "weighted deficit")
 
 
-def deficit_functional(fam: ProfileFamily, problem: ProblemSpec, quad_spec: quad.QuadSpec | None = None) -> float:
+def deficit_functional(fam: ProfileFamily, problem: ProblemSpec) -> float:
     """A(f) = tau * J_{1+tau}(f) for the given problem."""
     tau = problem.tau
-    return tau * weighted_deficit(fam, 1.0 + tau, quad_spec)
+    return tau * weighted_deficit(fam, 1.0 + tau)
 
 
-def weight_l2(weight: WeightFamily, quad_spec: quad.QuadSpec | None = None) -> float:
-    """int_0^1 phi(t)^2 dt on quad.graded_rule(quad_spec)."""
-    s, w = quad.graded_rule(quad_spec)
+def weight_l2(weight: WeightFamily) -> float:
+    """int_0^1 phi(t)^2 dt on quad.graded_rule()."""
+    s, w = quad.graded_rule()
     return float(w @ eval_weight(weight, s) ** 2)
 
 
@@ -191,7 +191,7 @@ def _gauss_rows(delta, w):
     return nodes, mass * vecs[0] ** 2
 
 
-def _one_minus_g_factory(fam: ProfileFamily, spec: quad.QuadSpec, wphi):
+def _one_minus_g_factory(fam: ProfileFamily, wphi):
     """Vectorized t -> 1 - g(t) for a smooth profile, exact at small t.
 
     Since int phi = 1, 1 - g(t) = int phi(s)(1 - f(st)) ds: one matrix product
@@ -216,7 +216,7 @@ def _one_minus_g_factory(fam: ProfileFamily, spec: quad.QuadSpec, wphi):
     Fewer than 2M suffix rows, a zero suffix mass or a Lanczos breakdown keep
     the full rows.
     """
-    s_nodes = quad.graded_rule(spec)[0]
+    s_nodes = quad.graded_rule()[0]
     s_a = s_nodes**fam.a
     start = int(np.searchsorted(s_a, 1.0 - _suffix_width(fam.p)))
     gauss = _gauss_rows(s_a[start:] - 1.0, wphi[start:])
@@ -244,25 +244,23 @@ def _one_minus_g_factory(fam: ProfileFamily, spec: quad.QuadSpec, wphi):
     return one_minus_g
 
 
-def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: ProblemSpec,
-                        quad_spec: quad.QuadSpec | None = None) -> float:
+def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: ProblemSpec) -> float:
     """C(f, phi) = (int phi^2)^tau * tau * int (1 - g)^2 t^(-1-tau) dt.
 
     Upper-bounds the sharp averaging constant of the problem for every
     admissible pair; raises DivergentError for inadmissible profiles.
     """
-    spec = quad_spec or quad.DEFAULT_SPEC
     tau = problem.tau
     _require_admissible(fam, 1.0 + tau)
-    s_nodes, s_weights = quad.graded_rule(spec)
+    s_nodes, s_weights = quad.graded_rule()
     phi = eval_weight(weight, s_nodes)
     wphi = s_weights * phi
     l2_tau = (s_weights @ phi**2) ** tau  # weight_l2, from phi
     if fam.kind == "indicator":
-        tail_nodes, tail_weights = quad.graded_tails(spec)
+        tail_nodes, tail_weights = quad.graded_tails()
         mass = wphi.reshape(tail_nodes.shape[:2]).sum(axis=1)
         later = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass past each panel, summed from s = 1
         t_of_s = later[:, None] + np.einsum("kjm,kjm->kj", tail_weights, eval_weight(weight, tail_nodes))
         return float(l2_tau * 2.0 * ((wphi * s_nodes**tau) @ t_of_s.ravel()))
-    one_minus_g = _one_minus_g_factory(fam, spec, wphi)
-    return float(l2_tau * tau * _deficit_integral(one_minus_g, 1.0 + tau, spec, "averaging objective"))
+    one_minus_g = _one_minus_g_factory(fam, wphi)
+    return float(l2_tau * tau * _deficit_integral(one_minus_g, 1.0 + tau, "averaging objective"))

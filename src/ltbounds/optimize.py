@@ -3,8 +3,9 @@
 Plain Nelder-Mead with the textbook coefficients (reflection 1, expansion
 2, contraction 0.5, shrink 0.5), a deterministic axis-aligned initial
 simplex, and a single restart from the best vertex after first convergence
-to guard against premature collapse.  No randomness anywhere: identical
-configs produce bit-identical traces.
+to guard against premature collapse.  Tolerances and simplex size are fixed
+constants, so an OptConfig is just a seed and an iteration budget.  No
+randomness anywhere: identical configs produce bit-identical traces.
 
 Parameters are clipped into a fixed box before evaluation,
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quad
 from .functionals import DivergentError, ProblemSpec, averaging_objective, weighted_deficit
 from .trial import ConstraintViolationError, _is_json_number, normalize_profile, normalize_weight
 
@@ -40,6 +40,9 @@ __all__ = [
 
 PENALTY = 1.0e6
 
+_X_TOL, _F_TOL = 1e-6, 1e-9  # converged: simplex diameter <= _X_TOL and value spread <= _F_TOL
+_SIMPLEX_SCALE = 0.15  # initial simplex step relative to |x0|, halved for the restart
+
 _BOX = ((1.1, 20.0), (0.05, 3.0), (0.05, 3.0), (0.5, 10.0))
 
 _PARAMETRIC_WEIGHTS = ("bump_rich", "bump_poly")
@@ -53,21 +56,17 @@ class ObjectiveFailureError(RuntimeError):
 @dataclass(frozen=True)
 class OptConfig:
     seed_params: tuple[float, ...]
-    x_tol: float = 1e-6
-    f_tol: float = 1e-9
     max_iters: int = 2000
-    initial_simplex_scale: float = 0.15
 
     def __post_init__(self):
         object.__setattr__(self, "seed_params", tuple(float(v) for v in self.seed_params))
         if len(self.seed_params) == 0:
             raise ValueError("seed_params must be non-empty")
-        if not (self.x_tol > 0.0 and self.f_tol > 0.0):
-            raise ValueError(f"tolerances must be positive, got x_tol={self.x_tol!r}, f_tol={self.f_tol!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
-        if not (self.initial_simplex_scale > 0.0):
-            raise ValueError(f"initial_simplex_scale must be positive, got {self.initial_simplex_scale!r}")
+        if not all(map(math.isfinite, self.seed_params)):
+            raise ValueError(f"seed_params must be finite, got {self.seed_params!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)) \
+                or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
             return PENALTY
 
     n = x0.size
-    simplex = _initial_simplex(x0, cfg.initial_simplex_scale)
+    simplex = _initial_simplex(x0, _SIMPLEX_SCALE)
     fvals = np.array([objective(x) for x in simplex])
     if np.count_nonzero(fvals >= PENALTY) > (n + 1) / 2:
         raise ObjectiveFailureError(
@@ -127,13 +126,13 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
         simplex, fvals = simplex[order], fvals[order]
 
         diameter = float(np.max(np.abs(simplex[1:] - simplex[0]))) if n > 0 else 0.0
-        if diameter <= cfg.x_tol and fvals[-1] - fvals[0] <= cfg.f_tol:
+        if diameter <= _X_TOL and fvals[-1] - fvals[0] <= _F_TOL:
             if restarted:
                 converged = True
                 break
             # restart once from the best vertex with a fresh, smaller simplex
             restarted = True
-            simplex = _initial_simplex(simplex[0], 0.5 * cfg.initial_simplex_scale)
+            simplex = _initial_simplex(simplex[0], 0.5 * _SIMPLEX_SCALE)
             fvals = np.array([objective(x) for x in simplex])
             continue
 
@@ -174,7 +173,7 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
                      converged=converged, trace=tuple(trace))
 
 
-def minimize_deficit(beta: float, cfg: OptConfig, quad_spec: quad.QuadSpec | None = None) -> OptResult:
+def minimize_deficit(beta: float, cfg: OptConfig) -> OptResult:
     """Minimize J_beta over normalized rational_power profiles (a, p).
 
     The exact minimizer is (a, p) = (beta, 1) with value
@@ -185,13 +184,12 @@ def minimize_deficit(beta: float, cfg: OptConfig, quad_spec: quad.QuadSpec | Non
         raise ValueError("minimize_deficit expects seed_params = (a, p)")
 
     def objective(a, p) -> float:
-        return weighted_deficit(normalize_profile("rational_power", a=a, p=p), beta, quad_spec)
+        return weighted_deficit(normalize_profile("rational_power", a=a, p=p), beta)
 
     return _nelder_mead(objective, np.asarray(cfg.seed_params, dtype=float), cfg)
 
 
-def minimize_averaging(problem: ProblemSpec, cfg: OptConfig, phi_kind: str = "bump_rich",
-                       quad_spec: quad.QuadSpec | None = None) -> OptResult:
+def minimize_averaging(problem: ProblemSpec, cfg: OptConfig, phi_kind: str = "bump_rich") -> OptResult:
     """Minimize the averaging objective over trial pairs.
 
     Parametrized weights (bump_rich, bump_poly) optimize (a, p, q, r);
@@ -209,18 +207,18 @@ def minimize_averaging(problem: ProblemSpec, cfg: OptConfig, phi_kind: str = "bu
         raise ValueError(f"unknown phi_kind {phi_kind!r}")
 
     def objective(*params) -> float:
-        return averaging_objective(*trial_pair(phi_kind, params, quad_spec), problem, quad_spec)
+        return averaging_objective(*trial_pair(phi_kind, params), problem)
 
     return _nelder_mead(objective, np.asarray(cfg.seed_params, dtype=float), cfg)
 
 
-def trial_pair(phi_kind: str, params, quad_spec: quad.QuadSpec | None = None):
+def trial_pair(phi_kind: str, params):
     """The normalized (profile, weight) that minimize_averaging scores at
     params = (a, p) or (a, p, q, r).  Raises ConstraintViolationError on
     inadmissible parameters."""
     profile = normalize_profile("rational_power", a=params[0], p=params[1])
     if phi_kind in _PARAMETRIC_WEIGHTS:
-        return profile, normalize_weight(phi_kind, q=params[2], r=params[3], quad_spec=quad_spec)
+        return profile, normalize_weight(phi_kind, q=params[2], r=params[3])
     return profile, normalize_weight(phi_kind)
 
 
@@ -236,15 +234,15 @@ def default_seed(problem: ProblemSpec, phi_kind: str = "bump_rich") -> tuple[flo
 
 
 _RUN_REQUIRED = {"d", "sigma", "seed_params"}
-_RUN_OPTIONAL = {"phi_kind", "x_tol", "f_tol", "max_iters", "initial_simplex_scale"}
+_RUN_OPTIONAL = {"phi_kind", "max_iters"}
 
 
-def run_sweep(configs: list[dict], quad_spec: quad.QuadSpec | None = None):
+def run_sweep(configs: list[dict]):
     """Run minimize_averaging for each config dict; yield one record per run
     and then one summary record per distinct (d, sigma).
 
     Config keys: d, sigma (numbers) and seed_params (an array of numbers)
-    required; phi_kind plus the OptConfig fields optional; anything else is
+    required; phi_kind and max_iters optional; anything else is
     rejected by a ValueError from the call itself, before the first run.  A
     failing run yields a record with an "error" field instead of aborting the
     sweep.
@@ -264,10 +262,10 @@ def run_sweep(configs: list[dict], quad_spec: quad.QuadSpec | None = None):
         if not (isinstance(seed, (list, tuple))
                 and all(map(_is_json_number, (raw["d"], raw["sigma"], *seed)))):
             raise ValueError(f"run {idx}: d and sigma must be numbers and seed_params an array of numbers")
-    return _sweep_records(configs, quad_spec)
+    return _sweep_records(configs)
 
 
-def _sweep_records(configs: list[dict], quad_spec: quad.QuadSpec | None):
+def _sweep_records(configs: list[dict]):
     best: dict[tuple[int, float], float] = {}
     keys_in_order: list[tuple[int, float]] = []
     for idx, raw in enumerate(configs):
@@ -280,9 +278,8 @@ def _sweep_records(configs: list[dict], quad_spec: quad.QuadSpec | None):
             keys_in_order.append(key)
         try:
             problem = ProblemSpec(d=raw["d"], sigma=raw["sigma"])
-            cfg = OptConfig(seed_params=tuple(raw["seed_params"]),
-                            **{k: raw[k] for k in _RUN_OPTIONAL - {"phi_kind"} if k in raw})
-            result = minimize_averaging(problem, cfg, phi_kind=phi_kind, quad_spec=quad_spec)
+            cfg = OptConfig(tuple(raw["seed_params"]), raw.get("max_iters", OptConfig.max_iters))
+            result = minimize_averaging(problem, cfg, phi_kind=phi_kind)
             record.update(result.to_json())
             best[key] = min(best[key], result.best_value)
         except Exception as exc:  # noqa: BLE001 - per-run isolation is the contract

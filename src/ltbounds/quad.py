@@ -1,16 +1,15 @@
 """Adaptive panel quadrature with the embedded Gauss-Kronrod 15/7 pair.
 
-Integrals of an averaging weight over (0,1) use the fixed graded_rule();
-every other integral funnels through integrate(): the two finite halves of
-the deficit integral over t behind the weighted deficit functionals and the
-averaging objective.  The scheme is plain adaptive bisection: each panel
-carries the 15-point Kronrod value K15 and the 7-point Gauss value G7 taken
-from the same 15 integrand values (the K15 nodes contain the G7 nodes, as in
-QUADPACK's qk15), |K15 - G7| is the panel's error estimate, and the worst
-panel is split until the summed error meets the tolerance or the
-subdivision budget runs out.  Budget exhaustion is reported through
-QuadResult.converged, never raised, so callers decide whether a slow
-integral is fatal.
+Integrals of an averaging weight over (0,1) use the one fixed graded_rule();
+every other integral (the two halves of the deficit integral over t) runs
+through integrate() on DEFAULT_SPEC.  The scheme is plain adaptive
+bisection: each panel carries the 15-point Kronrod value K15 and the
+7-point Gauss value G7 taken from the same 15 integrand values (the K15
+nodes contain the G7 nodes, as in QUADPACK's qk15), |K15 - G7| is the
+panel's error estimate, and the worst panel is split until the summed error
+meets the tolerance or the subdivision budget runs out.  Budget exhaustion
+is reported through QuadResult.converged, never raised, so callers decide
+whether a slow integral is fatal.
 
 Ranges are finite; callers fold an infinite range to a finite one with a
 substitution that suits the integrand's decay.  Kronrod nodes are interior,
@@ -157,43 +156,34 @@ def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadR
     return QuadResult(total_v + frozen_v, total_e + frozen_e, splits, True)
 
 
-def graded_rule(spec: QuadSpec | None = None):
-    """Fixed rule on (0,1) -> read-only (nodes, weights), built once per abs_tol.
-
-    Gauss-Legendre 15 panels graded to 2^-levels at both ends, levels =
-    max(45, ceil(-log2 abs_tol) + 8); the first panel, in s = 2^-levels u^8,
-    resolves a weight's s^q corner for q down to 0.05 even at large r.
-    """
-    return _graded_rule((spec or DEFAULT_SPEC).abs_tol)
-
-
-def graded_tails(spec: QuadSpec | None = None):
-    """Read-only (nodes, weights) of shape (panels, 15, 15): row [k, j] is Gauss-Legendre 15
-    from node j of graded_rule(spec)'s panel k to the panel's end, in the panel's variable.
-    Built on first use, once per abs_tol."""
-    return _graded_tails((spec or DEFAULT_SPEC).abs_tol)
-
-
 # leggauss is called inside the builders: importing numpy.polynomial costs
 # about 1.6 MiB and 10 ms, which code that never integrates a weight skips
-@functools.lru_cache(maxsize=8)  # one entry per abs_tol
-def _graded_rule(abs_tol: float):
-    nodes, weights = _graded_panels(abs_tol, *np.polynomial.legendre.leggauss(15))
+@functools.cache
+def graded_rule():
+    """Fixed rule on (0,1) -> read-only (nodes, weights), built on first use.
+
+    Gauss-Legendre 15 panels graded to 2^-45 at both ends; the first panel,
+    in s = 2^-45 u^8, resolves a weight's s^q corner for q down to 0.05 even
+    at large r.
+    """
+    nodes, weights = _graded_panels(*np.polynomial.legendre.leggauss(15))
     return nodes.ravel(), weights.ravel()
 
 
-@functools.lru_cache(maxsize=8)  # one entry per abs_tol
-def _graded_tails(abs_tol: float):
+@functools.cache
+def graded_tails():
+    """Read-only (nodes, weights) of shape (panels, 15, 15): row [k, j] is Gauss-Legendre 15
+    from node j of graded_rule()'s panel k to the panel's end, in the panel's variable.
+    Built on first use."""
     x15, w15 = np.polynomial.legendre.leggauss(15)
     x_tail = x15[:, None] + 0.5 * (1.0 - x15[:, None]) * (1.0 + x15)  # row j spans [x15[j], 1]
-    return _graded_panels(abs_tol, x_tail, 0.5 * (1.0 - x15[:, None]) * w15)
+    return _graded_panels(x_tail, 0.5 * (1.0 - x15[:, None]) * w15)
 
 
-def _graded_panels(abs_tol: float, x, w):
+def _graded_panels(x, w):
     """A rule (x, w) on [-1, 1] mapped onto every graded panel -> read-only
-    (nodes, weights) with a leading panel axis; the first panel in s = 2^-levels u^8."""
-    levels = max(45, math.ceil(-math.log2(abs_tol)) + 8)
-    dyadic = 2.0 ** -np.arange(levels, 0, -1)  # 2^-levels .. 1/2
+    (nodes, weights) with a leading panel axis; the first panel in s = 2^-45 u^8."""
+    dyadic = 2.0 ** -np.arange(45, 0, -1)  # 2^-45 .. 1/2
     cuts = np.unique(np.concatenate(([0.0], dyadic, 1.0 - dyadic, [1.0])))
     half = (0.5 * np.diff(cuts)).reshape(-1, *(1,) * x.ndim)
     mid = (0.5 * (cuts[:-1] + cuts[1:])).reshape(half.shape)

@@ -27,9 +27,31 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+# c_k = B_2k / (2k (2k - 1)), k = 1..7: log Gamma(x) = (x - 1/2) log x - x
+# + log(2 pi)/2 + sum_k c_k x^(1-2k), truncation error about 2e-24 at x = 30
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _stirling_tail(x: float) -> float:
+    y, acc = 1.0 / (x * x), 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * y + c
+    return acc / x
+
+
 def log_beta(a: float, b: float) -> float:
-    """log B(a,b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), a,b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    """log B(a,b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), a,b > 0.
+
+    With b the larger argument and b >= 30, log Gamma(b) - log Gamma(a+b) is
+    -(b - 1/2) log1p(a/b) - a log(a+b) + a + tail(b) - tail(a+b) by Stirling's
+    series; the direct difference would cancel, leaving B(1/2, 2e12) 0.4 % off.
+    """
+    if b < a:
+        a, b = b, a
+    if not (30.0 <= b < math.inf):
+        return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    return (log_gamma(a) - (b - 0.5) * math.log1p(a / b) - a * math.log(a + b) + a
+            + _stirling_tail(b) - _stirling_tail(a + b))
 
 
 def unit_ball_volume(d: int) -> float:

@@ -153,14 +153,13 @@ def one_minus_rational(p: float, x, out=None):
     return np.negative(np.expm1(y, out=out), out=out)
 
 
-def normalize_weight(kind: str, q: float | None = None, r: float | None = None,
-                     quad_spec: quad.QuadSpec | None = None) -> WeightFamily:
+def normalize_weight(kind: str, q: float | None = None, r: float | None = None) -> WeightFamily:
     """Build a weight with int_0^1 phi = 1.
 
     bump_simple and uniform carry exact constants, bump_poly a Beta-function
-    closed form, bump_rich 1 / mass on quad.graded_rule(quad_spec).  Raises
-    ConstraintViolationError on bad parameters or a degenerate (zero /
-    non-finite) unnormalized integral.
+    closed form, bump_rich 1 / mass on quad.graded_rule(), the rule every
+    objective scores it on.  Raises ConstraintViolationError on bad parameters
+    or a degenerate (zero / non-finite) unnormalized integral.
     """
     if kind == "bump_simple":
         if q is not None or r is not None:
@@ -179,7 +178,7 @@ def normalize_weight(kind: str, q: float | None = None, r: float | None = None,
         # int_0^1 (1 - t^q)^r dt = B(1/q, r+1)/q via u = t^q
         c = float(np.exp(np.log(q) - log_beta(1.0 / q, r + 1.0)))
         return WeightFamily(kind="bump_poly", q=q, r=r, c=c)
-    s, w = quad.graded_rule(quad_spec)
+    s, w = quad.graded_rule()
     mass = float(w @ eval_weight(WeightFamily(kind="bump_rich", q=q, r=r, c=1.0), s))
     if not (mass > 0.0) or not np.isfinite(mass):
         raise ConstraintViolationError(f"weight normalization integral degenerate: {mass!r}")

@@ -1,12 +1,20 @@
+import argparse
 import csv
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from ltbounds import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, timeout=None):
@@ -75,6 +83,16 @@ def test_bound_optimize_bad_seed_is_usage_error(seed, message):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bound_optimize_non_finite_seed_is_usage_error():
+    proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "from-c", "--optimize",
+                   "--seed", "inf,0.25,0.36,2.1")
+    assert proc.returncode == 2
+    assert "--optimize: seed_params must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_bound_optimize_at_tau_below_float_spacing_is_usage_error():
@@ -152,7 +170,7 @@ def test_out_writes_file(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["bound", "--d", "1", "--sigma", "1", "--method", "momentum-optimal"],
     ["optimize", "CONFIG"],
-    ["table", "--paper", "--quad-abs-tol", "1e-7", "--quad-rel-tol", "1e-6"],
+    ["table", "--paper"],
     ["verify", "CONFIG"],
 ], ids=["bound", "optimize", "table", "verify"])
 def test_unopenable_out_is_usage_error(tmp_path, argv):
@@ -291,14 +309,14 @@ def test_verify_rejects_bad_l_ratio(value):
     assert "Traceback" not in proc.stderr
 
 
+# the quadrature tolerances are fixed inside ltbounds.quad: no subcommand takes them
 @pytest.mark.parametrize("argv, message", [
-    (["bound", "--d", "1", "--sigma", "1", "--method", "best-of", "--quad-abs-tol=-1"],
-     "abs_tol must be"),
-    (["optimize", "CONFIG", "--quad-rel-tol", "nan"], "rel_tol must be"),
-    (["table", "--paper", "--quad-abs-tol=-1"], "abs_tol must be"),
-    (["table", "--paper", "--quad-abs-tol", "inf"], "abs_tol must be"),
-    # verify integrates nothing, so it takes no quadrature tolerances
-    (["verify", "--quad-rel-tol", "nan"], "unrecognized arguments: --quad-rel-tol"),
+    (["bound", "--d", "1", "--sigma", "1", "--method", "best-of", "--quad-abs-tol=1e-7"],
+     "unrecognized arguments: --quad-abs-tol=1e-7"),
+    (["optimize", "CONFIG", "--quad-rel-tol", "1e-6"], "unrecognized arguments: --quad-rel-tol 1e-6"),
+    (["table", "--paper", "--quad-abs-tol=1e-7"], "unrecognized arguments: --quad-abs-tol=1e-7"),
+    (["table", "--paper", "--quad-rel-tol", "inf"], "unrecognized arguments: --quad-rel-tol inf"),
+    (["verify", "--quad-rel-tol=1e-6"], "unrecognized arguments: --quad-rel-tol=1e-6"),
 ], ids=["bound", "optimize", "table", "table-inf", "verify"])
 def test_bad_quad_tol_is_usage_error(tmp_path, argv, message):
     config = tmp_path / "sweep.json"
@@ -307,6 +325,17 @@ def test_bad_quad_tol_is_usage_error(tmp_path, argv, message):
     proc = run_cli(*(str(config) if arg == "CONFIG" else arg for arg in argv))
     assert proc.returncode == 2
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key, value", [("x_tol", 1e-6), ("f_tol", 1e-9), ("initial_simplex_scale", 0.15)])
+def test_sweep_simplex_knobs_are_unknown_config_fields(tmp_path, key, value):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps([{"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5],
+                                   "phi_kind": "bump_simple", "max_iters": 1, key: value}]))
+    proc = run_cli("optimize", str(config))
+    assert proc.returncode == 2
+    assert f"run 0: unknown config fields ['{key}']" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -352,3 +381,27 @@ def test_verify_deep_well_terminates(tmp_path):
     cases = json.loads(proc.stdout)["cases"]
     assert [len(case["negative_eigenvalues"]) for case in cases] == [11, 11]  # one per node in the well
     assert cases[0]["negative_eigenvalues"][-1] < -2.0**19
+
+
+def test_readme_cli_block_parses():
+    # parse only: every example in the README's CLI block is accepted as written
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [argv for argv in (shlex.split(line, comments=True) for line in block.splitlines()) if argv]
+    assert len(examples) >= 10 and all(argv[0] == "ltbounds" for argv in examples)
+    parser = cli._build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+
+
+def test_readme_flags_are_cli_options():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in subparsers.choices.values() for opt in sub._option_string_actions}
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    flags = {flag for span in spans for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", span)}
+    assert {"--c-value", "--optimize", "--format"} <= flags
+    assert flags <= options, sorted(flags - options)

@@ -88,13 +88,13 @@ def test_tau_below_float_spacing_of_one_is_divergent():
         functionals.deficit_functional(fam, problem)
 
 
-def test_blown_quadrature_budget_names_the_functional():
-    spec = quad.QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_subdivisions=1)
+def test_blown_quadrature_budget_names_the_functional(monkeypatch):
+    monkeypatch.setattr(quad, "DEFAULT_SPEC", quad.QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_subdivisions=1))
     fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
     with pytest.raises(functionals.DivergentError, match="weighted deficit quadrature did not converge"):
-        functionals.weighted_deficit(fam, 2.0, spec)
+        functionals.weighted_deficit(fam, 2.0)
     with pytest.raises(functionals.DivergentError, match="averaging objective quadrature did not converge"):
-        functionals.averaging_objective(fam, trial.normalize_weight("uniform"), P11, spec)
+        functionals.averaging_objective(fam, trial.normalize_weight("uniform"), P11)
 
 
 def _one_minus_g_mpmath(fam, w, t):
@@ -119,10 +119,10 @@ def test_graded_inner_rule_matches_mpmath():
          trial.normalize_weight("bump_poly", q=2.0, r=4.0)),
     ]
     ts = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 49.0, 1e3, 1e6])
-    nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
+    nodes, weights = quad.graded_rule()
     for fam, w in pairs:
         wphi = weights * trial.eval_weight(w, nodes)
-        graded = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, wphi)(ts)
+        graded = functionals._one_minus_g_factory(fam, wphi)(ts)
         want = [_one_minus_g_mpmath(fam, w, t) for t in ts]
         np.testing.assert_allclose(graded, want, rtol=0, atol=quad.DEFAULT_SPEC.abs_tol, err_msg=w.kind)
     assert nodes.size == 1350
@@ -137,15 +137,13 @@ def test_factored_inner_power_matches_direct(a):
     fam = trial.normalize_profile("rational_power", a=a, p=0.5)
     w = trial.normalize_weight("bump_rich", q=0.36, r=2.1)
     ts = np.concatenate((np.logspace(-300, 305, 243), [np.inf]))
-    for abs_tol in (1e-7, 1e-11, 1e-15):
-        spec = quad.QuadSpec(abs_tol=abs_tol)
-        nodes, weights = quad.graded_rule(spec)
-        wphi = weights * trial.eval_weight(w, nodes)
-        one_minus_g = functionals._one_minus_g_factory(fam, spec, wphi)
-        factored = np.array([one_minus_g(t)[0] for t in ts])  # one t per batch
-        direct = wphi @ trial.one_minus_profile(fam, nodes[:, None] * ts[None, :])
-        assert np.isfinite(factored).all() and np.isfinite(direct).all()
-        np.testing.assert_allclose(factored, direct, rtol=0, atol=1e-15)
+    nodes, weights = quad.graded_rule()
+    wphi = weights * trial.eval_weight(w, nodes)
+    one_minus_g = functionals._one_minus_g_factory(fam, wphi)
+    factored = np.array([one_minus_g(t)[0] for t in ts])  # one t per batch
+    direct = wphi @ trial.one_minus_profile(fam, nodes[:, None] * ts[None, :])
+    assert np.isfinite(factored).all() and np.isfinite(direct).all()
+    np.testing.assert_allclose(factored, direct, rtol=0, atol=1e-15)
 
 
 def test_inner_batches_reuse_one_buffer():
@@ -153,8 +151,8 @@ def test_inner_batches_reuse_one_buffer():
     # kernel, and every later batch faults them in again
     fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
     w = trial.normalize_weight("bump_rich", q=0.36, r=2.1)
-    nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
-    one_minus_g = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, weights * trial.eval_weight(w, nodes))
+    nodes, weights = quad.graded_rule()
+    one_minus_g = functionals._one_minus_g_factory(fam, weights * trial.eval_weight(w, nodes))
     t = np.linspace(0.1, 3.0, 15)
     first = one_minus_g(t)
     tracemalloc.start()
@@ -173,7 +171,7 @@ def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
     (1 - f) at x = (mu s^a) t^a, column by column with math.fsum unless
     exact_sum is false.  A matrix product adds the ~580 tiny s -> 1 terms of a
     column to a large partial sum, which on some columns costs 2.4e-15."""
-    nodes = quad.graded_rule(quad.DEFAULT_SPEC)[0]
+    nodes = quad.graded_rule()[0]
     with np.errstate(over="ignore"):  # x = inf is exact here: 1 - f = 1
         t_a = ts**fam.a
         if not np.isfinite(t_a).all():
@@ -196,28 +194,28 @@ def test_compressed_inner_rule_matches_full_rule(a, p_frac, kind, q, r, us):
     fam = trial.normalize_profile("rational_power", a=a, p=p)
     parametric = kind in ("bump_rich", "bump_poly")
     w = trial.normalize_weight(kind, q=q if parametric else None, r=r if parametric else None)
-    nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
+    nodes, weights = quad.graded_rule()
     wphi = weights * trial.eval_weight(w, nodes)
     ts = fam.mu ** (-1.0 / a) * 10.0 ** np.array(us)
-    got = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, wphi)(ts)
+    got = functionals._one_minus_g_factory(fam, wphi)(ts)
     # atol: near the subnormal range x = mu s^a t^a keeps an absolute error of
     # 2^-1074 per row, so a relative test says nothing about 1 - g < 1e-300
     np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=1e-300)
 
 
 def test_compressed_inner_rule_falls_back_to_full_rows():
-    nodes, weights = quad.graded_rule(quad.DEFAULT_SPEC)
+    nodes, weights = quad.graded_rule()
     ts = np.logspace(-2, 2, 15)
     # at p = 1e16 delta_0 ~ 9e-16 leaves one row in the suffix, fewer than 2M
     fam = trial.normalize_profile("rational_power", a=2.0, p=1e16)
     assert nodes.size - np.searchsorted(nodes**fam.a, 1.0 - functionals._suffix_width(fam.p)) < 8
     wphi = weights * trial.eval_weight(trial.normalize_weight("uniform"), nodes)
-    one_minus_g = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, wphi)
+    one_minus_g = functionals._one_minus_g_factory(fam, wphi)
     np.testing.assert_array_equal(one_minus_g(ts), _full_rule_one_minus_g(fam, wphi, ts, exact_sum=False))
     # a weight with no mass on the suffix: Lanczos breaks down at its first step
     fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
     wphi = np.where(nodes < 0.99, wphi, 0.0)
-    one_minus_g = functionals._one_minus_g_factory(fam, quad.DEFAULT_SPEC, wphi)
+    one_minus_g = functionals._one_minus_g_factory(fam, wphi)
     np.testing.assert_array_equal(one_minus_g(ts), _full_rule_one_minus_g(fam, wphi, ts, exact_sum=False))
 
 
@@ -397,9 +395,3 @@ def test_averaging_objective_random_pairs_respect_floor():
         w = trial.normalize_weight("bump_poly", q=rng.uniform(0.2, 2.0), r=rng.uniform(0.6, 5.0))
         assert functionals.averaging_objective(fam, w, P11) >= 1.0 / 3.0 - 1e-6
 
-
-def test_averaging_objective_quad_spec_passthrough():
-    fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
-    w = trial.normalize_weight("bump_rich", q=0.36, r=2.1)
-    loose = functionals.averaging_objective(fam, w, P11, quad.QuadSpec(abs_tol=1e-7, rel_tol=1e-6))
-    np.testing.assert_allclose(loose, C_RICH, atol=1e-5)

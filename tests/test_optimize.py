@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -12,9 +15,15 @@ def test_opt_config_validation():
     with pytest.raises(ValueError):
         optimize.OptConfig(seed_params=())
     with pytest.raises(ValueError):
-        optimize.OptConfig(seed_params=(1.0,), x_tol=0.0)
-    with pytest.raises(ValueError):
         optimize.OptConfig(seed_params=(1.0,), max_iters=0)
+    for seed in ((math.inf, 0.25), (2.0, math.nan), (-math.inf,)):
+        with pytest.raises(ValueError, match="seed_params must be finite"):
+            optimize.OptConfig(seed_params=seed)
+    for max_iters in (2.5, 5.0, "5", True, None):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            optimize.OptConfig(seed_params=(1.0,), max_iters=max_iters)
+    assert optimize.OptConfig(seed_params=(1.0,), max_iters=np.int64(5)).max_iters == 5
+    assert [f.name for f in dataclasses.fields(optimize.OptConfig)] == ["seed_params", "max_iters"]
 
 
 def test_minimize_deficit_recovers_closed_form():
@@ -140,3 +149,15 @@ def test_run_sweep_bad_numbers_are_per_run_errors():
                {"d": 1, "sigma": 1.0, "seed_params": [], "phi_kind": "bump_simple"}]
     runs = [r for r in optimize.run_sweep(configs) if not r.get("summary")]
     assert all("ValueError" in r["error"] for r in runs)
+
+
+def test_run_sweep_bad_max_iters_or_seed_is_value_error_record():
+    # each bad run is its own ValueError record; none of them is minimized
+    base = {"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5], "phi_kind": "bump_simple"}
+    configs = [{**base, "max_iters": 2.5}, {**base, "max_iters": "5"}, {**base, "max_iters": True},
+               {**base, "seed_params": [math.inf, 0.5]}, {**base, "seed_params": [2.0, math.nan]}]
+    runs = [r for r in optimize.run_sweep(configs) if not r.get("summary")]
+    errors = [r.get("error", "") for r in runs]
+    assert all(e.startswith("ValueError: max_iters must be an integer") for e in errors[:3]), errors
+    assert all(e.startswith("ValueError: seed_params must be finite") for e in errors[3:]), errors
+    assert not any("best_value" in r for r in runs)

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ltbounds import specfun
+from ltbounds import specfun, trial
 
 
 def test_log_gamma_known_values():
@@ -42,6 +42,24 @@ def test_beta_symmetry_and_values():
 def test_log_beta_consistent_with_beta():
     for x, y in ((0.5, 0.5), (2.0, 5.0), (0.25, 3.75), (1e-3, 1e3), (400.0, 300.0)):
         np.testing.assert_allclose(specfun.log_beta(x, y), float(mpmath.log(mpmath.beta(x, y))), rtol=1e-13)
+
+
+def test_log_beta_large_argument_against_mpmath():
+    # b >= 30 takes Stirling's series; at 60 digits mpmath is exact to double rounding
+    with mpmath.workdps(60):
+        for a in (1e-3, 0.1, 0.5, 2.0, 29.0):
+            for b in (30.0, 1e3, 1e8, 1e16):
+                want = float(mpmath.log(mpmath.beta(a, b)))
+                got = specfun.log_beta(a, b)
+                assert abs(got - want) <= 4e-15 * max(1.0, abs(want)), (a, b, got, want)
+                assert specfun.log_beta(b, a) == got
+        # rational_power mu = (B(1/a, 2p - 1/a)/a)^a at a = 2, and bump_poly c = q / B(1/q, r + 1)
+        for p in (1e3, 1e6, 1e12, 1e16):
+            want = (mpmath.beta(mpmath.mpf(1) / 2, 2 * mpmath.mpf(p) - mpmath.mpf(1) / 2) / 2) ** 2
+            mu = trial.normalize_profile("rational_power", a=2.0, p=p).mu
+            np.testing.assert_allclose(mu, float(want), rtol=2e-14, err_msg=f"p = {p:g}")
+        want = 2 / mpmath.beta(mpmath.mpf(1) / 2, mpmath.mpf(10) ** 6 + 1)
+        np.testing.assert_allclose(trial.normalize_weight("bump_poly", q=2.0, r=1e6).c, float(want), rtol=1e-14)
 
 
 def test_unit_ball_volume():
