@@ -194,11 +194,16 @@ def eval_weight(fam: WeightFamily, t):
     if fam.kind == "bump_simple":
         u = np.clip(t, 0.0, 1.0)
         return np.where(inside, 5.0 * (1.0 - u**0.25), 0.0)
-    u = np.clip(t, 0.0, 1.0)
-    base = fam.c * (1.0 - u**fam.q) ** fam.r
+    # u and out are arrays even for a scalar t, so every step below writes in place
+    u = np.clip(t, 0.0, 1.0, out=np.empty_like(t))
+    out = np.power(u, fam.q, out=np.empty_like(t))
+    np.subtract(1.0, out, out=out)
+    np.power(out, fam.r, out=out)
+    np.multiply(fam.c, out, out=out)
     if fam.kind == "bump_rich":
-        base = base / (1.0 + u)
-    return np.where(inside, base, 0.0)
+        np.divide(out, np.add(1.0, u, out=u), out=out)
+    out[~inside] = 0.0
+    return out
 
 
 _PROFILE_FIELDS = {"rational_power": ("a", "p", "mu"), "deficit_optimal": ("a", "p", "mu"), "indicator": ()}

@@ -19,6 +19,25 @@ Every eigenvalue ends in a Sturm-certified bracket of width at most
 max(1e-10, 4 ulp(lower end of the spectrum)), and its midpoint is returned.
 The potential integral is each kind's closed form, exact up to rounding.
 
+Every potential kind is even and every grid is symmetric about 0, so the
+n x n matrix commutes with the flip u_i -> u_(n-1-i) (it is centrosymmetric),
+and its spectrum is exactly the union of the spectra of two tridiagonal
+blocks of about n/2 rows each, one for even and one for odd eigenvectors
+(Cantoni and Butler, Linear Algebra Appl. 13, 1976).  Only the left half of
+the grid is built.  With e^2 = 1/h^4 the squared off-diagonal:
+
+  odd n = 2m+1   even block: rows 0..m, last squared off-diagonal 2 e^2
+                 (the centre row sees both equal neighbours); odd block:
+                 rows 0..m-1 as they are (odd modes vanish at the centre)
+  even n = 2m    both blocks rows 0..m-1, the neighbour across the centre
+                 folded into the corner diagonal: 1/h^2 + V (even) and
+                 3/h^2 + V (odd)
+
+Each pivot pass therefore runs over one block, and sturm_count_below stays
+a count on the full matrix.  The right half reuses the left half's V, so an
+eigenvalue differs from that of the matrix on the full grid's own rounded
+nodes by rounding only; the tests certify each one on that matrix.
+
 Discretization error in the eigenvalue sum scales as h^2 (the tests check
 the 4x decay per grid doubling); a GridTooCoarseWarning advisory fires when
 doubling n_points moves the sum by more than 1 percent.
@@ -119,6 +138,13 @@ class GridSpec:
         if not (3 <= self.n_points <= MAX_GRID_POINTS) or int(self.n_points) != self.n_points:
             raise ValueError(f"n_points must be an integer in [3, {MAX_GRID_POINTS}], got {self.n_points!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
+        h = 2.0 * self.half_width / (self.n_points + 1)
+        try:  # 2/h^4 is the largest squared off-diagonal of the parity blocks
+            largest = 2.0 * (1.0 / h**2) ** 2
+        except (OverflowError, ZeroDivisionError):
+            largest = math.inf
+        if not math.isfinite(largest):
+            raise ValueError(f"grid spacing {h!r} must have finite, nonzero h^2 and 2/h^4")
 
     to_json = spec_to_json
 
@@ -130,7 +156,7 @@ class SpectrumResult:
     negative_eigenvalues: tuple[float, ...]  # descending, closest to 0 first
     sum_negative: float
     potential_integral: float
-    sturm_passes: int  # LDL^T pivot passes spent on the spectrum
+    sturm_passes: int  # LDL^T pivot passes, each over one parity block of ceil(n/2) or floor(n/2) rows
 
     def to_json(self) -> dict:
         return {
@@ -220,13 +246,13 @@ def _pivots(diag: list, off2: list, shift: float, pivmin: float) -> tuple[int, f
     return count, s
 
 
-def _negative_eigenvalues(diag: np.ndarray, e2: float, lower: float) -> tuple[list, int]:
-    """All eigenvalues in [lower, 0), ascending, and the pivot passes spent."""
+def _negative_eigenvalues(diag: list, off2: list, lower: float) -> tuple[list, int]:
+    """All eigenvalues in [lower, 0) of the symmetric tridiagonal matrix with
+    diagonal diag and squared off-diagonal off2, ascending, and the pivot
+    passes spent."""
     tol = max(_BISECT_TOL, 4.0 * math.ulp(lower))  # from |lower| = 2^19 on, ulp(lower) > _BISECT_TOL
-    dlist = diag.tolist()
-    off2 = [e2] * (len(dlist) - 1)
-    pivmin = _SAFE_MIN * max(1.0, e2)
-    m = _pivots(dlist, off2, 0.0, pivmin)[0]
+    pivmin = _SAFE_MIN * max(1.0, max(off2, default=0.0))
+    m = _pivots(diag, off2, 0.0, pivmin)[0]
     passes = 1
     lo = [lower] * m
     hi = [0.0] * m
@@ -234,7 +260,7 @@ def _negative_eigenvalues(diag: np.ndarray, e2: float, lower: float) -> tuple[li
         x = 0.5 * (lo[j] + hi[j])
         moved = older = hi[j] - lo[j]
         while hi[j] - lo[j] > tol:
-            count, s = _pivots(dlist, off2, x, pivmin)
+            count, s = _pivots(diag, off2, x, pivmin)
             passes += 1
             for k in range(m):  # every count tightens every bracket
                 if count > k:
@@ -261,16 +287,29 @@ def discretize_and_solve(pot: PotentialSpec, grid: GridSpec, check_grid: bool = 
     if check_grid and 2 * n > MAX_GRID_POINTS:
         raise ValueError(f"check_grid doubles n_points to {2 * n}, above {MAX_GRID_POINTS}")
     h = 2.0 * L / (n + 1)
-    x = -L + h * np.arange(1, n + 1)
+    m = n // 2
+    x = -L + h * np.arange(1, n - m + 1)  # the left half, and the centre node for odd n
     V = potential_values(pot, x)
     edge = abs(float(potential_values(pot, np.array([L]))[0]))
     if edge > 1e-12:
         warnings.warn(f"potential magnitude {edge:.3e} at the box edge; "
                       "half_width truncates the tail", GridTooCoarseWarning, stacklevel=2)
-    diag = 2.0 / h**2 + V
+    diag = (2.0 / h**2 + V).tolist()
     e2 = (1.0 / h**2) ** 2
-    eigs, passes = _negative_eigenvalues(diag, e2, lower=float(V.min()) - 1.0)
-    descending = tuple(sorted(eigs, reverse=True))
+    off2 = [e2] * (m - 1)
+    if n % 2:  # even modes see the centre's two equal neighbours, odd modes vanish at the centre
+        blocks = ((diag, off2 + [2.0 * e2]), (diag[:m], off2))
+    else:  # the neighbour across the centre is +-u, folded into the corner
+        corner = float(V[-1])
+        blocks = ((diag[:-1] + [1.0 / h**2 + corner], off2), (diag[:-1] + [3.0 / h**2 + corner], off2))
+    lower = float(V.min()) - 1.0
+    eigs, passes = [], 0
+    for block_diag, block_off2 in blocks:
+        block_eigs, block_passes = _negative_eigenvalues(block_diag, block_off2, lower)
+        eigs += block_eigs
+        passes += block_passes
+    eigs.sort()
+    descending = tuple(reversed(eigs))
     result = SpectrumResult(potential=pot, grid=grid,
                             negative_eigenvalues=descending,
                             sum_negative=-float(sum(eigs)) + 0.0,

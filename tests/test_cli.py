@@ -360,8 +360,11 @@ def test_sweep_simplex_knobs_are_unknown_config_fields(tmp_path, key, value):
      "grid": {"half_width": 10.0, "n_points": 1001}},
     {"potential": {"kind": "square_well", "depth": 1e250, "width": 2.0},
      "grid": {"half_width": 10.0, "n_points": 101}},
+    *({"potential": {"kind": "square_well", "depth": 1, "width": 1},
+       "grid": {"half_width": half_width, "n_points": 5}} for half_width in (1e-300, 1e-150, 1e300)),
 ], ids=["half_width-inf", "depth-inf", "nu-nan", "width-inf", "n_points-fraction", "n_points-overflow",
-        "n_points-1e300", "depth-string", "width-bool", "integral-overflow"])
+        "n_points-1e300", "depth-string", "width-bool", "integral-overflow",
+        "spacing-squared-underflow", "spacing-inverse-fourth-overflow", "spacing-squared-overflow"])
 def test_verify_non_finite_config_is_usage_error(tmp_path, case):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([case]))

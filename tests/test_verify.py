@@ -87,6 +87,22 @@ def test_potential_integral_against_mpmath(kind, nu, depth, width):
     np.testing.assert_allclose(verify.potential_integral(pot), float(want), rtol=1e-13, atol=1e-300)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(verify.POTENTIAL_KINDS), st.floats(0.1, 20.0), st.floats(0.1, 10.0),
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20))
+def test_potential_values_are_even(kind, strength, width, xs):
+    """discretize_and_solve solves the even and odd parity blocks of a grid symmetric about 0,
+    which holds only for an even V."""
+    if kind == "poschl_teller":
+        pot = verify.PotentialSpec(kind=kind, nu=strength, width=width)
+    else:
+        pot = verify.PotentialSpec(kind=kind, depth=strength, width=width)
+    x = np.array(xs)
+    np.testing.assert_allclose(verify.potential_values(pot, -x), verify.potential_values(pot, x),
+                               rtol=1e-15, atol=0.0,
+                               err_msg=f"{kind} is not even: it needs the full-matrix solve")
+
+
 def test_poschl_teller_exact_spectra():
     """nu = 1 binds exactly {-1}; nu = 2 binds {-4, -1}."""
     res1 = verify.discretize_and_solve(PT1, verify.GridSpec(half_width=20.0, n_points=8001))
@@ -217,6 +233,8 @@ def test_potential_spec_rejects_non_finite(kwargs):
 
 @pytest.mark.parametrize("half_width, n_points", [
     (math.inf, 101), (math.nan, 101), (5.0, math.inf), (5.0, math.nan), (5.0, 101.5),
+    # h^2 underflows to 0, 1/h^4 overflows, h^2 overflows
+    (1e-300, 5), (1e-150, 5), (1e300, 5),
 ])
 def test_grid_spec_rejects_non_finite(half_width, n_points):
     with pytest.raises(ValueError):
@@ -271,8 +289,20 @@ ACCURACY_CASES = [
 ]
 
 
-@pytest.mark.parametrize("pot, grid, states", ACCURACY_CASES,
-                         ids=[f"{pot.kind}-{states or 'suite'}" for pot, _, states in ACCURACY_CASES])
+# every kind on odd and even grids down to the smallest: the parity blocks of
+# an even grid fold the centre into their corners, a 3-node odd block has one row
+PARITY_CASES = [
+    (pot, verify.GridSpec(16.0, n), None)
+    for pot in (verify.PotentialSpec(kind="poschl_teller", nu=2.0),
+                verify.PotentialSpec(kind="gaussian_well", depth=30.0),
+                verify.PotentialSpec(kind="square_well", depth=30.0, width=2.0))
+    for n in (3, 4, 5, 6, 100, 4000)
+]
+
+
+@pytest.mark.parametrize("pot, grid, states", ACCURACY_CASES + PARITY_CASES,
+                         ids=[f"{pot.kind}-{states or 'suite'}" for pot, _, states in ACCURACY_CASES]
+                         + [f"{pot.kind}-n{grid.n_points}" for pot, grid, _ in PARITY_CASES])
 def test_eigenvalues_certified_and_match_dense_solver(pot, grid, states):
     diag, off, vmin = _tridiag(pot, grid)
     ascending = sorted(verify.discretize_and_solve(pot, grid).negative_eigenvalues)
