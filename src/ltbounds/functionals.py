@@ -225,21 +225,29 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
     else:
         mu_x = fam.mu * np.concatenate((s_a[:start], 1.0 + gauss[0]))
         w_x = np.concatenate((wphi[:start], gauss[1]))
-    # one reused (s, t) buffer per batch size: fresh 160 KB arrays per batch can
-    # let malloc trim the heap and fault the pages in again, ~1e6 faults a sweep
-    work = {}
+    # one reused (s, t) buffer, grown to the widest batch: fresh arrays per batch
+    # can let malloc trim the heap and fault the pages in again, ~1e6 faults a sweep
+    work = np.empty(0)
+
+    def factored(t_a):
+        nonlocal work
+        if work.size < mu_x.size * t_a.size:
+            work = np.empty(mu_x.size * t_a.size)
+        buf = work[: mu_x.size * t_a.size].reshape(mu_x.size, t_a.size)
+        np.einsum("i,j->ij", mu_x, t_a, out=buf)  # np.multiply.outer would allocate a temporary
+        return w_x @ one_minus_rational(fam.p, buf, out=buf)
 
     def one_minus_g(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         with np.errstate(over="ignore"):
             t_a = t**fam.a
-            if not np.isfinite(t_a).all():  # t^a overflowed: take (s t)^a directly
-                return wphi @ one_minus_profile(fam, s_nodes[:, None] * t[None, :])
-            buf = work.get(t.size)
-            if buf is None:
-                buf = work[t.size] = np.empty((mu_x.size, t.size))
-            np.einsum("i,j->ij", mu_x, t_a, out=buf)  # np.multiply.outer buffers 130 KB
-            return w_x @ one_minus_rational(fam.p, buf, out=buf)
+            big = ~np.isfinite(t_a)
+            if not big.any():
+                return factored(t_a)
+            out = np.empty(t.size)  # where t^a overflowed, take (s t)^a directly
+            out[big] = wphi @ one_minus_profile(fam, s_nodes[:, None] * t[big])
+            out[~big] = factored(t_a[~big])
+            return out
 
     return one_minus_g
 

@@ -130,10 +130,11 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
             if restarted:
                 converged = True
                 break
-            # restart once from the best vertex with a fresh, smaller simplex
+            # restart once from the best vertex with a fresh, smaller simplex;
+            # its row 0 is that vertex, whose value is already known
             restarted = True
             simplex = _initial_simplex(simplex[0], 0.5 * _SIMPLEX_SCALE)
-            fvals = np.array([objective(x) for x in simplex])
+            fvals = np.array([fvals[0], *(objective(x) for x in simplex[1:])])
             continue
 
         iters += 1

@@ -2,27 +2,29 @@
 
 Integrals of an averaging weight over (0,1) use the one fixed graded_rule();
 every other integral (the two halves of the deficit integral over t) runs
-through integrate() on DEFAULT_SPEC.  The scheme is plain adaptive
-bisection: each panel carries the 15-point Kronrod value K15 and the
-7-point Gauss value G7 taken from the same 15 integrand values (the K15
-nodes contain the G7 nodes, as in QUADPACK's qk15), |K15 - G7| is the
-panel's error estimate, and the worst panel is split until the summed error
-meets the tolerance or the subdivision budget runs out.  Budget exhaustion
-is reported through QuadResult.converged, never raised, so callers decide
-whether a slow integral is fatal.
+through integrate() on DEFAULT_SPEC.  The scheme is adaptive bisection in
+rounds: each panel carries the 15-point Kronrod value K15 and the 7-point
+Gauss value G7 taken from the same 15 integrand values (the K15 nodes
+contain the G7 nodes, as in QUADPACK's qk15), and |K15 - G7| is the panel's
+error estimate.  The range starts as _START_PANELS equal panels.  Each round
+picks panels worst first, ties by position, until the summed error of the
+panels left fits the tolerance, splits every picked panel and scores all
+the halves; every round, the first included, is one integrand call.  Rounds
+go on until the summed error meets the tolerance or the subdivision budget
+runs out.  Budget exhaustion is reported through QuadResult.converged, never
+raised, so callers decide whether a slow integral is fatal.
 
 Ranges are finite; callers fold an infinite range to a finite one with a
 substitution that suits the integrand's decay.  Kronrod nodes are interior,
 so an endpoint singularity of the integrand is never evaluated.
 
-Integrands must be vectorized: they receive a float ndarray of nodes and
-must return an ndarray of the same shape.
+Integrands must be vectorized: they receive a 1-D float ndarray of nodes,
+15 per panel, and must return an ndarray of the same shape.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -89,21 +91,24 @@ class QuadResult:
 
 
 DEFAULT_SPEC = QuadSpec()
+_START_PANELS = 4  # integrate() scores these equal panels in its first call
 
 
-def _panel(func, lo: float, hi: float):
-    """Gauss-Kronrod 15/7 pair on one panel (QUADPACK qk15) -> (value, error).
+def _panels(func, los, his):
+    """Gauss-Kronrod 15/7 pair (QUADPACK qk15) on every panel (los[i], his[i])
+    -> (values, errors) arrays.
 
-    One integrand call on the 15 Kronrod nodes; the value is K15 and the
-    error is |K15 - G7|, with G7 reusing the values at its own 7 nodes.
+    One integrand call on the 15 Kronrod nodes of every panel, panel after
+    panel; each value is K15 and each error |K15 - G7|, with G7 reusing the
+    values at its own 7 nodes.
     """
-    half = 0.5 * (hi - lo)
-    x = 0.5 * (hi + lo) + half * _XK15
-    y = func(x)
+    half = 0.5 * (his - los)
+    x = (0.5 * (his + los))[:, None] + half[:, None] * _XK15
+    y = func(x.ravel()).reshape(x.shape)
     if not np.isfinite(y).all():
         raise NonFiniteIntegrandError(f"integrand non-finite near node {x[~np.isfinite(y)][0]!r}")
-    value, diff = (half * (_PANEL_WEIGHTS @ y)).tolist()
-    return value, abs(diff)
+    value, diff = (half[:, None] * (y @ _PANEL_WEIGHTS.T)).T
+    return value, np.abs(diff)
 
 
 def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadResult:
@@ -122,38 +127,41 @@ def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadR
     if lo == hi:
         return QuadResult(0.0, 0.0, 0, True)
 
-    # Heap of (-error, seq, lo, hi, value, error); seq breaks ties so the
-    # refinement order, and hence the result, is deterministic.
-    seq = 0
-    v, e = _panel(func, lo, hi)
-    heap = [(-e, seq, lo, hi, v, e)]
-    total_v, total_e = v, e
+    edges = np.linspace(lo, hi, _START_PANELS + 1)
+    los, his = edges[:-1].copy(), edges[1:].copy()
+    vals, errs = _panels(func, los, his)
     frozen_v = frozen_e = 0.0  # panels too narrow to split further
     splits = 0
 
     while True:
-        target = max(spec.abs_tol, spec.rel_tol * abs(total_v + frozen_v))
-        if total_e + frozen_e <= target or not heap:
-            break
+        total_v = math.fsum(vals.tolist()) + frozen_v
+        total_e = math.fsum(errs.tolist()) + frozen_e
+        target = max(spec.abs_tol, spec.rel_tol * abs(total_v))
+        if total_e <= target or not los.size:
+            return QuadResult(total_v, total_e, splits, True)
         if splits >= spec.max_subdivisions:
-            return QuadResult(total_v + frozen_v, total_e + frozen_e, splits, False)
-        _, _, plo, phi, pv, pe = heapq.heappop(heap)
-        total_v -= pv
-        total_e -= pe
-        mid = 0.5 * (plo + phi)
-        if not (plo < mid < phi):
-            frozen_v += pv
-            frozen_e += pe
+            return QuadResult(total_v, total_e, splits, False)
+        # worst first, ties by position, until the panels left fit the target
+        order = np.lexsort((los, -errs))
+        short = int(np.count_nonzero(np.cumsum(errs[order]) < total_e - target))
+        picked = order[:min(short + 1, spec.max_subdivisions - splits)]
+        plo, phi = los[picked], his[picked]
+        mids = 0.5 * (plo + phi)
+        ok = (plo < mids) & (mids < phi)
+        if not ok.all():  # freeze the panels too narrow to split, then pick again
+            gone = picked[~ok]
+            frozen_v += math.fsum(vals[gone].tolist())
+            frozen_e += math.fsum(errs[gone].tolist())
+            keep = np.ones(los.size, dtype=bool)
+            keep[gone] = False
+            los, his, vals, errs = los[keep], his[keep], vals[keep], errs[keep]
             continue
-        splits += 1
-        for qlo, qhi in ((plo, mid), (mid, phi)):
-            v, e = _panel(func, qlo, qhi)
-            seq += 1
-            heapq.heappush(heap, (-e, seq, qlo, qhi, v, e))
-            total_v += v
-            total_e += e
-
-    return QuadResult(total_v + frozen_v, total_e + frozen_e, splits, True)
+        splits += picked.size
+        # left halves replace their parents, right halves go at the end
+        v, e = _panels(func, np.concatenate((plo, mids)), np.concatenate((mids, phi)))
+        his[picked], vals[picked], errs[picked] = mids, v[:picked.size], e[:picked.size]
+        los, his = np.concatenate((los, mids)), np.concatenate((his, phi))
+        vals, errs = np.concatenate((vals, v[picked.size:])), np.concatenate((errs, e[picked.size:]))
 
 
 # leggauss is called inside the builders: importing numpy.polynomial costs

@@ -191,10 +191,14 @@ def eval_weight(fam: WeightFamily, t):
     inside = (t >= 0.0) & (t <= 1.0)
     if fam.kind == "uniform":
         return np.where(inside, 1.0, 0.0)
-    if fam.kind == "bump_simple":
-        u = np.clip(t, 0.0, 1.0)
-        return np.where(inside, 5.0 * (1.0 - u**0.25), 0.0)
     # u and out are arrays even for a scalar t, so every step below writes in place
+    if fam.kind == "bump_simple":
+        out = np.clip(t, 0.0, 1.0, out=np.empty_like(t))
+        np.power(out, 0.25, out=out)
+        np.subtract(1.0, out, out=out)
+        np.multiply(5.0, out, out=out)
+        out[~inside] = 0.0
+        return out
     u = np.clip(t, 0.0, 1.0, out=np.empty_like(t))
     out = np.power(u, fam.q, out=np.empty_like(t))
     np.subtract(1.0, out, out=out)

@@ -39,8 +39,10 @@ eigenvalue differs from that of the matrix on the full grid's own rounded
 nodes by rounding only; the tests certify each one on that matrix.
 
 Discretization error in the eigenvalue sum scales as h^2 (the tests check
-the 4x decay per grid doubling); a GridTooCoarseWarning advisory fires when
-doubling n_points moves the sum by more than 1 percent.
+the 4x decay per grid doubling).  A GridTooCoarseWarning advisory fires when
+the spacing h exceeds a quarter of the well width, when |V| at the box edge
+exceeds 1e-12, and, with check_grid, when doubling n_points moves the sum by
+more than 1 percent.
 """
 
 from __future__ import annotations
@@ -290,6 +292,9 @@ def discretize_and_solve(pot: PotentialSpec, grid: GridSpec, check_grid: bool = 
     m = n // 2
     x = -L + h * np.arange(1, n - m + 1)  # the left half, and the centre node for odd n
     V = potential_values(pot, x)
+    if h > 0.25 * pot.width:
+        warnings.warn(f"grid spacing {h:.3e} exceeds a quarter of the well width {pot.width!r}; "
+                      "the grid does not resolve the well", GridTooCoarseWarning, stacklevel=2)
     edge = abs(float(potential_values(pot, np.array([L]))[0]))
     if edge > 1e-12:
         warnings.warn(f"potential magnitude {edge:.3e} at the box edge; "

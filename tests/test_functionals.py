@@ -166,20 +166,21 @@ def test_inner_batches_reuse_one_buffer():
 
 
 def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
-    """1 - g over every row of the graded rule: wphi @ (1 - f(s t)) for a batch
-    in which t^a overflows, as the factory takes it, else the sum of wphi
-    (1 - f) at x = (mu s^a) t^a, column by column with math.fsum unless
+    """1 - g over every row of the graded rule: wphi @ (1 - f(s t)) in the
+    columns where t^a overflows, as the factory takes them, else the sum of
+    wphi (1 - f) at x = (mu s^a) t^a, column by column with math.fsum unless
     exact_sum is false.  A matrix product adds the ~580 tiny s -> 1 terms of a
     column to a large partial sum, which on some columns costs 2.4e-15."""
     nodes = quad.graded_rule()[0]
     with np.errstate(over="ignore"):  # x = inf is exact here: 1 - f = 1
         t_a = ts**fam.a
-        if not np.isfinite(t_a).all():
-            return wphi @ trial.one_minus_profile(fam, nodes[:, None] * ts[None, :])
-        terms = trial.one_minus_rational(fam.p, np.multiply.outer(fam.mu * nodes**fam.a, t_a))
-    if not exact_sum:
-        return wphi @ terms
-    return np.array([math.fsum(column) for column in (wphi[:, None] * terms).T])
+        big = ~np.isfinite(t_a)
+        terms = trial.one_minus_rational(fam.p, np.multiply.outer(fam.mu * nodes**fam.a, t_a[~big]))
+        direct = wphi @ trial.one_minus_profile(fam, nodes[:, None] * ts[big])
+    out = np.empty(ts.size)
+    out[big] = direct
+    out[~big] = wphi @ terms if not exact_sum else [math.fsum(c) for c in (wphi[:, None] * terms).T]
+    return out
 
 
 @settings(max_examples=300, deadline=None)
@@ -187,6 +188,8 @@ def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
        q=st.floats(0.05, 3.0), r=st.floats(0.5, 10.0),
        us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=15))
 @example(a=291.0, p_frac=0.0, kind="bump_simple", q=1.0, r=1.0, us=[1.0625])  # x overflows, t^a does not
+# a mixed batch: t^a overflows at u = 3 only, and the direct path would be 5e-15 off at u = -0.5625
+@example(a=291.0, p_frac=0.0, kind="bump_simple", q=1.0, r=1.0, us=[1.0625, -0.5625, 3.0])
 def test_compressed_inner_rule_matches_full_rule(a, p_frac, kind, q, r, us):
     # the s -> 1 rows folded into Gauss rows against the sum over all 1,350 rows
     p_lo = max(0.05, 0.55 / a)
@@ -220,7 +223,7 @@ def test_compressed_inner_rule_falls_back_to_full_rows():
 
 
 def test_compressed_inner_rows_at_criterion_5_start(monkeypatch):
-    # one batch of 15 outer nodes multiplies <= 830 rows instead of 1,350
+    # each batch of 15 outer nodes per panel multiplies <= 830 rows instead of 1,350
     sizes = []
 
     def counting(p, x, out=None):
@@ -231,7 +234,26 @@ def test_compressed_inner_rows_at_criterion_5_start(monkeypatch):
     monkeypatch.setattr(functionals, "one_minus_rational", counting)
     fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
     functionals.averaging_objective(fam, trial.normalize_weight("bump_rich", q=0.42, r=1.8), P11)
-    assert sizes and all(cols == 15 and rows * cols <= 830 * 15 for rows, cols in sizes)
+    assert sizes == [(sizes[0][0], 60), (sizes[0][0], 60)]  # the 4 start panels of near and far
+    assert sizes[0][0] <= 830
+
+
+def test_integrand_calls_at_criterion_5_start(monkeypatch):
+    # near and far converge on their 4 start panels: 2 calls on 120 t-nodes
+    # (one call per panel made 10 calls on 150 nodes)
+    calls = []
+
+    def counting(func, lo, hi, spec=None):
+        def counted(t):
+            calls.append(t.size)
+            return func(t)
+        return integrate(counted, lo, hi, spec)
+
+    integrate = quad.integrate
+    monkeypatch.setattr(quad, "integrate", counting)
+    fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
+    functionals.averaging_objective(fam, trial.normalize_weight("bump_rich", q=0.42, r=1.8), P11)
+    assert len(calls) <= 3 and sum(calls) <= 120, calls
 
 
 @pytest.mark.parametrize("q, r", [(0.05, 0.5), (0.05, 10.0), (3.0, 0.5), (3.0, 10.0),

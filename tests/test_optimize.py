@@ -49,6 +49,21 @@ def test_determinism_bit_identical():
     assert r1.trace == r2.trace
 
 
+def test_no_point_is_scored_twice(monkeypatch):
+    # the restart starts from the best vertex, whose value is already known
+    points = []
+
+    def counting(fam, beta):
+        points.append((fam.a, fam.p))
+        return weighted_deficit(fam, beta)
+
+    weighted_deficit = optimize.weighted_deficit
+    monkeypatch.setattr(optimize, "weighted_deficit", counting)
+    res = optimize.minimize_deficit(1.5, optimize.OptConfig(seed_params=(2.0, 0.7)))
+    assert res.converged
+    assert len(points) == len(set(points))
+
+
 def test_trace_is_monotone_and_indexed():
     res = optimize.minimize_deficit(1.5, optimize.OptConfig(seed_params=(3.0, 0.4)))
     values = [v for _, v in res.trace]

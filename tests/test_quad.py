@@ -1,9 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltbounds import quad
+
 
 def test_polynomial_is_exact_in_one_panel():
     res = quad.integrate(lambda t: 3.0 * t**2, 0.0, 2.0)
@@ -61,6 +65,16 @@ def test_budget_exhaustion_reports_not_converged():
     assert math.isfinite(res.value)
 
 
+def test_panels_too_narrow_to_split_are_frozen():
+    # 8 ulps hold at most 8 panels: the 4 start panels split once each, then
+    # every panel is one ulp wide and is frozen with its error kept
+    u = math.ulp(1.0)
+    spec = quad.QuadSpec(abs_tol=1e-300, rel_tol=0.0)
+    res = quad.integrate(lambda t: np.where(t < 1.0 + 4.0 * u, 0.0, 1e30), 1.0, 1.0 + 8.0 * u, spec)
+    assert res.subdivisions_used == 4
+    assert math.isfinite(res.value) and res.error_estimate > spec.abs_tol
+
+
 def test_error_estimate_is_conservative():
     res = quad.integrate(lambda t: np.sin(7.0 * t), 0.0, 3.0)
     exact = (1.0 - math.cos(21.0)) / 7.0
@@ -98,17 +112,48 @@ def test_embedded_gauss_7_exactness_and_nodes():
     np.testing.assert_allclose(quad._WG7.sum(), 2.0, rtol=0, atol=1e-15)
 
 
-def test_one_integrand_call_per_panel():
-    sizes = []
+def test_one_integrand_call_per_round():
+    # the 4 start panels share one call, then each round scores all its halves
+    # in one: 1 split per round at the sqrt corner, up to 16 for sin(40 t)
+    for func, hi, want in ((np.sqrt, 1.0, [60] + [30] * 13),
+                           (lambda t: np.sin(40.0 * t), 3.0, [60, 120, 240, 480, 150])):
+        sizes = []
 
-    def f(t):
-        sizes.append(t.size)
-        return np.sqrt(t)
+        def f(t):
+            sizes.append(t.size)
+            return func(t)
 
-    res = quad.integrate(f, 0.0, 1.0)
-    assert res.converged and res.subdivisions_used > 0
-    assert len(sizes) == 1 + 2 * res.subdivisions_used
-    assert set(sizes) == {15}
+        res = quad.integrate(f, 0.0, hi)
+        assert res.converged
+        assert sizes == want
+        assert all(n % 15 == 0 for n in sizes)
+        assert sum(sizes) == 15 * (quad._START_PANELS + 2 * res.subdivisions_used)
+
+
+_INTEGRANDS = {  # name -> (f(k, t), antiderivative F(k, x) in mpmath)
+    "power": (lambda k, t: t**k, lambda k, x: x ** (k + 1) / (k + 1)),
+    "inverse_sqrt": (lambda k, t: t**-0.5, lambda k, x: 2 * mpmath.sqrt(x)),
+    "sin7": (lambda k, t: np.sin(7.0 * t), lambda k, x: -mpmath.cos(7 * x) / 7),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(_INTEGRANDS)), k=st.integers(0, 30),
+       lo=st.one_of(st.just(0.0), st.floats(0.0, 4.0)), width=st.floats(1e-3, 8.0))
+def test_integrate_meets_tolerance_and_error_estimate(name, k, lo, width):
+    # smooth and endpoint-singular integrands against their closed forms
+    hi = lo + width
+    func, antiderivative = _INTEGRANDS[name]
+    res = quad.integrate(lambda t: func(k, t), lo, hi)
+    with mpmath.workdps(30):
+        exact = float(antiderivative(k, mpmath.mpf(hi)) - antiderivative(k, mpmath.mpf(lo)))
+        mass = float(mpmath.quad(lambda x: abs(mpmath.sin(7 * x)), [lo, hi])) if name == "sin7" else exact
+    err = abs(res.value - exact)
+    spec = quad.DEFAULT_SPEC
+    assert res.converged
+    assert err <= max(spec.abs_tol, spec.rel_tol * abs(exact))
+    # rounding in the sum of 15 values per panel is not part of the estimate
+    assert err <= res.error_estimate + 1e-14 * mass
 
 
 def test_graded_tails_built_on_first_use():

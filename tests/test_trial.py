@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,27 @@ def test_weight_supported_on_unit_interval():
     vals = trial.eval_weight(w, np.array([-0.5, 0.0, 0.3, 1.0, 1.5]))
     assert vals[0] == 0.0 and vals[4] == 0.0
     assert np.all(vals >= 0.0)
+
+
+def test_bump_simple_in_one_buffer():
+    # 5 (1 - u^(1/4)) is written into one output array, bitwise equal to the
+    # expression with temporaries, scalars and non-finite t included
+    w = trial.normalize_weight("bump_simple")
+    tail_nodes = quad.graded_tails()[0]
+    specials = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1e-300, 0.3])
+    for t in (tail_nodes, np.linspace(-0.5, 1.5, 2001), specials, *specials):
+        t = np.asarray(t, dtype=float)
+        want = np.where((t >= 0.0) & (t <= 1.0), 5.0 * (1.0 - np.clip(t, 0.0, 1.0) ** 0.25), 0.0)
+        got = trial.eval_weight(w, t)
+        assert isinstance(got, np.ndarray) and got.shape == t.shape
+        assert got.tobytes() == want.tobytes()
+    tracemalloc.start()
+    try:
+        trial.eval_weight(w, tail_nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * tail_nodes.nbytes, peak  # one output array and the mask
 
 
 def test_json_round_trip():

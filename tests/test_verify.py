@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -161,6 +162,22 @@ def test_grid_warnings():
         verify.discretize_and_solve(
             verify.PotentialSpec(kind="gaussian_well", depth=5.0, width=3.0),
             verify.GridSpec(half_width=4.0, n_points=801))
+
+
+def test_coarse_grid_advisory():
+    # h = 33 puts one node in a well of width 1, which then reports E ~ V(0)
+    # and a violated inequality
+    for kind in ("square_well", "gaussian_well"):
+        well = verify.PotentialSpec(kind=kind, depth=1.0, width=1.0)
+        with pytest.warns(verify.GridTooCoarseWarning, match="quarter of the well width"):
+            res = verify.discretize_and_solve(well, verify.GridSpec(half_width=100.0, n_points=5))
+        assert not verify.check_inequality(res, CONJECTURED_1D_L_RATIO).holds
+    # silent where h <= width / 4: the default suite and the deep well (h = 0.196, width 2)
+    deep = (verify.PotentialSpec(kind="square_well", depth=5.5e5, width=2.0), verify.GridSpec(10.0, 101))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", verify.GridTooCoarseWarning)
+        for pot, grid in (*verify.default_suite(), deep):
+            verify.discretize_and_solve(pot, grid)
 
 
 def test_check_inequality_margins():
