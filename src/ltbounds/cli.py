@@ -230,7 +230,9 @@ def cmd_verify(args, parser) -> int:
     if args.config:
         raw = _read_config(args.config, parser)
         if isinstance(raw, dict):
-            raw = raw.get("cases", [])
+            if set(raw) != {"cases"}:
+                parser.error(f"verify config object must have exactly the key 'cases', got {sorted(raw)!r}")
+            raw = raw["cases"]
         if not isinstance(raw, list):
             parser.error("verify config must be a JSON array of cases or {'cases': [...]}")
         try:

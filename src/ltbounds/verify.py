@@ -38,6 +38,19 @@ a count on the full matrix.  The right half reuses the left half's V, so an
 eigenvalue differs from that of the matrix on the full grid's own rounded
 nodes by rounding only; the tests certify each one on that matrix.
 
+Each search starts next to its root.  A grid of at least
+_COARSEN * _COARSE_MIN = 400 nodes first solves the same well in the same
+box on n // _COARSEN nodes, recursively, and the j-th eigenvalue of each
+coarse parity block, counted from the bottom, is the first shift probed for
+the j-th eigenvalue of the same block; smaller grids start from bracket
+midpoints.  A start outside its eigenvalue's current bracket is replaced by
+the midpoint.  Counts on the requested grid, with its own tolerance and
+lower end, still close every bracket, so a wrong, missing or extra start
+costs passes but never moves a result outside its bracket.  The coarse
+levels are solved below the advisories, which fire for the requested grid
+only.  SpectrumResult.sturm_passes counts the pivot passes on the requested
+grid, and row_steps the rows summed over every pass on every level.
+
 Discretization error in the eigenvalue sum scales as h^2 (the tests check
 the 4x decay per grid doubling).  A GridTooCoarseWarning advisory fires when
 the spacing h exceeds a quarter of the well width, when |V| at the box edge
@@ -80,6 +93,8 @@ _L_CL_1D = l_cl(ProblemSpec(d=1, sigma=1.0))  # 2/(3 pi)
 _SAFE_MIN = 2.2250738585072014e-308  # smallest normal float64
 _BISECT_TOL = 1e-10
 MAX_GRID_POINTS = 10**7  # about 80 MB per float array; the largest grid in use has 16,001 nodes
+_COARSEN = 4  # each coarser level that supplies starts has n_points // _COARSEN nodes
+_COARSE_MIN = 100  # no coarser level below this many nodes: grids under 400 nodes start cold
 
 
 class GridTooCoarseWarning(UserWarning):
@@ -158,7 +173,8 @@ class SpectrumResult:
     negative_eigenvalues: tuple[float, ...]  # descending, closest to 0 first
     sum_negative: float
     potential_integral: float
-    sturm_passes: int  # LDL^T pivot passes, each over one parity block of ceil(n/2) or floor(n/2) rows
+    sturm_passes: int  # LDL^T pivot passes on this grid, each over one parity block of ceil(n/2) or floor(n/2) rows
+    row_steps: int  # rows summed over every pivot pass, on this grid and on each coarser level
 
     def to_json(self) -> dict:
         return {
@@ -230,28 +246,35 @@ def sturm_count_below(diag, off, shift: float) -> int:
 
 def _pivots(diag: list, off2: list, shift: float, pivmin: float) -> tuple[int, float]:
     """One LDL^T pivot pass of T - shift: the count of negative pivots q_i and
-    s = sum q_i'/q_i = d/dshift log|det(T - shift)|, carried as t_i = q_i'/q_i."""
-    q = diag[0] - shift
-    if -pivmin < q < pivmin:
-        q = -pivmin
-    count = 1 if q < 0.0 else 0
+    s = sum q_i'/q_i = d/dshift log|det(T - shift)|, carried as t_i = q_i'/q_i.
+    A pivot in (-pivmin, pivmin) is replaced by -pivmin and counted."""
+    rows = iter(diag)
+    q = next(rows) - shift
+    count = 0
+    if q < pivmin:
+        if q > -pivmin:
+            q = -pivmin
+        count = 1
     s = t = -1.0 / q
-    for d, e2 in zip(diag[1:], off2):
+    for d, e2 in zip(rows, off2):
         r = e2 / q
         q = d - shift - r
-        if -pivmin < q < pivmin:
-            q = -pivmin
-        if q < 0.0:
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
             count += 1
         t = (r * t - 1.0) / q
         s += t
     return count, s
 
 
-def _negative_eigenvalues(diag: list, off2: list, lower: float) -> tuple[list, int]:
+def _negative_eigenvalues(diag: list, off2: list, lower: float, starts) -> tuple[list, int]:
     """All eigenvalues in [lower, 0) of the symmetric tridiagonal matrix with
     diagonal diag and squared off-diagonal off2, ascending, and the pivot
-    passes spent."""
+    passes spent.  The search for eigenvalue j first probes starts[j] if it
+    lies strictly inside that eigenvalue's bracket, else the bracket's
+    midpoint.  Counts alone close every bracket, so a start changes the
+    passes spent, never what is certified."""
     tol = max(_BISECT_TOL, 4.0 * math.ulp(lower))  # from |lower| = 2^19 on, ulp(lower) > _BISECT_TOL
     pivmin = _SAFE_MIN * max(1.0, max(off2, default=0.0))
     m = _pivots(diag, off2, 0.0, pivmin)[0]
@@ -259,7 +282,7 @@ def _negative_eigenvalues(diag: list, off2: list, lower: float) -> tuple[list, i
     lo = [lower] * m
     hi = [0.0] * m
     for j in range(m):
-        x = 0.5 * (lo[j] + hi[j])
+        x = starts[j] if j < len(starts) and lo[j] < starts[j] < hi[j] else 0.5 * (lo[j] + hi[j])
         moved = older = hi[j] - lo[j]
         while hi[j] - lo[j] > tol:
             count, s = _pivots(diag, off2, x, pivmin)
@@ -279,26 +302,35 @@ def _negative_eigenvalues(diag: list, off2: list, lower: float) -> tuple[list, i
     return [0.5 * (lo[k] + hi[k]) for k in range(m)], passes
 
 
-def discretize_and_solve(pot: PotentialSpec, grid: GridSpec, check_grid: bool = False) -> SpectrumResult:
-    """Negative spectrum of -d^2/dx^2 + V on the Dirichlet grid.
+def _coarser(grid: GridSpec) -> GridSpec | None:
+    """The same box with n_points // _COARSEN nodes, or None below _COARSE_MIN
+    nodes or where that spacing's square overflows."""
+    n = grid.n_points // _COARSEN
+    if n < _COARSE_MIN:
+        return None
+    try:
+        return GridSpec(grid.half_width, n)
+    except ValueError:
+        return None
 
-    check_grid re-solves at doubled n_points and emits GridTooCoarseWarning
-    when the sum moves by more than 1 percent (costs a second solve).
-    """
+
+def _parity_spectra(pot: PotentialSpec, grid: GridSpec, starts=None) -> tuple[list, int, int]:
+    """The ascending negative eigenvalues of the even and the odd parity block,
+    the pivot passes on this grid, and the pivot row-steps on it and on every
+    coarser level.  starts holds one list of first probes per block; without
+    it they are the eigenvalues of the coarser grid, matched from the bottom
+    of each block, and a grid with no coarser level starts cold."""
+    row_steps = 0
+    if starts is None:
+        coarse = _coarser(grid)
+        starts = ([], [])
+        if coarse is not None:
+            starts, _, row_steps = _parity_spectra(pot, coarse)
     n, L = grid.n_points, grid.half_width
-    if check_grid and 2 * n > MAX_GRID_POINTS:
-        raise ValueError(f"check_grid doubles n_points to {2 * n}, above {MAX_GRID_POINTS}")
     h = 2.0 * L / (n + 1)
     m = n // 2
     x = -L + h * np.arange(1, n - m + 1)  # the left half, and the centre node for odd n
     V = potential_values(pot, x)
-    if h > 0.25 * pot.width:
-        warnings.warn(f"grid spacing {h:.3e} exceeds a quarter of the well width {pot.width!r}; "
-                      "the grid does not resolve the well", GridTooCoarseWarning, stacklevel=2)
-    edge = abs(float(potential_values(pot, np.array([L]))[0]))
-    if edge > 1e-12:
-        warnings.warn(f"potential magnitude {edge:.3e} at the box edge; "
-                      "half_width truncates the tail", GridTooCoarseWarning, stacklevel=2)
     diag = (2.0 / h**2 + V).tolist()
     e2 = (1.0 / h**2) ** 2
     off2 = [e2] * (m - 1)
@@ -308,25 +340,49 @@ def discretize_and_solve(pot: PotentialSpec, grid: GridSpec, check_grid: bool = 
         corner = float(V[-1])
         blocks = ((diag[:-1] + [1.0 / h**2 + corner], off2), (diag[:-1] + [3.0 / h**2 + corner], off2))
     lower = float(V.min()) - 1.0
-    eigs, passes = [], 0
-    for block_diag, block_off2 in blocks:
-        block_eigs, block_passes = _negative_eigenvalues(block_diag, block_off2, lower)
-        eigs += block_eigs
+    spectra, passes = [], 0
+    for (block_diag, block_off2), block_starts in zip(blocks, starts):
+        block_eigs, block_passes = _negative_eigenvalues(block_diag, block_off2, lower, block_starts)
+        spectra.append(block_eigs)
         passes += block_passes
-    eigs.sort()
-    descending = tuple(reversed(eigs))
+        row_steps += block_passes * len(block_diag)
+    return spectra, passes, row_steps
+
+
+def discretize_and_solve(pot: PotentialSpec, grid: GridSpec, check_grid: bool = False) -> SpectrumResult:
+    """Negative spectrum of -d^2/dx^2 + V on the Dirichlet grid.
+
+    check_grid re-solves at doubled n_points, starting from this grid's
+    eigenvalues, and emits GridTooCoarseWarning when the sum moves by more
+    than 1 percent (costs a second solve).
+    """
+    n, L = grid.n_points, grid.half_width
+    if check_grid and 2 * n > MAX_GRID_POINTS:
+        raise ValueError(f"check_grid doubles n_points to {2 * n}, above {MAX_GRID_POINTS}")
+    finer = GridSpec(L, 2 * n) if check_grid else None
+    h = 2.0 * L / (n + 1)
+    if h > 0.25 * pot.width:
+        warnings.warn(f"grid spacing {h:.3e} exceeds a quarter of the well width {pot.width!r}; "
+                      "the grid does not resolve the well", GridTooCoarseWarning, stacklevel=2)
+    edge = abs(float(potential_values(pot, np.array([L]))[0]))
+    if edge > 1e-12:
+        warnings.warn(f"potential magnitude {edge:.3e} at the box edge; "
+                      "half_width truncates the tail", GridTooCoarseWarning, stacklevel=2)
+    spectra, passes, row_steps = _parity_spectra(pot, grid)
+    eigs = sorted(spectra[0] + spectra[1])
     result = SpectrumResult(potential=pot, grid=grid,
-                            negative_eigenvalues=descending,
+                            negative_eigenvalues=tuple(reversed(eigs)),
                             sum_negative=-float(sum(eigs)) + 0.0,
                             potential_integral=potential_integral(pot),
-                            sturm_passes=passes)
-    if check_grid:
-        finer = discretize_and_solve(pot, GridSpec(L, 2 * n), check_grid=False)
-        scale = max(abs(finer.sum_negative), 1e-30)
-        if abs(result.sum_negative - finer.sum_negative) / scale > 1e-2:
+                            sturm_passes=passes, row_steps=row_steps)
+    if finer is not None:
+        even, odd = _parity_spectra(pot, finer, spectra)[0]
+        finer_sum = -sum(even + odd)
+        scale = max(abs(finer_sum), 1e-30)
+        if abs(result.sum_negative - finer_sum) / scale > 1e-2:
             warnings.warn(
                 f"sum of negative eigenvalues moves {result.sum_negative!r} -> "
-                f"{finer.sum_negative!r} when n_points doubles", GridTooCoarseWarning, stacklevel=2)
+                f"{finer_sum!r} when n_points doubles", GridTooCoarseWarning, stacklevel=2)
     return result
 
 

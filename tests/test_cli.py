@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,13 +18,35 @@ from ltbounds import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def run_cli(*args, timeout=None):
+class CliResult(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """Run cli.main in this process: its exit code and what it printed.
+    Any exception other than SystemExit fails the test."""
+    def run(*args):
+        capsys.readouterr()
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return CliResult(code, out, err)
+    return run
+
+
+def run_entry_point(*args, timeout=None):
+    """Run python -m ltbounds in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "ltbounds", *args],
                           capture_output=True, text=True, timeout=timeout)
 
 
 def test_bound_momentum_optimal_json():
-    proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "momentum-optimal")
+    proc = run_entry_point("bound", "--d", "1", "--sigma", "1", "--method", "momentum-optimal")
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
     assert blob["method"] == "momentum_optimal"
@@ -31,7 +54,7 @@ def test_bound_momentum_optimal_json():
     np.testing.assert_allclose(blob["l_ratio"], 1.618434370801864, rtol=1e-12)
 
 
-def test_bound_from_c_fractional():
+def test_bound_from_c_fractional(run_cli):
     proc = run_cli("bound", "--d", "3", "--sigma", "0.5", "--method", "from-c",
                    "--c-value", "0.046737")
     assert proc.returncode == 0
@@ -40,14 +63,14 @@ def test_bound_from_c_fractional():
     np.testing.assert_allclose(blob["k_ratio"], 0.826297, atol=1e-4)
 
 
-def test_bound_best_of_carries_lifted_ratio():
+def test_bound_best_of_carries_lifted_ratio(run_cli):
     proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "best-of")
     blob = json.loads(proc.stdout)
     assert blob["method"] == "best_of"
     np.testing.assert_allclose(blob["l_ratio"], 1.455786, rtol=1e-12)
 
 
-def test_bound_csv_json_numeric_identity():
+def test_bound_csv_json_numeric_identity(run_cli):
     args = ("bound", "--d", "3", "--sigma", "1", "--method", "momentum-optimal")
     blob = json.loads(run_cli(*args, "--format", "json").stdout)
     row = next(csv.DictReader(io.StringIO(run_cli(*args, "--format", "csv").stdout)))
@@ -55,7 +78,7 @@ def test_bound_csv_json_numeric_identity():
         assert float(row[key]) == blob[key]
 
 
-def test_bound_text_format():
+def test_bound_text_format(run_cli):
     proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "rumin-original",
                    "--format", "text")
     assert proc.returncode == 0
@@ -63,7 +86,7 @@ def test_bound_text_format():
     assert f"{math.sqrt(5.0):.6f}" in proc.stdout
 
 
-def test_bound_optimized_c(tmp_path):
+def test_bound_optimized_c(run_cli, tmp_path):
     proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "from-c",
                    "--optimize", "--max-iters", "40")
     assert proc.returncode == 0
@@ -77,7 +100,7 @@ def test_bound_optimized_c(tmp_path):
     ("2.0,0.05", "3 of 3 initial simplex points are infeasible"),
     ("2.0,0.5,1.0", "expects seed_params = (a, p)"),
 ], ids=["infeasible", "wrong-length"])
-def test_bound_optimize_bad_seed_is_usage_error(seed, message):
+def test_bound_optimize_bad_seed_is_usage_error(run_cli, seed, message):
     proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "from-c", "--optimize",
                    "--phi-kind", "bump_simple", "--seed", seed)
     assert proc.returncode == 2
@@ -85,7 +108,7 @@ def test_bound_optimize_bad_seed_is_usage_error(seed, message):
     assert "Traceback" not in proc.stderr
 
 
-def test_bound_optimize_non_finite_seed_is_usage_error():
+def test_bound_optimize_non_finite_seed_is_usage_error(run_cli):
     proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "from-c", "--optimize",
                    "--seed", "inf,0.25,0.36,2.1")
     assert proc.returncode == 2
@@ -95,7 +118,7 @@ def test_bound_optimize_non_finite_seed_is_usage_error():
     assert proc.stdout == ""
 
 
-def test_bound_optimize_at_tau_below_float_spacing_is_usage_error():
+def test_bound_optimize_at_tau_below_float_spacing_is_usage_error(run_cli):
     # tau = 5e-17: 1 + tau == 1.0, so every simplex point is divergent
     proc = run_cli("bound", "--d", "1", "--sigma", "1e16", "--method", "from-c", "--optimize",
                    "--max-iters", "5")
@@ -105,7 +128,7 @@ def test_bound_optimize_at_tau_below_float_spacing_is_usage_error():
 
 
 @pytest.mark.parametrize("d, sigma", [("100", "1e-3"), ("1000", "0.01"), ("100000", "1"), ("1", "1e-9")])
-def test_bound_best_of_at_large_tau(d, sigma):
+def test_bound_best_of_at_large_tau(run_cli, d, sigma):
     proc = run_cli("bound", "--d", d, "--sigma", sigma, "--method", "best-of")
     assert proc.returncode == 0, proc.stderr
     blob = json.loads(proc.stdout)
@@ -113,14 +136,14 @@ def test_bound_best_of_at_large_tau(d, sigma):
 
 
 @pytest.mark.parametrize("sigma, c_value", [("1", "1e-320"), ("1e-9", "1e300")])
-def test_bound_c_value_outside_float_range_is_usage_error(sigma, c_value):
+def test_bound_c_value_outside_float_range_is_usage_error(run_cli, sigma, c_value):
     proc = run_cli("bound", "--d", "1", "--sigma", sigma, "--method", "from-c", "--c-value", c_value)
     assert proc.returncode == 2
     assert "float range" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-def test_bound_usage_errors():
+def test_bound_usage_errors(run_cli):
     assert run_cli("bound", "--d", "1", "--sigma", "1").returncode == 2
     assert run_cli("bound", "--d", "0", "--sigma", "1", "--method", "best-of").returncode == 2
     assert run_cli("bound", "--d", "3", "--sigma", "0.5", "--method", "rumin-original").returncode == 2
@@ -130,7 +153,7 @@ def test_bound_usage_errors():
                    "--c-value", "2").returncode == 2
 
 
-def test_bound_fractional_first_alias_is_gone():
+def test_bound_fractional_first_alias_is_gone(run_cli):
     # momentum-optimal already labels sigma != 1 as fractional_first
     proc = run_cli("bound", "--d", "3", "--sigma", "0.5", "--method", "fractional-first")
     assert proc.returncode == 2
@@ -141,7 +164,7 @@ def test_bound_fractional_first_alias_is_gone():
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])
-def test_unreadable_config_is_usage_error(tmp_path, command):
+def test_unreadable_config_is_usage_error(run_cli, tmp_path, command):
     proc = run_cli(command, str(tmp_path / "missing.json"))
     assert proc.returncode == 2
     assert "error: cannot read config: [Errno 2] No such file or directory" in proc.stderr
@@ -149,7 +172,7 @@ def test_unreadable_config_is_usage_error(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])
-def test_invalid_json_config_is_usage_error(tmp_path, command):
+def test_invalid_json_config_is_usage_error(run_cli, tmp_path, command):
     config = tmp_path / "config.json"
     config.write_text("[{")
     proc = run_cli(command, str(config))
@@ -158,7 +181,7 @@ def test_invalid_json_config_is_usage_error(tmp_path, command):
     assert "Traceback" not in proc.stderr
 
 
-def test_out_writes_file(tmp_path):
+def test_out_writes_file(run_cli, tmp_path):
     target = tmp_path / "report.json"
     proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "momentum-optimal",
                    "--out", str(target))
@@ -181,14 +204,14 @@ def test_unopenable_out_is_usage_error(tmp_path, argv):
     else:
         config.write_text(json.dumps([{"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0},
                                        "grid": {"half_width": 10.0, "n_points": 201}}]))
-    proc = run_cli(*(str(config) if arg == "CONFIG" else arg for arg in argv),
-                   "--out", str(tmp_path / "missing" / "x"))
+    proc = run_entry_point(*(str(config) if arg == "CONFIG" else arg for arg in argv),
+                           "--out", str(tmp_path / "missing" / "x"))
     assert proc.returncode == 2
     assert "cannot write --out" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-def test_optimize_streams_json_lines(tmp_path):
+def test_optimize_streams_json_lines(run_cli, tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps([
         {"d": 1, "sigma": 1.0, "seed_params": [4.5, 0.25, 0.36, 2.1], "max_iters": 10},
@@ -204,7 +227,7 @@ def test_optimize_streams_json_lines(tmp_path):
                           "best_value": min(records[0]["best_value"], records[1]["best_value"])}
 
 
-def test_optimize_config_errors(tmp_path):
+def test_optimize_config_errors(run_cli, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([{"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5],
                                 "stepsize": 0.2}]))
@@ -221,7 +244,7 @@ def test_optimize_config_errors(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
-def test_optimize_bad_config_keeps_out_file(tmp_path):
+def test_optimize_bad_config_keeps_out_file(run_cli, tmp_path):
     # the sweep is validated before --out opens (and truncates) the file
     target = tmp_path / "results.jsonl"
     target.write_text('{"run": 0}\n')
@@ -233,7 +256,7 @@ def test_optimize_bad_config_keeps_out_file(tmp_path):
     assert target.read_text() == '{"run": 0}\n'
 
 
-def test_table_paper_passes():
+def test_table_paper_passes(run_cli):
     proc = run_cli("table", "--paper")
     assert proc.returncode == 0
     rows = json.loads(proc.stdout)
@@ -243,7 +266,7 @@ def test_table_paper_passes():
     assert run_cli("table").returncode == 2
 
 
-def test_table_formats_agree():
+def test_table_formats_agree(run_cli):
     jrows = json.loads(run_cli("table", "--paper", "--format", "json").stdout)
     crows = list(csv.DictReader(io.StringIO(run_cli("table", "--paper", "--format", "csv").stdout)))
     assert len(jrows) == len(crows)
@@ -254,7 +277,7 @@ def test_table_formats_agree():
     assert "pass" in text and "fail" not in text
 
 
-def test_verify_default_suite_holds():
+def test_verify_default_suite_holds(run_cli):
     proc = run_cli("verify")
     assert proc.returncode == 0
     blob = json.loads(proc.stdout)
@@ -263,7 +286,7 @@ def test_verify_default_suite_holds():
     assert all(case["margin"] > 0.0 for case in blob["cases"])
 
 
-def test_verify_fails_at_semiclassical_ratio():
+def test_verify_fails_at_semiclassical_ratio(run_cli):
     proc = run_cli("verify", "--l-ratio", "1.0")
     assert proc.returncode == 1
     blob = json.loads(proc.stdout)
@@ -272,7 +295,7 @@ def test_verify_fails_at_semiclassical_ratio():
     assert not failing["poschl_teller(nu=2,width=1)"]
 
 
-def test_verify_custom_config(tmp_path):
+def test_verify_custom_config(run_cli, tmp_path):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps({"cases": [
         {"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0},
@@ -287,6 +310,8 @@ def test_verify_custom_config(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")
     assert run_cli("verify", str(empty)).returncode == 0
+    empty.write_text(json.dumps({"cases": []}))
+    assert run_cli("verify", str(empty)).returncode == 0
 
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps([{"potential": {"kind": "morse"},
@@ -294,7 +319,24 @@ def test_verify_custom_config(tmp_path):
     assert run_cli("verify", str(broken)).returncode == 2
 
 
-def test_verify_csv_format():
+FAILING_CASE = {"potential": {"kind": "poschl_teller", "nu": 2.0}, "grid": {"half_width": 20.0, "n_points": 201}}
+
+
+@pytest.mark.parametrize("config", [
+    {}, {"case": [FAILING_CASE]}, {"cases": [], "extra": 1}, {"cases": FAILING_CASE},
+], ids=["empty-object", "misspelt-key", "extra-key", "cases-not-a-list"])
+def test_verify_config_object_needs_exactly_a_cases_list(run_cli, tmp_path, config):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(config))
+    proc = run_cli("verify", str(path), "--l-ratio", "1.0")
+    assert proc.returncode == 2
+    assert "verify config" in proc.stderr
+    assert proc.stdout == ""
+    path.write_text(json.dumps({"cases": [FAILING_CASE]}))  # the case does fail when read
+    assert run_cli("verify", str(path), "--l-ratio", "1.0").returncode == 1
+
+
+def test_verify_csv_format(run_cli):
     proc = run_cli("verify", "--format", "csv")
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     assert len(rows) == 4
@@ -302,7 +344,7 @@ def test_verify_csv_format():
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-def test_verify_rejects_bad_l_ratio(value):
+def test_verify_rejects_bad_l_ratio(run_cli, value):
     proc = run_cli("verify", f"--l-ratio={value}")
     assert proc.returncode == 2
     assert "--l-ratio must be positive and finite" in proc.stderr
@@ -318,7 +360,7 @@ def test_verify_rejects_bad_l_ratio(value):
     (["table", "--paper", "--quad-rel-tol", "inf"], "unrecognized arguments: --quad-rel-tol inf"),
     (["verify", "--quad-rel-tol=1e-6"], "unrecognized arguments: --quad-rel-tol=1e-6"),
 ], ids=["bound", "optimize", "table", "table-inf", "verify"])
-def test_bad_quad_tol_is_usage_error(tmp_path, argv, message):
+def test_bad_quad_tol_is_usage_error(run_cli, tmp_path, argv, message):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps([{"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5],
                                    "phi_kind": "bump_simple", "max_iters": 1}]))
@@ -329,7 +371,7 @@ def test_bad_quad_tol_is_usage_error(tmp_path, argv, message):
 
 
 @pytest.mark.parametrize("key, value", [("x_tol", 1e-6), ("f_tol", 1e-9), ("initial_simplex_scale", 0.15)])
-def test_sweep_simplex_knobs_are_unknown_config_fields(tmp_path, key, value):
+def test_sweep_simplex_knobs_are_unknown_config_fields(run_cli, tmp_path, key, value):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps([{"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5],
                                    "phi_kind": "bump_simple", "max_iters": 1, key: value}]))
@@ -365,7 +407,7 @@ def test_sweep_simplex_knobs_are_unknown_config_fields(tmp_path, key, value):
 ], ids=["half_width-inf", "depth-inf", "nu-nan", "width-inf", "n_points-fraction", "n_points-overflow",
         "n_points-1e300", "depth-string", "width-bool", "integral-overflow",
         "spacing-squared-underflow", "spacing-inverse-fourth-overflow", "spacing-squared-overflow"])
-def test_verify_non_finite_config_is_usage_error(tmp_path, case):
+def test_verify_non_finite_config_is_usage_error(run_cli, tmp_path, case):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([case]))
     proc = run_cli("verify", str(config))
@@ -379,7 +421,7 @@ def test_verify_deep_well_terminates(tmp_path):
     config = tmp_path / "deep.json"
     config.write_text(json.dumps([{"potential": {"kind": "square_well", "depth": depth, "width": 2.0},
                                    "grid": {"half_width": 10.0, "n_points": 101}} for depth in (5.5e5, 4e6)]))
-    proc = run_cli("verify", str(config), timeout=60)
+    proc = run_entry_point("verify", str(config), timeout=60)
     assert proc.returncode == 0
     cases = json.loads(proc.stdout)["cases"]
     assert [len(case["negative_eigenvalues"]) for case in cases] == [11, 11]  # one per node in the well

@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 
 import mpmath
@@ -284,12 +285,17 @@ def test_sturm_count_rejects_nan_shift():
 
 
 def test_default_suite_pivot_passes():
-    """Pivot passes per case stay below the bisection-only scan's 36 / 74 / 139 / 72."""
-    passes = [verify.discretize_and_solve(pot, grid).sturm_passes for pot, grid in verify.default_suite()]
+    """Pivot passes per case stay below the bisection-only scan's 36 / 74 / 139 / 72, and the
+    row-steps of every level below the 296,000 that cold starts spent on the requested grids."""
+    results = [verify.discretize_and_solve(pot, grid) for pot, grid in verify.default_suite()]
+    passes = [res.sturm_passes for res in results]
+    row_steps = [res.row_steps for res in results]
     assert all(p < bisection for p, bisection in zip(passes, (36, 74, 139, 72))), passes
     assert sum(passes) <= 190, passes
-    assert passes == [verify.discretize_and_solve(pot, grid).sturm_passes
-                      for pot, grid in verify.default_suite()]
+    assert sum(row_steps) <= 190_000, row_steps
+    again = [verify.discretize_and_solve(pot, grid) for pot, grid in verify.default_suite()]
+    assert passes == [res.sturm_passes for res in again]
+    assert row_steps == [res.row_steps for res in again]
 
 
 # one well per family with 1, 4 and 8 bound states, then the default suite
@@ -344,3 +350,138 @@ def test_sturm_count_matches_dense_eigvalsh(entries, shift):
     eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     assume(np.min(np.abs(eigs - shift)) > 1e-8 * np.max(np.abs(eigs)))
     assert verify.sturm_count_below(diag, off, shift) == int(np.sum(eigs < shift))
+
+
+def _pivots_before_folding(diag, off2, shift, pivmin):
+    """_pivots as it stood with a separate tiny-pivot clamp and a diag[1:] copy."""
+    q = diag[0] - shift
+    if -pivmin < q < pivmin:
+        q = -pivmin
+    count = 1 if q < 0.0 else 0
+    s = t = -1.0 / q
+    for d, e2 in zip(diag[1:], off2):
+        r = e2 / q
+        q = d - shift - r
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+        t = (r * t - 1.0) / q
+        s += t
+    return count, s
+
+
+TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160)
+
+
+def _tridiagonals(entry, off2_entry):
+    return st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.lists(entry, min_size=n, max_size=n), st.lists(off2_entry, min_size=n - 1, max_size=n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tridiagonals(st.one_of(st.sampled_from(TINY), st.floats()), st.one_of(st.sampled_from(TINY), st.floats())),
+       st.data())
+def test_pivots_bit_identical_to_unfolded_loop(entries, data):
+    """Same count and the same s, bit for bit, nan, infinities and signed zeros included."""
+    diag, off2 = entries
+    shift = data.draw(st.one_of(st.sampled_from(diag), st.floats()))
+    pivmin = verify._SAFE_MIN * max(1.0, max(off2, default=0.0))
+    count, s = verify._pivots(diag, off2, shift, pivmin)
+    want_count, want_s = _pivots_before_folding(diag, off2, shift, pivmin)
+    assert count == want_count
+    assert struct.pack("<d", s) == struct.pack("<d", want_s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tridiagonals(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(-10.0, 10.0)),
+                     st.one_of(st.just(0.0), st.floats(1e-6, 100.0))),
+       st.data())
+@example(entries=([0.0, 1.0], [1.0]), data=None)  # the first pivot is exactly zero
+def test_pivots_match_dense_spectrum(entries, data):
+    """The count of eigenvalues below the shift, and s = sum 1/(shift - lambda_i) where no
+    pivot is tiny, against numpy's dense eigvalsh.  A shift on or next to a diagonal entry
+    makes zero and tiny pivots.  Matrix entries stay away from the subnormal range, where
+    eigvalsh itself loses digits (+-1.41455 for +-sqrt(2) with a 2.2e-162 off-diagonal)."""
+    diag, off2 = entries
+    shift = 0.0 if data is None else data.draw(st.one_of(
+        st.builds(lambda d, nudge: d + nudge, st.sampled_from(diag), st.sampled_from((0.0, 1e-300, 1e-15, -1e-15))),
+        st.floats(-30.0, 30.0)))
+    dense = np.diag(diag) + np.diag(np.sqrt(off2), 1) + np.diag(np.sqrt(off2), -1)
+    eigs = np.linalg.eigvalsh(dense)
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    assume(np.min(np.abs(eigs - shift)) > 1e-8 * scale)
+    pivmin = verify._SAFE_MIN * max(1.0, max(off2, default=0.0))
+    count, s = verify._pivots(diag, off2, shift, pivmin)
+    assert count == int(np.sum(eigs < shift))
+    # every pivot is det(T_k - shift) / det(T_(k-1) - shift), so none is tiny when the shift keeps
+    # away from the spectrum of every leading block T_k; 1e-5 * scale away from T's own, the
+    # dense terms 1/(shift - lambda_i) carry at most about 2e-11 relative error
+    if all(np.min(np.abs(np.linalg.eigvalsh(dense[:k, :k]) - shift)) > 1e-5 * scale
+           for k in range(1, len(diag) + 1)):
+        terms = 1.0 / (shift - eigs)
+        assert abs(s - float(np.sum(terms))) <= 1e-9 * float(np.sum(np.abs(terms)))
+
+
+WELL = verify.PotentialSpec(kind="gaussian_well", depth=30.0)
+
+
+@pytest.mark.parametrize("make_starts", [
+    lambda cold, lower: cold,
+    lambda cold, lower: cold[::-1],
+    lambda cold, lower: [cold[0]] * 2 * len(cold),
+    lambda cold, lower: [lower - 5.0, lower, 0.0, 1.0, -0.0],
+    lambda cold, lower: [math.nan, math.inf, -math.inf, math.nan],
+    lambda cold, lower: cold[:1],
+    lambda cold, lower: cold + [-0.5] * 10,
+    lambda cold, lower: [cold[-1], math.nan, *cold[1:], -math.inf, cold[0]],
+], ids=["exact", "reversed", "duplicates", "outside", "non-finite", "short", "long", "mixed"])
+def test_starts_change_passes_never_results(make_starts):
+    diag, off, vmin = _tridiag(WELL, verify.GridSpec(10.0, 301))
+    lower = vmin - 1.0
+    tol = max(1e-10, 4.0 * math.ulp(lower))
+    off2 = (off * off).tolist()
+    cold, cold_passes = verify._negative_eigenvalues(diag.tolist(), off2, lower, [])
+    assert len(cold) == 4
+    starts = make_starts(cold, lower)
+    eigs, passes = verify._negative_eigenvalues(diag.tolist(), off2, lower, starts)
+    assert len(eigs) == len(cold)
+    np.testing.assert_allclose(eigs, cold, rtol=0.0, atol=tol)
+    for j, lam in enumerate(eigs):
+        assert verify.sturm_count_below(diag, off, lam - tol) <= j
+        assert verify.sturm_count_below(diag, off, lam + tol) > j
+    if starts == cold:
+        assert passes < cold_passes
+
+
+def test_advisories_fire_for_the_requested_grid_only():
+    """The coarser levels that supply starts have wider spacing but never warn."""
+    for pot, grid in ((verify.PotentialSpec(kind="square_well", depth=3.0, width=0.04), verify.GridSpec(10.0, 1601)),
+                      (verify.PotentialSpec(kind="gaussian_well", depth=5.0, width=3.0), verify.GridSpec(4.0, 1601))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            verify.discretize_and_solve(pot, grid)
+        assert len(caught) == 1 and caught[0].category is verify.GridTooCoarseWarning, caught
+
+
+def test_check_grid_starts_from_the_requested_grid(monkeypatch):
+    """The doubled solve probes this grid's eigenvalues first."""
+    pot, grid = verify.default_suite()[3]
+    calls = []
+    solve = verify._negative_eigenvalues
+    monkeypatch.setattr(verify, "_negative_eigenvalues",
+                        lambda diag, off2, lower, starts: calls.append((len(diag), list(starts)))
+                        or solve(diag, off2, lower, starts))
+    res = verify.discretize_and_solve(pot, grid, check_grid=True)
+    even, odd = calls[-2:]
+    assert even[0] == odd[0] == grid.n_points  # the parity blocks of 2 n_points
+    assert sorted(even[1] + odd[1]) == sorted(res.negative_eigenvalues)
+
+
+def test_no_coarse_level_where_its_spacing_squared_overflows():
+    """h^2 is finite on 401 nodes in [-1e156, 1e156], not on the 100 nodes of its coarse level."""
+    well = verify.PotentialSpec(kind="square_well", depth=3.0, width=2.0)
+    with pytest.warns(verify.GridTooCoarseWarning, match="quarter of the well width"):
+        res = verify.discretize_and_solve(well, verify.GridSpec(1e156, 401))
+    assert len(res.negative_eigenvalues) == 1
+    assert 200 * res.sturm_passes <= res.row_steps <= 201 * res.sturm_passes  # blocks of 201 and 200 rows only
