@@ -28,9 +28,15 @@ batch of outer nodes t^a and one outer product.  For 1 - g the rule's rows
 with s^a within delta_0 ~ 1/65 of 1 (the panels graded toward s = 1) are
 folded, once per evaluation, into a 4-point Gauss rule in delta = s^a - 1
 whose error is at most 2^-54 of their sum (_one_minus_g_factory): about
-800 rows instead of 1,350 per batch.  The test suite checks this 1 - g
-against 30-digit mpmath and against the exact sum over all 1,350 rows to
-2e-15 relative.  The indicator profile needs no integral over t:
+800 rows instead of 1,350 per batch.  Toward s = 0, where x = mu s^a t^a
+<= eps(p) <= 2^-19 for every node of a batch, 1 - f is the three-term
+series p x - C_2 x^2 + C_3 x^3 to 2^-54 of those rows' sum: they are
+summed from three moments scaled by the last folded row, and only the rows
+above that cut go through the log1p/expm1 kernel (33.2 M instead of 54.5 M
+kernel elements over the optimizer run from the criterion-5 start).  The
+test suite checks this 1 - g against 30-digit mpmath and against the exact
+sum over all 1,350 rows to 2e-15 relative.  The indicator profile needs no
+integral over t:
 1 - g(t) = T(1/t) with T(x) = int_x^1 phi, and by parts tau int_1^inf
 T(1/t)^2 t^(-1-tau) dt = 2 int_0^1 phi x^tau T dx, one sum on the graded
 rule with T at its nodes from the later panels' mass and quad.graded_tails.
@@ -191,12 +197,45 @@ def _gauss_rows(delta, w):
     return nodes, mass * vecs[0] ** 2
 
 
+# Rows with x = mu s^a t^a <= _series_eps(p) take 1 - f as _SERIES_TERMS terms
+# of its alternating series; _SERIES_EPS caps eps (_one_minus_g_factory).
+_SERIES_TERMS = 3
+_SERIES_EPS = 2.0**-19
+
+
+def _series_eps(p: float) -> float:
+    """eps = min(_SERIES_EPS, (2^-55 p / C_(K+1))^(1/K)) for K = _SERIES_TERMS
+    and C_k = (p)_k / k!: the series bound below is then at most
+    2^-55 / (1 - (p + 1) eps / 2) <= 2^-54.  A C_(K+1) that overflows gives
+    eps = 0: no row is folded."""
+    c_next_over_p = math.prod((p + k) / (k + 1) for k in range(1, _SERIES_TERMS + 1))
+    return min(_SERIES_EPS, (2.0**-55 / c_next_over_p) ** (1.0 / _SERIES_TERMS))
+
+
 def _one_minus_g_factory(fam: ProfileFamily, wphi):
     """Vectorized t -> 1 - g(t) for a smooth profile, exact at small t.
 
     Since int phi = 1, 1 - g(t) = int phi(s)(1 - f(st)) ds: one matrix product
     per batch of outer nodes with wphi, the graded rule's weights times phi,
-    and x = (mu s^a) t^a.  The rule's panels graded toward s = 1 exist only for
+    and x = (mu s^a) t^a.
+
+    The s -> 0 end: the rows mu_x = mu s^a ascend, so each batch of outer
+    nodes has one cut r0, the first row with mu_x max(t^a) >= eps =
+    _series_eps(p).  The rows below it, where every x <= eps, are summed as
+
+        sum_(k=1..K) (-1)^(k+1) C_k (z t^a)^k M_k,  M_k = sum_(i<r0) w_i (mu_x_i / z)^k,
+
+    with C_k = (p)_k / k!, K = _SERIES_TERMS and z = mu_x[r0 - 1]; only rows
+    r0.. go through the kernel one_minus_rational.  Rescaled by z, the
+    moments are sums of terms <= w_i led by the largest rows, and z t^a <=
+    eps, so nothing overflows and no leading term underflows even where t^a
+    is near 1e300.  For x <= eps the series of 1 - (1 + x)^(-p) alternates
+    with decreasing terms, so a row's error is at most C_(K+1) x^(K+1) and
+    its value at least p x (1 - (p + 1) x / 2): relative to the folded rows'
+    own sum the error is at most C_(K+1) eps^K / (p (1 - (p + 1) eps / 2)),
+    which _series_eps keeps at or below 2^-54.
+
+    The s -> 1 end: the rule's panels graded toward s = 1 exist only for
     phi's (1 - s^q)^r corner; the rows with delta = s^a - 1 in [-delta_0, 0]
     become the M-point Gauss rule of sum wphi_i [delta = delta_i], rows
     mu (1 + delta_g) with weights W_g.  With X = mu t^a, 1 - f = 1 - (1 + X +
@@ -225,17 +264,39 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
     else:
         mu_x = fam.mu * np.concatenate((s_a[:start], 1.0 + gauss[0]))
         w_x = np.concatenate((wphi[:start], gauss[1]))
+    eps = _series_eps(fam.p)
+    coef, c_k = [], 1.0  # (-1)^(k+1) C_k, k = 1..K
+    for k in range(1, _SERIES_TERMS + 1):
+        c_k *= (fam.p + (k - 1)) / k
+        coef.append(c_k if k % 2 else -c_k)
     # one reused (s, t) buffer, grown to the widest batch: fresh arrays per batch
     # can let malloc trim the heap and fault the pages in again, ~1e6 faults a sweep
     work = np.empty(0)
 
     def factored(t_a):
         nonlocal work
-        if work.size < mu_x.size * t_a.size:
-            work = np.empty(mu_x.size * t_a.size)
-        buf = work[: mu_x.size * t_a.size].reshape(mu_x.size, t_a.size)
-        np.einsum("i,j->ij", mu_x, t_a, out=buf)  # np.multiply.outer would allocate a temporary
-        return w_x @ one_minus_rational(fam.p, buf, out=buf)
+        cut = int(np.searchsorted(mu_x * t_a.max(initial=0.0), eps))
+        rows = mu_x.size - cut
+        if work.size < rows * t_a.size:
+            work = np.empty(rows * t_a.size)
+        buf = work[: rows * t_a.size].reshape(rows, t_a.size)
+        np.einsum("i,j->ij", mu_x[cut:], t_a, out=buf)  # np.multiply.outer would allocate a temporary
+        out = w_x[cut:] @ one_minus_rational(fam.p, buf, out=buf)
+        z = mu_x[cut - 1] if cut else 0.0
+        if z > 0.0:  # the rows below the cut, as the series in y = z t^a
+            ratio = mu_x[:cut] / z
+            moment = w_x[:cut] * ratio
+            terms = []
+            for c in coef:
+                terms.append(c * moment.sum())
+                moment *= ratio
+            y = z * t_a
+            series = terms[-1] * y
+            for c_m in terms[-2::-1]:  # Horner
+                series += c_m
+                series *= y
+            out += series
+        return out
 
     def one_minus_g(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -92,6 +92,18 @@ class QuadResult:
 
 DEFAULT_SPEC = QuadSpec()
 _START_PANELS = 4  # integrate() scores these equal panels in its first call
+_START_STEPS = np.arange(_START_PANELS + 1.0)
+
+
+def _start_edges(lo: float, hi: float):
+    """The edges of the start panels, np.linspace(lo, hi, _START_PANELS + 1)
+    in its own arithmetic (k steps of (hi - lo) / _START_PANELS, then the
+    last edge set to hi) without its overhead: bit for bit the same wherever
+    that step is nonzero."""
+    edges = _START_STEPS * ((hi - lo) / _START_PANELS)
+    edges += lo
+    edges[-1] = hi
+    return edges
 
 
 def _panels(func, los, his):
@@ -127,7 +139,7 @@ def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadR
     if lo == hi:
         return QuadResult(0.0, 0.0, 0, True)
 
-    edges = np.linspace(lo, hi, _START_PANELS + 1)
+    edges = _start_edges(lo, hi)
     los, his = edges[:-1].copy(), edges[1:].copy()
     vals, errs = _panels(func, los, his)
     frozen_v = frozen_e = 0.0  # panels too narrow to split further

@@ -61,6 +61,7 @@ more than 1 percent.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -156,12 +157,13 @@ class GridSpec:
             raise ValueError(f"n_points must be an integer in [3, {MAX_GRID_POINTS}], got {self.n_points!r}")
         object.__setattr__(self, "n_points", int(self.n_points))
         h = 2.0 * self.half_width / (self.n_points + 1)
-        try:  # 2/h^4 is the largest squared off-diagonal of the parity blocks
-            largest = 2.0 * (1.0 / h**2) ** 2
+        try:  # the parity blocks' squared off-diagonals are (1/h^2)^2 and 2/h^4
+            off2 = (1.0 / h**2) ** 2
         except (OverflowError, ZeroDivisionError):
-            largest = math.inf
-        if not math.isfinite(largest):
-            raise ValueError(f"grid spacing {h!r} must have finite, nonzero h^2 and 2/h^4")
+            off2 = math.inf
+        if not (sys.float_info.min <= off2 and 2.0 * off2 < math.inf):
+            raise ValueError(f"grid spacing {h!r} must have finite, nonzero h^2, "
+                             "a normal (1/h^2)^2 and a finite 2/h^4")
 
     to_json = spec_to_json
 
@@ -304,7 +306,7 @@ def _negative_eigenvalues(diag: list, off2: list, lower: float, starts) -> tuple
 
 def _coarser(grid: GridSpec) -> GridSpec | None:
     """The same box with n_points // _COARSEN nodes, or None below _COARSE_MIN
-    nodes or where that spacing's square overflows."""
+    nodes or where GridSpec rejects that spacing."""
     n = grid.n_points // _COARSEN
     if n < _COARSE_MIN:
         return None

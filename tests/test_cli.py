@@ -404,9 +404,12 @@ def test_sweep_simplex_knobs_are_unknown_config_fields(run_cli, tmp_path, key, v
      "grid": {"half_width": 10.0, "n_points": 101}},
     *({"potential": {"kind": "square_well", "depth": 1, "width": 1},
        "grid": {"half_width": half_width, "n_points": 5}} for half_width in (1e-300, 1e-150, 1e300)),
+    {"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0},
+     "grid": {"half_width": 1e156, "n_points": 401}},
 ], ids=["half_width-inf", "depth-inf", "nu-nan", "width-inf", "n_points-fraction", "n_points-overflow",
         "n_points-1e300", "depth-string", "width-bool", "integral-overflow",
-        "spacing-squared-underflow", "spacing-inverse-fourth-overflow", "spacing-squared-overflow"])
+        "spacing-squared-underflow", "spacing-inverse-fourth-overflow", "spacing-squared-overflow",
+        "spacing-inverse-fourth-underflow"])
 def test_verify_non_finite_config_is_usage_error(run_cli, tmp_path, case):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([case]))

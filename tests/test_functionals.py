@@ -206,36 +206,77 @@ def test_compressed_inner_rule_matches_full_rule(a, p_frac, kind, q, r, us):
     np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=1e-300)
 
 
-def test_compressed_inner_rule_falls_back_to_full_rows():
+def _counting_kernel(monkeypatch):
+    """Patch functionals.one_minus_rational to record the shape of every (rows, t-nodes) block."""
+    shapes = []
+    kernel = functionals.one_minus_rational
+
+    def counting(p, x, out=None):
+        shapes.append(x.shape)
+        return kernel(p, x, out=out)
+
+    monkeypatch.setattr(functionals, "one_minus_rational", counting)
+    return shapes
+
+
+def _series_rows(fam, ts):
+    """The number of rows the factory folds into the s -> 0 series for the
+    batch ts when it keeps every row of the graded rule."""
+    mu_x = fam.mu * quad.graded_rule()[0] ** fam.a
+    return int(np.searchsorted(mu_x * (ts**fam.a).max(), functionals._series_eps(fam.p)))
+
+
+def test_compressed_inner_rule_falls_back_to_full_rows(monkeypatch):
+    # without the s -> 1 fold the kernel sees every row from the series cut through s = 1
+    shapes = _counting_kernel(monkeypatch)
     nodes, weights = quad.graded_rule()
     ts = np.logspace(-2, 2, 15)
     # at p = 1e16 delta_0 ~ 9e-16 leaves one row in the suffix, fewer than 2M
     fam = trial.normalize_profile("rational_power", a=2.0, p=1e16)
     assert nodes.size - np.searchsorted(nodes**fam.a, 1.0 - functionals._suffix_width(fam.p)) < 8
     wphi = weights * trial.eval_weight(trial.normalize_weight("uniform"), nodes)
-    one_minus_g = functionals._one_minus_g_factory(fam, wphi)
-    np.testing.assert_array_equal(one_minus_g(ts), _full_rule_one_minus_g(fam, wphi, ts, exact_sum=False))
+    got = functionals._one_minus_g_factory(fam, wphi)(ts)
+    cut = _series_rows(fam, ts)
+    assert cut > 0 and shapes == [(nodes.size - cut, ts.size)]
+    np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=0)
     # a weight with no mass on the suffix: Lanczos breaks down at its first step
+    shapes.clear()
     fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
     wphi = np.where(nodes < 0.99, wphi, 0.0)
+    got = functionals._one_minus_g_factory(fam, wphi)(ts)
+    cut = _series_rows(fam, ts)
+    assert cut > 0 and shapes == [(nodes.size - cut, ts.size)]
+    np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=0)
+
+
+@pytest.mark.parametrize("a", [1.1, 5.2, 20.0, 99.0, 330.0, 400.0])
+@pytest.mark.parametrize("p", [0.05, 0.31, 3.0, 100.0, 1e16])
+def test_series_rows_across_the_float_range(a, p):
+    # batches that mix t from 1e-300 to 1e300, so one cut serves columns whose
+    # t^a spans the whole range or overflows; a batch with every mu t^a <= 1e-6,
+    # where the series takes every row; and the two together, where t^a up to
+    # 1e306 puts the cut among rows with mu s^a near 1e-310
+    p = max(p, 0.55 / a)  # 2pa > 1
+    fam = trial.normalize_profile("rational_power", a=a, p=p)
+    nodes, weights = quad.graded_rule()
+    wphi = weights * trial.eval_weight(trial.normalize_weight("bump_rich", q=0.36, r=2.1), nodes)
     one_minus_g = functionals._one_minus_g_factory(fam, wphi)
-    np.testing.assert_array_equal(one_minus_g(ts), _full_rule_one_minus_g(fam, wphi, ts, exact_sum=False))
+    mixed = np.random.default_rng(17).permutation(np.logspace(-300, 300, 60)).reshape(4, 15)
+    huge = 10.0 ** (np.linspace(280.0, 306.0, 15) / a)
+    small = (np.logspace(-40, -6, 15) / fam.mu) ** (1.0 / a)
+    for ts in (*mixed, small, np.concatenate((huge, small))):
+        np.testing.assert_allclose(one_minus_g(ts), _full_rule_one_minus_g(fam, wphi, ts),
+                                   rtol=2e-15, atol=1e-300, err_msg=repr(ts))
 
 
 def test_compressed_inner_rows_at_criterion_5_start(monkeypatch):
-    # each batch of 15 outer nodes per panel multiplies <= 830 rows instead of 1,350
-    sizes = []
-
-    def counting(p, x, out=None):
-        sizes.append(x.shape)
-        return one_minus_rational(p, x, out=out)
-
-    one_minus_rational = functionals.one_minus_rational
-    monkeypatch.setattr(functionals, "one_minus_rational", counting)
+    # near and far each score their 4 start panels in one batch of 60 t-nodes;
+    # of the 1,350 rows the s -> 1 fold leaves 791, and the s -> 0 series
+    # takes 628 of those for near (t < 1) and 36 for far
+    shapes = _counting_kernel(monkeypatch)
     fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
     functionals.averaging_objective(fam, trial.normalize_weight("bump_rich", q=0.42, r=1.8), P11)
-    assert sizes == [(sizes[0][0], 60), (sizes[0][0], 60)]  # the 4 start panels of near and far
-    assert sizes[0][0] <= 830
+    assert shapes == [(163, 60), (755, 60)]
 
 
 def test_integrand_calls_at_criterion_5_start(monkeypatch):

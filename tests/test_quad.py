@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ltbounds import quad
@@ -14,6 +14,19 @@ def test_polynomial_is_exact_in_one_panel():
     np.testing.assert_allclose(res.value, 8.0, rtol=1e-14)
     assert res.converged
     assert res.subdivisions_used == 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(ends=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2, unique=True))
+@example(ends=[0.0, 1.0])
+@example(ends=[-1.7e308, 1.7e308])  # hi - lo overflows: the first edge is nan in both
+@example(ends=[2.0**-1022, 2.0**-1022 + 7 * 2.0**-1074])  # a subnormal step rounded once
+def test_start_edges_are_linspace_bit_for_bit(ends):
+    lo, hi = sorted(ends)
+    assume((hi - lo) / quad._START_PANELS != 0.0)  # linspace's branch for a zero step
+    with np.errstate(over="ignore", invalid="ignore"):  # hi - lo overflows, and 0 * inf
+        got, want = quad._start_edges(lo, hi), np.linspace(lo, hi, quad._START_PANELS + 1)
+    assert got.tobytes() == want.tobytes(), (got, want)
 
 
 def test_zero_width_interval():

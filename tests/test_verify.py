@@ -1,6 +1,7 @@
 import math
 import struct
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -251,14 +252,21 @@ def test_potential_spec_rejects_non_finite(kwargs):
 
 @pytest.mark.parametrize("half_width, n_points", [
     (math.inf, 101), (math.nan, 101), (5.0, math.inf), (5.0, math.nan), (5.0, 101.5),
-    # h^2 underflows to 0, 1/h^4 overflows, h^2 overflows
-    (1e-300, 5), (1e-150, 5), (1e300, 5),
+    # h^2 underflows to 0, 1/h^4 overflows, h^2 overflows, 1/h^4 underflows to 0 or to a subnormal
+    (1e-300, 5), (1e-150, 5), (1e300, 5), (1e156, 401), (1e80, 199),
 ])
 def test_grid_spec_rejects_non_finite(half_width, n_points):
     with pytest.raises(ValueError):
         verify.GridSpec(half_width=half_width, n_points=n_points)
     with pytest.raises(ValueError):
         verify.grid_from_json({"half_width": half_width, "n_points": n_points})
+
+
+def test_grid_spec_rejects_vanishing_off_diagonal():
+    # 1/h^4 underflows to 0: the matrix would be diagonal, and each "eigenvalue" a node's V
+    with pytest.raises(ValueError, match=r"a normal \(1/h\^2\)\^2"):
+        verify.GridSpec(half_width=1e156, n_points=401)
+    assert verify.GridSpec(half_width=1e77, n_points=401).n_points == 401  # 1/h^4 ~ 1.6e-299 is normal
 
 
 def test_grid_spec_caps_n_points():
@@ -345,11 +353,46 @@ def test_eigenvalues_certified_and_match_dense_solver(pot, grid, states):
            st.lists(st.floats(-10.0, 10.0), min_size=n - 1, max_size=n - 1))),
        st.floats(-30.0, 30.0))
 @example(entries=([0.0, 3.1e-172], [3.1e-172]), shift=3.1e-172)  # off^2 underflows unless scaled
-def test_sturm_count_matches_dense_eigvalsh(entries, shift):
+# eigvalsh puts the eigenvalue sqrt(2) at 1.41455 here, above the shift: a dense oracle would expect 4
+@example(entries=([0.0, 0.0, 0.0, 0.0, 1e-160], [0.0, 0.0, 2.2227587494850775e-162, math.sqrt(2.0)]),
+         shift=1.4144)
+def test_sturm_count_matches_exact_pivot_count(entries, shift):
     diag, off = (np.array(v, dtype=float) for v in entries)
     eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     assume(np.min(np.abs(eigs - shift)) > 1e-8 * np.max(np.abs(eigs)))
-    assert verify.sturm_count_below(diag, off, shift) == int(np.sum(eigs < shift))
+    assert verify.sturm_count_below(diag, off, shift) == _exact_count_below(entries[0], entries[1], shift)
+
+
+def _exact_count_below(diag, off, shift):
+    """Eigenvalues below shift of the tridiagonal (diag, off): the negative
+    pivots of the LDL^T factorization of T - shift in Fraction arithmetic,
+    which holds every float exactly, subnormals included.  A zero pivot before
+    a nonzero off-diagonal is the limit of a tiny one: with the infinite pivot
+    after it, it counts as one negative pivot, and the next row starts again at
+    d - shift.  shift must not be an eigenvalue."""
+    shift = Fraction(shift)
+    count, q = 0, None  # q None: the row has no coupling to the one before
+    for k, d in enumerate(diag):
+        e2 = Fraction(off[k - 1]) ** 2 if k else 0
+        if q is None or e2 == 0:
+            q = Fraction(d) - shift
+        elif q == 0:
+            count, q = count + 1, None
+            continue
+        else:
+            q = Fraction(d) - shift - e2 / q
+        count += q < 0
+    return count
+
+
+@pytest.mark.parametrize("diag, off, shift, want", [
+    ([0.0, 0.0], [1.0], 0.0, 1),  # a zero leading pivot: eigenvalues -1 and 1
+    ([0.0, 0.0, 5.0], [1.0, 1.0], 0.5, 1),
+    ([2.0, 0.0, 0.0], [0.0, 1.0], 0.0, 1),  # two blocks, the second with a zero leading pivot
+    ([0.0, 0.0, 0.0, 0.0, 1e-160], [0.0, 0.0, 2.2227587494850775e-162, math.sqrt(2.0)], 1.4144, 5),
+])
+def test_exact_count_below(diag, off, shift, want):
+    assert _exact_count_below(diag, off, shift) == want
 
 
 def _pivots_before_folding(diag, off2, shift, pivmin):
@@ -478,10 +521,12 @@ def test_check_grid_starts_from_the_requested_grid(monkeypatch):
     assert sorted(even[1] + odd[1]) == sorted(res.negative_eigenvalues)
 
 
-def test_no_coarse_level_where_its_spacing_squared_overflows():
-    """h^2 is finite on 401 nodes in [-1e156, 1e156], not on the 100 nodes of its coarse level."""
+def test_no_coarse_level_where_its_spacing_is_rejected():
+    """(1/h^2)^2 is normal on 401 nodes in [-1e79, 1e79], subnormal on the 100 nodes of its coarse level."""
     well = verify.PotentialSpec(kind="square_well", depth=3.0, width=2.0)
+    with pytest.raises(ValueError, match="normal"):
+        verify.GridSpec(1e79, 100)
     with pytest.warns(verify.GridTooCoarseWarning, match="quarter of the well width"):
-        res = verify.discretize_and_solve(well, verify.GridSpec(1e156, 401))
+        res = verify.discretize_and_solve(well, verify.GridSpec(1e79, 401))
     assert len(res.negative_eigenvalues) == 1
     assert 200 * res.sturm_passes <= res.row_steps <= 201 * res.sturm_passes  # blocks of 201 and 200 rows only
