@@ -95,6 +95,10 @@ def _optimized_c(problem: ProblemSpec, args):
 
 
 def cmd_bound(args, parser) -> int:
+    if args.optimize and args.c_value is not None:
+        parser.error("--c-value and --optimize both set C; give one")
+    if args.method in ("rumin-original", "momentum-optimal") and (args.optimize or args.c_value is not None):
+        parser.error(f"--method {args.method} takes no C: drop --c-value and --optimize")
     try:
         problem = ProblemSpec(d=args.d, sigma=args.sigma)
     except ValueError as exc:

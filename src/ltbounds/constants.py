@@ -59,7 +59,6 @@ __all__ = [
     "l_cl",
     "l_cl_general",
     "deficit_min",
-    "dual_convert",
     "bound_rumin_original",
     "bound_momentum_optimal",
     "bound_from_c",
@@ -167,16 +166,6 @@ def deficit_min(beta: float) -> DeficitMin:
     return DeficitMin(value=math.exp(log_min), mu_star=math.exp(log_mu))
 
 
-def dual_convert(problem: ProblemSpec, k_ratio: float) -> float:
-    """l_ratio = k_ratio^(-d/(2 sigma)), in log space."""
-    if not k_ratio > 0.0:
-        raise ValueError(f"k_ratio must be positive, got {k_ratio!r}")
-    log_l = -problem.tau * math.log(k_ratio)
-    if not abs(log_l) <= _LOG_FLOAT_RANGE:
-        raise ValueError(f"l_ratio leaves the float range: log l = {log_l!r}")
-    return math.exp(log_l)
-
-
 def _log_k_momentum_optimal(problem: ProblemSpec) -> float:
     eps = problem.sigma / problem.d
     x = 2.0 * math.pi * eps / (1.0 + 2.0 * eps)
@@ -256,11 +245,10 @@ def product_identity_check(d1: int, d: int) -> float:
     return abs(lhs - rhs) / rhs
 
 
-def large_d_limit_probe(d: int, sigma: float = 1.0) -> float:
-    """l_ratio of the optimized momentum splitting at large d.
+def large_d_limit_probe(d: int) -> float:
+    """l_ratio of the optimized momentum splitting at large d, sigma = 1.
 
-    Approaches e from below as d -> inf at sigma = 1 (log l =
-    1 - (5 - pi^2/3) sigma/d + O(1/d^2)), which is the dimension-free
-    envelope of that method.
+    Approaches e from below as d -> inf (log l = 1 - (5 - pi^2/3)/d +
+    O(1/d^2)), which is the dimension-free envelope of that method.
     """
-    return bound_momentum_optimal(ProblemSpec(d=d, sigma=sigma)).l_ratio
+    return bound_momentum_optimal(ProblemSpec(d=d, sigma=1.0)).l_ratio

@@ -317,13 +317,17 @@ def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: Probl
     """C(f, phi) = (int phi^2)^tau * tau * int (1 - g)^2 t^(-1-tau) dt.
 
     Upper-bounds the sharp averaging constant of the problem for every
-    admissible pair; raises DivergentError for inadmissible profiles.
+    admissible pair; raises DivergentError for inadmissible profiles and for
+    a weight whose mass on quad.graded_rule is off 1 by more than 1e-12.
     """
     tau = problem.tau
     _require_admissible(fam, 1.0 + tau)
     s_nodes, s_weights = quad.graded_rule()
     phi = eval_weight(weight, s_nodes)
     wphi = s_weights * phi
+    mass = float(wphi.sum())
+    if not abs(mass - 1.0) <= 1e-12:  # phi's mass sits where the rule has no nodes
+        raise DivergentError(f"averaging objective: the graded rule gives the weight mass {mass!r}, not 1")
     l2_tau = (s_weights @ phi**2) ** tau  # weight_l2, from phi
     if fam.kind == "indicator":
         tail_nodes, tail_weights = quad.graded_tails()

@@ -2,21 +2,24 @@
 
 Integrals of an averaging weight over (0,1) use the one fixed graded_rule();
 every other integral (the two halves of the deficit integral over t) runs
-through integrate() on DEFAULT_SPEC.  The scheme is adaptive bisection in
-rounds: each panel carries the 15-point Kronrod value K15 and the 7-point
-Gauss value G7 taken from the same 15 integrand values (the K15 nodes
-contain the G7 nodes, as in QUADPACK's qk15), and |K15 - G7| is the panel's
-error estimate.  The range starts as _START_PANELS equal panels.  Each round
-picks panels worst first, ties by position, until the summed error of the
-panels left fits the tolerance, splits every picked panel and scores all
-the halves; every round, the first included, is one integrand call.  Rounds
-go on until the summed error meets the tolerance or the subdivision budget
-runs out.  Budget exhaustion is reported through QuadResult.converged, never
-raised, so callers decide whether a slow integral is fatal.
+through integrate(), whose tolerances and budget are the module constants
+_ABS_TOL, _REL_TOL and _MAX_SUBDIVISIONS, read at call time.  The scheme is
+adaptive bisection in rounds: each panel carries the 15-point Kronrod value
+K15 and the 7-point Gauss value G7 taken from the same 15 integrand values
+(the K15 nodes contain the G7 nodes, as in QUADPACK's qk15), and |K15 - G7|
+is the panel's error estimate.  The range starts as _START_PANELS equal
+panels.  Each round picks panels worst first, ties by position, until the
+summed error of the panels left fits the tolerance, splits every picked
+panel and scores all the halves; every round, the first included, is one
+integrand call.  Rounds go on until the summed error meets the tolerance or
+the subdivision budget runs out.  Budget exhaustion is reported through
+QuadResult.converged, never raised, so callers decide whether a slow
+integral is fatal.
 
-Ranges are finite; callers fold an infinite range to a finite one with a
-substitution that suits the integrand's decay.  Kronrod nodes are interior,
-so an endpoint singularity of the integrand is never evaluated.
+Ranges are finite, and so is their width; callers fold an infinite range
+to a finite one with a substitution that suits the integrand's decay.
+Kronrod nodes are interior, so an endpoint singularity of the integrand is
+never evaluated.
 
 Integrands must be vectorized: they receive a 1-D float ndarray of nodes,
 15 per panel, and must return an ndarray of the same shape.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuadSpec", "QuadResult", "NonFiniteIntegrandError", "integrate", "graded_rule", "graded_tails"]
+__all__ = ["QuadResult", "NonFiniteIntegrandError", "integrate", "graded_rule", "graded_tails"]
 
 # QUADPACK qk15 constants (Piessens, de Doncker-Kapenga, Ueberhuber and
 # Kahaner, 1983): the non-negative K15 abscissae, largest first, their K15
@@ -63,26 +66,6 @@ class NonFiniteIntegrandError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuadSpec:
-    """Tolerance and budget knobs for integrate().
-
-    Convergence means summed panel error <= max(abs_tol, rel_tol*|value|).
-    """
-
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (0.0 < self.abs_tol < math.inf):
-            raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
-        if not (0.0 <= self.rel_tol < math.inf):
-            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}")
-
-
-@dataclass(frozen=True)
 class QuadResult:
     value: float
     error_estimate: float
@@ -90,7 +73,10 @@ class QuadResult:
     converged: bool
 
 
-DEFAULT_SPEC = QuadSpec()
+# Convergence means summed panel error <= max(_ABS_TOL, _REL_TOL * |value|).
+_ABS_TOL = 1e-11
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 2000
 _START_PANELS = 4  # integrate() scores these equal panels in its first call
 _START_STEPS = np.arange(_START_PANELS + 1.0)
 
@@ -123,17 +109,16 @@ def _panels(func, los, his):
     return value, np.abs(diff)
 
 
-def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadResult:
+def integrate(func, lo: float, hi: float) -> QuadResult:
     """Integrate func over the finite range (lo, hi).
 
     func maps an ndarray of nodes to an ndarray of values.  Endpoints are
-    never evaluated.  Raises NonFiniteIntegrandError on nan/inf at a node;
-    a blown subdivision budget comes back as converged=False.
+    never evaluated.  Raises ValueError unless hi - lo is finite and >= 0,
+    NonFiniteIntegrandError on nan/inf at a node; a blown subdivision budget
+    comes back as converged=False.
     """
-    if spec is None:
-        spec = DEFAULT_SPEC
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"integration endpoints must be finite, got ({lo!r}, {hi!r})")
+    if not math.isfinite(hi - lo):  # nan or infinite ends, or a width that overflows
+        raise ValueError(f"integration endpoints and their width must be finite, got ({lo!r}, {hi!r})")
     if hi < lo:
         raise ValueError(f"need lo <= hi, got ({lo!r}, {hi!r})")
     if lo == hi:
@@ -148,15 +133,15 @@ def integrate(func, lo: float, hi: float, spec: QuadSpec | None = None) -> QuadR
     while True:
         total_v = math.fsum(vals.tolist()) + frozen_v
         total_e = math.fsum(errs.tolist()) + frozen_e
-        target = max(spec.abs_tol, spec.rel_tol * abs(total_v))
+        target = max(_ABS_TOL, _REL_TOL * abs(total_v))
         if total_e <= target or not los.size:
             return QuadResult(total_v, total_e, splits, True)
-        if splits >= spec.max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             return QuadResult(total_v, total_e, splits, False)
         # worst first, ties by position, until the panels left fit the target
         order = np.lexsort((los, -errs))
         short = int(np.count_nonzero(np.cumsum(errs[order]) < total_e - target))
-        picked = order[:min(short + 1, spec.max_subdivisions - splits)]
+        picked = order[:min(short + 1, _MAX_SUBDIVISIONS - splits)]
         plo, phi = los[picked], his[picked]
         mids = 0.5 * (plo + phi)
         ok = (plo < mids) & (mids < phi)

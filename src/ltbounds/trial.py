@@ -50,7 +50,6 @@ __all__ = [
     "spec_from_json",
 ]
 
-PROFILE_KINDS = ("rational_power", "indicator", "deficit_optimal")
 WEIGHT_KINDS = ("bump_simple", "bump_rich", "bump_poly", "uniform")
 
 _EXP_OVERFLOW = 709.0
@@ -120,7 +119,7 @@ def normalize_profile(kind: str, a: float | None = None, p: float | None = None)
 def _mu_closed_form(a: float, p: float) -> float:
     # int f^2 = mu^(-1/a) B(1/a, 2p - 1/a)/a, so int f^2 = 1 at
     # mu = (B(1/a, 2p - 1/a)/a)^a; evaluated in log space.
-    log_mu = a * (log_beta(1.0 / a, 2.0 * p - 1.0 / a) - np.log(a))
+    log_mu = float(a * (log_beta(1.0 / a, 2.0 * p - 1.0 / a) - np.log(a)))
     if log_mu > _EXP_OVERFLOW:
         raise ConstraintViolationError(f"normalization scale overflows: log mu = {log_mu!r}")
     return float(np.exp(log_mu))
@@ -176,8 +175,10 @@ def normalize_weight(kind: str, q: float | None = None, r: float | None = None) 
     q, r = float(q), float(r)
     if kind == "bump_poly":
         # int_0^1 (1 - t^q)^r dt = B(1/q, r+1)/q via u = t^q
-        c = float(np.exp(np.log(q) - log_beta(1.0 / q, r + 1.0)))
-        return WeightFamily(kind="bump_poly", q=q, r=r, c=c)
+        log_c = float(np.log(q) - log_beta(1.0 / q, r + 1.0))
+        if log_c > _EXP_OVERFLOW:
+            raise ConstraintViolationError(f"normalization constant overflows: log c = {log_c!r}")
+        return WeightFamily(kind="bump_poly", q=q, r=r, c=float(np.exp(log_c)))
     s, w = quad.graded_rule()
     mass = float(w @ eval_weight(WeightFamily(kind="bump_rich", q=q, r=r, c=1.0), s))
     if not (mass > 0.0) or not np.isfinite(mass):

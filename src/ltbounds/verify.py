@@ -53,9 +53,8 @@ grid, and row_steps the rows summed over every pass on every level.
 
 Discretization error in the eigenvalue sum scales as h^2 (the tests check
 the 4x decay per grid doubling).  A GridTooCoarseWarning advisory fires when
-the spacing h exceeds a quarter of the well width, when |V| at the box edge
-exceeds 1e-12, and, with check_grid, when doubling n_points moves the sum by
-more than 1 percent.
+the spacing h exceeds a quarter of the well width and when |V| at the box
+edge exceeds 1e-12.
 """
 
 from __future__ import annotations
@@ -99,7 +98,8 @@ _COARSE_MIN = 100  # no coarser level below this many nodes: grids under 400 nod
 
 
 class GridTooCoarseWarning(UserWarning):
-    """Grid resolution visibly moves the spectral sum."""
+    """The grid spacing exceeds a quarter of the well width, or the box edge
+    cuts off more than 1e-12 of |V|."""
 
 
 @dataclass(frozen=True)
@@ -316,18 +316,16 @@ def _coarser(grid: GridSpec) -> GridSpec | None:
         return None
 
 
-def _parity_spectra(pot: PotentialSpec, grid: GridSpec, starts=None) -> tuple[list, int, int]:
+def _parity_spectra(pot: PotentialSpec, grid: GridSpec) -> tuple[list, int, int]:
     """The ascending negative eigenvalues of the even and the odd parity block,
     the pivot passes on this grid, and the pivot row-steps on it and on every
-    coarser level.  starts holds one list of first probes per block; without
-    it they are the eigenvalues of the coarser grid, matched from the bottom
-    of each block, and a grid with no coarser level starts cold."""
-    row_steps = 0
-    if starts is None:
-        coarse = _coarser(grid)
-        starts = ([], [])
-        if coarse is not None:
-            starts, _, row_steps = _parity_spectra(pot, coarse)
+    coarser level.  Each block's first probes are the eigenvalues of the
+    coarser grid, matched from the bottom; a grid with no coarser level
+    starts cold."""
+    coarse = _coarser(grid)
+    starts, row_steps = ([], []), 0
+    if coarse is not None:
+        starts, _, row_steps = _parity_spectra(pot, coarse)
     n, L = grid.n_points, grid.half_width
     h = 2.0 * L / (n + 1)
     m = n // 2
@@ -351,17 +349,10 @@ def _parity_spectra(pot: PotentialSpec, grid: GridSpec, starts=None) -> tuple[li
     return spectra, passes, row_steps
 
 
-def discretize_and_solve(pot: PotentialSpec, grid: GridSpec, check_grid: bool = False) -> SpectrumResult:
-    """Negative spectrum of -d^2/dx^2 + V on the Dirichlet grid.
-
-    check_grid re-solves at doubled n_points, starting from this grid's
-    eigenvalues, and emits GridTooCoarseWarning when the sum moves by more
-    than 1 percent (costs a second solve).
-    """
+def discretize_and_solve(pot: PotentialSpec, grid: GridSpec) -> SpectrumResult:
+    """Negative spectrum of -d^2/dx^2 + V on the Dirichlet grid, with the
+    spacing and box-edge advisories (GridTooCoarseWarning)."""
     n, L = grid.n_points, grid.half_width
-    if check_grid and 2 * n > MAX_GRID_POINTS:
-        raise ValueError(f"check_grid doubles n_points to {2 * n}, above {MAX_GRID_POINTS}")
-    finer = GridSpec(L, 2 * n) if check_grid else None
     h = 2.0 * L / (n + 1)
     if h > 0.25 * pot.width:
         warnings.warn(f"grid spacing {h:.3e} exceeds a quarter of the well width {pot.width!r}; "
@@ -372,20 +363,11 @@ def discretize_and_solve(pot: PotentialSpec, grid: GridSpec, check_grid: bool = 
                       "half_width truncates the tail", GridTooCoarseWarning, stacklevel=2)
     spectra, passes, row_steps = _parity_spectra(pot, grid)
     eigs = sorted(spectra[0] + spectra[1])
-    result = SpectrumResult(potential=pot, grid=grid,
-                            negative_eigenvalues=tuple(reversed(eigs)),
-                            sum_negative=-float(sum(eigs)) + 0.0,
-                            potential_integral=potential_integral(pot),
-                            sturm_passes=passes, row_steps=row_steps)
-    if finer is not None:
-        even, odd = _parity_spectra(pot, finer, spectra)[0]
-        finer_sum = -sum(even + odd)
-        scale = max(abs(finer_sum), 1e-30)
-        if abs(result.sum_negative - finer_sum) / scale > 1e-2:
-            warnings.warn(
-                f"sum of negative eigenvalues moves {result.sum_negative!r} -> "
-                f"{finer_sum!r} when n_points doubles", GridTooCoarseWarning, stacklevel=2)
-    return result
+    return SpectrumResult(potential=pot, grid=grid,
+                          negative_eigenvalues=tuple(reversed(eigs)),
+                          sum_negative=-float(sum(eigs)) + 0.0,
+                          potential_integral=potential_integral(pot),
+                          sturm_passes=passes, row_steps=row_steps)
 
 
 def check_inequality(result: SpectrumResult, l_ratio: float) -> InequalityCheck:

@@ -147,7 +147,7 @@ def test_criterion_07_duality_and_product_identity():
         for d, sigma in ((1, 2.0), (1, 3.0), (2, 5.0), (1, 6.0)):
             problem = ProblemSpec(d=d, sigma=sigma)
             for k in (0.25, 0.71, 0.93):
-                l = constants.dual_convert(problem, k)
+                l = constants.BoundReport(problem, "x", math.log(k)).l_ratio
                 assert abs(l ** (-1.0 / problem.tau) - k) <= 1e-13 * k
         for d1, d in ((1, 2), (1, 3), (2, 5), (1, 6)):
             assert constants.product_identity_check(d1, d) <= 1e-12

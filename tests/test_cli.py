@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ltbounds import cli
+from ltbounds import cli, optimize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -151,6 +151,23 @@ def test_bound_usage_errors(run_cli):
     assert run_cli("bound", "--d", str(10**400), "--sigma", "1", "--method", "best-of").returncode == 2
     assert run_cli("bound", "--d", "3", "--sigma", "5e-324", "--method", "from-c",
                    "--c-value", "2").returncode == 2
+
+
+@pytest.mark.parametrize("method, flags, message", [
+    ("momentum-optimal", ["--optimize"], "--method momentum-optimal takes no C"),
+    ("momentum-optimal", ["--c-value", "0.37"], "--method momentum-optimal takes no C"),
+    ("rumin-original", ["--c-value", "0.37"], "--method rumin-original takes no C"),
+    ("from-c", ["--c-value", "0.37", "--optimize"], "--c-value and --optimize both set C"),
+    ("best-of", ["--c-value", "0.37", "--optimize"], "--c-value and --optimize both set C"),
+], ids=["momentum-optimize", "momentum-c-value", "rumin-c-value", "from-c-both", "best-of-both"])
+def test_bound_rejects_c_flags_its_method_ignores(run_cli, monkeypatch, method, flags, message):
+    searches = []
+    monkeypatch.setattr(optimize, "minimize_averaging", lambda *args, **kwargs: searches.append(args))
+    proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", method, *flags)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
+    assert searches == []  # rejected before any search
 
 
 def test_bound_fractional_first_alias_is_gone(run_cli):

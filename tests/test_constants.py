@@ -58,19 +58,20 @@ def test_deficit_min_blows_up_toward_beta_one():
 def test_duality_round_trip(d, sigma):
     prob = ProblemSpec(d=d, sigma=sigma)
     for k in (0.3, 0.7, 0.95):
-        l = constants.dual_convert(prob, k)
+        l = constants.BoundReport(prob, "x", math.log(k)).l_ratio
         np.testing.assert_allclose(l, k ** (-prob.tau), rtol=1e-15)
         back = l ** (-1.0 / prob.tau)
         np.testing.assert_allclose(back, k, rtol=1e-13)
 
 
-def test_dual_convert_outside_float_range_raises_value_error():
+def test_l_ratio_outside_float_range_raises_value_error():
     # the |log| <= 709 rule of BoundReport: log l = -500 log k
     prob = ProblemSpec(d=1000, sigma=1.0)
     for k in (0.01, 1e10):
         with pytest.raises(ValueError, match="float range"):
-            constants.dual_convert(prob, k)
-    np.testing.assert_allclose(constants.dual_convert(prob, math.exp(-1.4)), math.exp(700.0), rtol=1e-12)
+            constants.BoundReport(prob, "x", math.log(k))
+    l = constants.BoundReport(prob, "x", math.log(math.exp(-1.4))).l_ratio
+    np.testing.assert_allclose(l, math.exp(700.0), rtol=1e-12)
 
 
 @pytest.mark.parametrize("d1,d", [(1, 2), (1, 3), (2, 5), (1, 6)])

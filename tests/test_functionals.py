@@ -89,12 +89,23 @@ def test_tau_below_float_spacing_of_one_is_divergent():
 
 
 def test_blown_quadrature_budget_names_the_functional(monkeypatch):
-    monkeypatch.setattr(quad, "DEFAULT_SPEC", quad.QuadSpec(abs_tol=1e-300, rel_tol=0.0, max_subdivisions=1))
+    monkeypatch.setattr(quad, "_ABS_TOL", 1e-300)
+    monkeypatch.setattr(quad, "_REL_TOL", 0.0)
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 1)
     fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
     with pytest.raises(functionals.DivergentError, match="weighted deficit quadrature did not converge"):
         functionals.weighted_deficit(fam, 2.0)
     with pytest.raises(functionals.DivergentError, match="averaging objective quadrature did not converge"):
         functionals.averaging_objective(fam, trial.normalize_weight("uniform"), P11)
+
+
+def test_weight_the_graded_rule_cannot_carry_is_divergent():
+    # (1 - s^0.05)^1e6 puts all of phi's mass below the rule's first node, where
+    # the objective would read C = 0, under criterion 6's floor of 1/3
+    fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
+    weight = trial.normalize_weight("bump_poly", q=0.05, r=1e6)
+    with pytest.raises(functionals.DivergentError, match="weight mass"):
+        functionals.averaging_objective(fam, weight, P11)
 
 
 def _one_minus_g_mpmath(fam, w, t):
@@ -124,7 +135,7 @@ def test_graded_inner_rule_matches_mpmath():
         wphi = weights * trial.eval_weight(w, nodes)
         graded = functionals._one_minus_g_factory(fam, wphi)(ts)
         want = [_one_minus_g_mpmath(fam, w, t) for t in ts]
-        np.testing.assert_allclose(graded, want, rtol=0, atol=quad.DEFAULT_SPEC.abs_tol, err_msg=w.kind)
+        np.testing.assert_allclose(graded, want, rtol=0, atol=quad._ABS_TOL, err_msg=w.kind)
     assert nodes.size == 1350
     assert not nodes.flags.writeable and not weights.flags.writeable
     assert quad.graded_rule()[0] is nodes
@@ -284,11 +295,11 @@ def test_integrand_calls_at_criterion_5_start(monkeypatch):
     # (one call per panel made 10 calls on 150 nodes)
     calls = []
 
-    def counting(func, lo, hi, spec=None):
+    def counting(func, lo, hi):
         def counted(t):
             calls.append(t.size)
             return func(t)
-        return integrate(counted, lo, hi, spec)
+        return integrate(counted, lo, hi)
 
     integrate = quad.integrate
     monkeypatch.setattr(quad, "integrate", counting)

@@ -35,21 +35,6 @@ def test_zero_width_interval():
     assert res.converged
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        quad.QuadSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
-        quad.QuadSpec(rel_tol=-1e-3)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            quad.QuadSpec(abs_tol=bad)
-        with pytest.raises(ValueError):
-            quad.QuadSpec(rel_tol=bad)
-    quad.QuadSpec(rel_tol=0.0)  # absolute-only mode is legal
-    with pytest.raises(ValueError):
-        quad.QuadSpec(max_subdivisions=0)
-
-
 def test_endpoint_validation():
     with pytest.raises(ValueError):
         quad.integrate(lambda t: t, math.nan, 1.0)
@@ -59,6 +44,10 @@ def test_endpoint_validation():
         quad.integrate(lambda t: np.exp(-t), 0.0, math.inf)
     with pytest.raises(ValueError):
         quad.integrate(lambda t: t, 2.0, 1.0)
+    calls = []  # hi - lo overflows: rejected before the first integrand call
+    with pytest.raises(ValueError, match="width"):
+        quad.integrate(lambda t: calls.append(t) or np.ones_like(t), -1.7e308, 1.7e308)
+    assert calls == []
 
 
 def test_non_finite_integrand_raises():
@@ -69,23 +58,26 @@ def test_non_finite_integrand_raises():
         quad.integrate(lambda t: np.full_like(t, math.nan), 0.0, 1.0)
 
 
-def test_budget_exhaustion_reports_not_converged():
+def test_budget_exhaustion_reports_not_converged(monkeypatch):
     # endpoint singularity needs far more than 3 subdivisions; must not raise
-    spec = quad.QuadSpec(abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=3)
-    res = quad.integrate(lambda t: t**-0.5, 0.0, 1.0, spec)
+    monkeypatch.setattr(quad, "_ABS_TOL", 1e-14)
+    monkeypatch.setattr(quad, "_REL_TOL", 1e-14)
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 3)
+    res = quad.integrate(lambda t: t**-0.5, 0.0, 1.0)
     assert not res.converged
     assert res.subdivisions_used == 3
     assert math.isfinite(res.value)
 
 
-def test_panels_too_narrow_to_split_are_frozen():
+def test_panels_too_narrow_to_split_are_frozen(monkeypatch):
     # 8 ulps hold at most 8 panels: the 4 start panels split once each, then
     # every panel is one ulp wide and is frozen with its error kept
     u = math.ulp(1.0)
-    spec = quad.QuadSpec(abs_tol=1e-300, rel_tol=0.0)
-    res = quad.integrate(lambda t: np.where(t < 1.0 + 4.0 * u, 0.0, 1e30), 1.0, 1.0 + 8.0 * u, spec)
+    monkeypatch.setattr(quad, "_ABS_TOL", 1e-300)
+    monkeypatch.setattr(quad, "_REL_TOL", 0.0)
+    res = quad.integrate(lambda t: np.where(t < 1.0 + 4.0 * u, 0.0, 1e30), 1.0, 1.0 + 8.0 * u)
     assert res.subdivisions_used == 4
-    assert math.isfinite(res.value) and res.error_estimate > spec.abs_tol
+    assert math.isfinite(res.value) and res.error_estimate > quad._ABS_TOL
 
 
 def test_error_estimate_is_conservative():
@@ -162,9 +154,8 @@ def test_integrate_meets_tolerance_and_error_estimate(name, k, lo, width):
         exact = float(antiderivative(k, mpmath.mpf(hi)) - antiderivative(k, mpmath.mpf(lo)))
         mass = float(mpmath.quad(lambda x: abs(mpmath.sin(7 * x)), [lo, hi])) if name == "sin7" else exact
     err = abs(res.value - exact)
-    spec = quad.DEFAULT_SPEC
     assert res.converged
-    assert err <= max(spec.abs_tol, spec.rel_tol * abs(exact))
+    assert err <= max(quad._ABS_TOL, quad._REL_TOL * abs(exact))
     # rounding in the sum of 15 values per panel is not part of the estimate
     assert err <= res.error_estimate + 1e-14 * mass
 

@@ -78,6 +78,12 @@ def test_profile_constraint_violations():
         trial.normalize_profile("spline")
 
 
+def test_bump_poly_constant_overflow_is_a_constraint_violation():
+    # q = 1e-300 puts log c near 1381, past exp's range
+    with pytest.raises(trial.ConstraintViolationError, match="log c"):
+        trial.normalize_weight("bump_poly", q=1e-300, r=2.0)
+
+
 def test_weight_normalization_constants():
     assert trial.normalize_weight("bump_simple").c == 5.0
     assert trial.normalize_weight("uniform").c == 1.0

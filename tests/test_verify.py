@@ -155,10 +155,10 @@ def test_second_order_grid_convergence():
 
 
 def test_grid_warnings():
-    with pytest.warns(verify.GridTooCoarseWarning):
+    with pytest.warns(verify.GridTooCoarseWarning, match="quarter of the well width"):
         verify.discretize_and_solve(
             verify.PotentialSpec(kind="poschl_teller", nu=3.0),
-            verify.GridSpec(half_width=20.0, n_points=51), check_grid=True)
+            verify.GridSpec(half_width=20.0, n_points=51))
     # tail truncation advisory: gaussian still sizable at the box edge
     with pytest.warns(verify.GridTooCoarseWarning):
         verify.discretize_and_solve(
@@ -274,16 +274,6 @@ def test_grid_spec_caps_n_points():
     for n_points in (verify.MAX_GRID_POINTS + 1, 1e9, 1e300):
         with pytest.raises(ValueError, match="n_points"):
             verify.GridSpec(half_width=5.0, n_points=n_points)
-
-
-def test_check_grid_rejects_doubling_past_the_cap_before_solving(monkeypatch):
-    solves = []
-    monkeypatch.setattr(verify, "MAX_GRID_POINTS", 100)
-    monkeypatch.setattr(verify, "_negative_eigenvalues", lambda *args, **kwargs: solves.append(args))
-    grid = verify.GridSpec(half_width=5.0, n_points=51)  # inside the cap, its doubling is not
-    with pytest.raises(ValueError, match="check_grid"):
-        verify.discretize_and_solve(PT1, grid, check_grid=True)
-    assert solves == []
 
 
 def test_sturm_count_rejects_nan_shift():
@@ -505,20 +495,6 @@ def test_advisories_fire_for_the_requested_grid_only():
             warnings.simplefilter("always")
             verify.discretize_and_solve(pot, grid)
         assert len(caught) == 1 and caught[0].category is verify.GridTooCoarseWarning, caught
-
-
-def test_check_grid_starts_from_the_requested_grid(monkeypatch):
-    """The doubled solve probes this grid's eigenvalues first."""
-    pot, grid = verify.default_suite()[3]
-    calls = []
-    solve = verify._negative_eigenvalues
-    monkeypatch.setattr(verify, "_negative_eigenvalues",
-                        lambda diag, off2, lower, starts: calls.append((len(diag), list(starts)))
-                        or solve(diag, off2, lower, starts))
-    res = verify.discretize_and_solve(pot, grid, check_grid=True)
-    even, odd = calls[-2:]
-    assert even[0] == odd[0] == grid.n_points  # the parity blocks of 2 n_points
-    assert sorted(even[1] + odd[1]) == sorted(res.negative_eigenvalues)
 
 
 def test_no_coarse_level_where_its_spacing_is_rejected():

@@ -1,0 +1,34 @@
+"""The benchmark's workloads call the package by name, so deleting or
+renaming something one of them uses must fail here and not only in a
+benchmark run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from ltbounds import verify
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_workload_warms_up_and_passes_its_checks(monkeypatch):
+    workloads = _load_workloads(monkeypatch)
+    instances = {name: cls(0) for name, cls in workloads.WORKLOADS.items()}
+    for workload in instances.values():
+        assert workload.inputs(0)
+        workload.warm_up()
+    certify = instances["certify"]
+    assert certify._check_table(*workloads._table()) is None
+    pair = certify.inputs(0)[0]
+    assert certify._check_pair(pair, *workloads._score(pair)) is None
+    case = instances["verify"].inputs(0)[0]  # the first default-suite case
+    pot, grid = verify.potential_from_json(case["potential"]), verify.grid_from_json(case["grid"])
+    assert workloads.VerifyWorkload._check(pot, *workloads._solve(pot, grid)) is None
