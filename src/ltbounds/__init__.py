@@ -53,8 +53,6 @@ from .trial import (
     normalize_profile,
     normalize_weight,
     one_minus_profile,
-    profile_from_json,
-    weight_from_json,
 )
 from .verify import (
     GridSpec,
@@ -125,11 +123,9 @@ __all__ = [
     "potential_integral",
     "potential_values",
     "product_identity_check",
-    "profile_from_json",
     "run_sweep",
     "sturm_count_below",
     "unit_ball_volume",
-    "weight_from_json",
     "weight_l2",
     "weighted_deficit",
 ]

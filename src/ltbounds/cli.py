@@ -27,7 +27,7 @@ import sys
 
 from . import constants, optimize, verify
 from .functionals import ProblemSpec, averaging_objective
-from .trial import normalize_profile, normalize_weight
+from .trial import WEIGHT_KINDS, normalize_profile, normalize_weight
 
 _METHODS = ("rumin-original", "momentum-optimal", "from-c", "best-of")
 
@@ -239,10 +239,14 @@ def cmd_verify(args, parser) -> int:
             raw = raw["cases"]
         if not isinstance(raw, list):
             parser.error("verify config must be a JSON array of cases or {'cases': [...]}")
+        for case in raw:
+            if not (isinstance(case, dict) and set(case) == {"grid", "potential"}):
+                parser.error(f"bad verify config: a case must be an object with exactly the keys "
+                             f"'grid' and 'potential', got {case!r}")
         try:
             suite = [(verify.potential_from_json(case["potential"]), verify.grid_from_json(case["grid"]))
                      for case in raw]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             parser.error(f"bad verify config: {exc}")
     else:
         suite = list(verify.default_suite())
@@ -297,34 +301,33 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="averaging-objective value to convert (from-c, best-of)")
     bound.add_argument("--optimize", action="store_true",
                        help="minimize the averaging objective to obtain the c value")
-    bound.add_argument("--phi-kind", choices=("bump_rich", "bump_poly", "bump_simple", "uniform"), default=None)
+    bound.add_argument("--phi-kind", choices=WEIGHT_KINDS, default=None)
     bound.add_argument("--seed", type=_seed_list, default=None, metavar="A,P[,Q,R]")
     bound.add_argument("--max-iters", type=int, default=2000)
     _add_common(bound)
-    bound.set_defaults(func=cmd_bound)
+    bound.set_defaults(func=cmd_bound, parser=bound)
 
     opt = subs.add_parser("optimize", help="run an optimization sweep from a JSON config")
     opt.add_argument("config", help="JSON array of run configs")
     _add_common(opt, formats=False)
-    opt.set_defaults(func=cmd_optimize)
+    opt.set_defaults(func=cmd_optimize, parser=opt)
 
     table = subs.add_parser("table", help="recompute published values")
     table.add_argument("--paper", action="store_true", help="compare against published values")
     _add_common(table)
-    table.set_defaults(func=cmd_table)
+    table.set_defaults(func=cmd_table, parser=table)
 
     ver = subs.add_parser("verify", help="spectral check of the eigenvalue-sum inequality")
     ver.add_argument("config", nargs="?", default=None, help="JSON suite of {potential, grid} cases")
     ver.add_argument("--l-ratio", type=float, default=1.456)
     _add_common(ver)
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_verify, parser=ver)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args = _build_parser().parse_args(argv)
+    return args.func(args, args.parser)  # the subcommand's parser prints its own usage line
 
 
 if __name__ == "__main__":

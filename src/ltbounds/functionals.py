@@ -143,10 +143,25 @@ def deficit_functional(fam: ProfileFamily, problem: ProblemSpec) -> float:
     return tau * weighted_deficit(fam, 1.0 + tau)
 
 
+def _weight_on_rule(weight: WeightFamily, what: str):
+    """(w phi, int phi^2) for the weights w of quad.graded_rule.
+
+    Raises DivergentError naming `what` when the rule gives phi a mass off 1
+    by more than 1e-12: phi's mass then sits where the rule has no nodes.
+    """
+    s_nodes, s_weights = quad.graded_rule()
+    phi = eval_weight(weight, s_nodes)
+    wphi = s_weights * phi
+    mass = float(wphi.sum())
+    if not abs(mass - 1.0) <= 1e-12:
+        raise DivergentError(f"{what}: the graded rule gives the weight mass {mass!r}, not 1")
+    return wphi, s_weights @ phi**2
+
+
 def weight_l2(weight: WeightFamily) -> float:
-    """int_0^1 phi(t)^2 dt on quad.graded_rule()."""
-    s, w = quad.graded_rule()
-    return float(w @ eval_weight(weight, s) ** 2)
+    """int_0^1 phi(t)^2 dt on quad.graded_rule(); raises DivergentError for a
+    weight whose mass on that rule is off 1 by more than 1e-12."""
+    return float(_weight_on_rule(weight, "weight L2 norm")[1])
 
 
 # The s -> 1 end of the inner rule is replaced by _GAUSS_ROWS Gauss rows in
@@ -322,14 +337,10 @@ def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: Probl
     """
     tau = problem.tau
     _require_admissible(fam, 1.0 + tau)
-    s_nodes, s_weights = quad.graded_rule()
-    phi = eval_weight(weight, s_nodes)
-    wphi = s_weights * phi
-    mass = float(wphi.sum())
-    if not abs(mass - 1.0) <= 1e-12:  # phi's mass sits where the rule has no nodes
-        raise DivergentError(f"averaging objective: the graded rule gives the weight mass {mass!r}, not 1")
-    l2_tau = (s_weights @ phi**2) ** tau  # weight_l2, from phi
+    wphi, l2 = _weight_on_rule(weight, "averaging objective")
+    l2_tau = l2**tau
     if fam.kind == "indicator":
+        s_nodes = quad.graded_rule()[0]
         tail_nodes, tail_weights = quad.graded_tails()
         mass = wphi.reshape(tail_nodes.shape[:2]).sum(axis=1)
         later = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass past each panel, summed from s = 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import DivergentError, ProblemSpec, averaging_objective, weighted_deficit
-from .trial import ConstraintViolationError, _is_json_number, normalize_profile, normalize_weight
+from .trial import WEIGHT_KINDS, ConstraintViolationError, _is_json_number, normalize_profile, normalize_weight
 
 __all__ = [
     "PENALTY",
@@ -44,9 +44,6 @@ _X_TOL, _F_TOL = 1e-6, 1e-9  # converged: simplex diameter <= _X_TOL and value s
 _SIMPLEX_SCALE = 0.15  # initial simplex step relative to |x0|, halved for the restart
 
 _BOX = ((1.1, 20.0), (0.05, 3.0), (0.05, 3.0), (0.5, 10.0))
-
-_PARAMETRIC_WEIGHTS = ("bump_rich", "bump_poly")
-_FIXED_WEIGHTS = ("bump_simple", "uniform")
 
 
 class ObjectiveFailureError(RuntimeError):
@@ -125,7 +122,7 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
         order = np.argsort(fvals, kind="stable")
         simplex, fvals = simplex[order], fvals[order]
 
-        diameter = float(np.max(np.abs(simplex[1:] - simplex[0]))) if n > 0 else 0.0
+        diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
         if diameter <= _X_TOL and fvals[-1] - fvals[0] <= _F_TOL:
             if restarted:
                 converged = True
@@ -193,19 +190,17 @@ def minimize_deficit(beta: float, cfg: OptConfig) -> OptResult:
 def minimize_averaging(problem: ProblemSpec, cfg: OptConfig, phi_kind: str = "bump_rich") -> OptResult:
     """Minimize the averaging objective over trial pairs.
 
-    Parametrized weights (bump_rich, bump_poly) optimize (a, p, q, r);
-    fixed weights (bump_simple, uniform) optimize (a, p) only.  Every
-    evaluation rebuilds normalized families, so the reported best_value is
-    the true objective value of the admissible pair in best_params.
+    The parameters are the profile's (a, p) followed by the weight's, as
+    trial.WEIGHT_KINDS lists them: (a, p, q, r) for bump_rich and bump_poly,
+    (a, p) for bump_simple and uniform.  Every evaluation rebuilds normalized
+    families, so the reported best_value is the true objective value of the
+    admissible pair in best_params.
     """
-    if phi_kind in _PARAMETRIC_WEIGHTS:
-        if len(cfg.seed_params) != 4:
-            raise ValueError(f"phi_kind {phi_kind!r} expects seed_params = (a, p, q, r)")
-    elif phi_kind in _FIXED_WEIGHTS:
-        if len(cfg.seed_params) != 2:
-            raise ValueError(f"phi_kind {phi_kind!r} expects seed_params = (a, p)")
-    else:
+    if not isinstance(phi_kind, str) or phi_kind not in WEIGHT_KINDS:  # a sweep's JSON may hold any value
         raise ValueError(f"unknown phi_kind {phi_kind!r}")
+    names = ("a", "p", *WEIGHT_KINDS[phi_kind])
+    if len(cfg.seed_params) != len(names):
+        raise ValueError(f"phi_kind {phi_kind!r} expects seed_params = ({', '.join(names)})")
 
     def objective(*params) -> float:
         return averaging_objective(*trial_pair(phi_kind, params), problem)
@@ -218,14 +213,12 @@ def trial_pair(phi_kind: str, params):
     params = (a, p) or (a, p, q, r).  Raises ConstraintViolationError on
     inadmissible parameters."""
     profile = normalize_profile("rational_power", a=params[0], p=params[1])
-    if phi_kind in _PARAMETRIC_WEIGHTS:
-        return profile, normalize_weight(phi_kind, q=params[2], r=params[3])
-    return profile, normalize_weight(phi_kind)
+    return profile, normalize_weight(phi_kind, *params[2:])
 
 
 def default_seed(problem: ProblemSpec, phi_kind: str = "bump_rich") -> tuple[float, ...]:
     """Reasonable starting point for minimize_averaging at this problem."""
-    if phi_kind in _FIXED_WEIGHTS:
+    if not WEIGHT_KINDS[phi_kind]:
         return (max(1.5, problem.tau + 1.0), 0.5)
     if problem.d == 1 and problem.sigma == 1.0 and phi_kind == "bump_rich":
         return (4.5, 0.25, 0.36, 2.1)

@@ -13,17 +13,19 @@ L2 normalization.  Kinds:
                    closed-form scale
   indicator        f = 1 on (0,1], 0 beyond; already normalized
 
-A weight phi lives on (0,1] with int phi = 1.  Kinds:
+A weight phi lives on (0,1] with int phi = 1.  WEIGHT_KINDS maps each
+kind to the parameters it takes; the optimizer and the CLI read it:
 
-  bump_simple      phi(t) = 5 (1 - t^(1/4)), normalization exact
-  bump_rich        phi(t) = c (1 - t^q)^r / (1 + t), c on quad.graded_rule
-  bump_poly        phi(t) = c (1 - t^q)^r, c = q / B(1/q, r + 1)
-  uniform          phi = 1 on (0,1]
+  bump_rich    (q, r)  phi(t) = c (1 - t^q)^r / (1 + t), c on quad.graded_rule
+  bump_poly    (q, r)  phi(t) = c (1 - t^q)^r, c = q / B(1/q, r + 1)
+  bump_simple  ()      phi(t) = 5 (1 - t^(1/4)), normalization exact
+  uniform      ()      phi = 1 on (0,1]
 
-Families are immutable; construct them through normalize_profile /
-normalize_weight so the stored scale constants always match the stated
-normalization.  Serialization uses a flat JSON object with keys drawn from
-{"kind","a","p","mu","q","r","c"}, absent fields omitted.
+Families are immutable, and normalize_profile / normalize_weight are the
+only way to build one, so the stored scale constants always match the
+stated normalization.  to_json writes a family as a flat JSON object for
+reports, absent fields omitted; nothing reads a family back.
+spec_from_json reads verify's potential and grid specs.
 """
 
 from __future__ import annotations
@@ -44,13 +46,11 @@ __all__ = [
     "eval_profile",
     "one_minus_profile",
     "eval_weight",
-    "profile_from_json",
-    "weight_from_json",
     "spec_to_json",
     "spec_from_json",
 ]
 
-WEIGHT_KINDS = ("bump_simple", "bump_rich", "bump_poly", "uniform")
+WEIGHT_KINDS = {"bump_rich": ("q", "r"), "bump_poly": ("q", "r"), "bump_simple": (), "uniform": ()}
 
 _EXP_OVERFLOW = 709.0
 
@@ -160,16 +160,12 @@ def normalize_weight(kind: str, q: float | None = None, r: float | None = None) 
     objective scores it on.  Raises ConstraintViolationError on bad parameters
     or a degenerate (zero / non-finite) unnormalized integral.
     """
-    if kind == "bump_simple":
-        if q is not None or r is not None:
-            raise ConstraintViolationError("bump_simple takes no parameters")
-        return WeightFamily(kind="bump_simple", c=5.0)
-    if kind == "uniform":
-        if q is not None or r is not None:
-            raise ConstraintViolationError("uniform takes no parameters")
-        return WeightFamily(kind="uniform", c=1.0)
-    if kind not in ("bump_rich", "bump_poly"):
+    if not isinstance(kind, str) or kind not in WEIGHT_KINDS:
         raise ConstraintViolationError(f"unknown weight kind {kind!r}")
+    if not WEIGHT_KINDS[kind]:
+        if q is not None or r is not None:
+            raise ConstraintViolationError(f"{kind} takes no parameters")
+        return WeightFamily(kind=kind, c=5.0 if kind == "bump_simple" else 1.0)
     if q is None or r is None or not (q > 0.0) or not (r >= 0.0):
         raise ConstraintViolationError(f"{kind} requires q > 0 and r >= 0, got q={q!r}, r={r!r}")
     q, r = float(q), float(r)
@@ -211,10 +207,6 @@ def eval_weight(fam: WeightFamily, t):
     return out
 
 
-_PROFILE_FIELDS = {"rational_power": ("a", "p", "mu"), "deficit_optimal": ("a", "p", "mu"), "indicator": ()}
-_WEIGHT_FIELDS = {"bump_simple": ("c",), "uniform": ("c",), "bump_rich": ("q", "r", "c"), "bump_poly": ("q", "r", "c")}
-
-
 def spec_from_json(obj: dict, cls, label: str, fields_by_kind: dict | None = None):
     """Inverse of spec_to_json for the dataclass cls; raises ValueError.
 
@@ -243,13 +235,3 @@ def spec_from_json(obj: dict, cls, label: str, fields_by_kind: dict | None = Non
         if not _is_json_number(v):
             raise ValueError(f"{label} field {name!r} must be a number, got {v!r}")
     return cls(**head, **{name: float(v) for name, v in vals.items()})
-
-
-def profile_from_json(obj: dict) -> ProfileFamily:
-    """Inverse of ProfileFamily.to_json; rejects unknown kinds and fields."""
-    return spec_from_json(obj, ProfileFamily, "profile", _PROFILE_FIELDS)
-
-
-def weight_from_json(obj: dict) -> WeightFamily:
-    """Inverse of WeightFamily.to_json; rejects unknown kinds and fields."""
-    return spec_from_json(obj, WeightFamily, "weight", _WEIGHT_FIELDS)

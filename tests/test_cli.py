@@ -96,13 +96,14 @@ def test_bound_optimized_c(run_cli, tmp_path):
     assert blob["trial"]["weight"]["kind"] == "bump_rich"
 
 
-@pytest.mark.parametrize("seed, message", [
-    ("2.0,0.05", "3 of 3 initial simplex points are infeasible"),
-    ("2.0,0.5,1.0", "expects seed_params = (a, p)"),
-], ids=["infeasible", "wrong-length"])
-def test_bound_optimize_bad_seed_is_usage_error(run_cli, seed, message):
+@pytest.mark.parametrize("phi_kind, seed, message", [
+    ("bump_simple", "2.0,0.05", "3 of 3 initial simplex points are infeasible"),
+    ("bump_simple", "2.0,0.5,1.0", "expects seed_params = (a, p)"),
+    ("bump_poly", "2.0,0.5", "expects seed_params = (a, p, q, r)"),
+], ids=["infeasible", "wrong-length", "wrong-length-parametric"])
+def test_bound_optimize_bad_seed_is_usage_error(run_cli, phi_kind, seed, message):
     proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "from-c", "--optimize",
-                   "--phi-kind", "bump_simple", "--seed", seed)
+                   "--phi-kind", phi_kind, "--seed", seed)
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -353,6 +354,20 @@ def test_verify_config_object_needs_exactly_a_cases_list(run_cli, tmp_path, conf
     assert run_cli("verify", str(path), "--l-ratio", "1.0").returncode == 1
 
 
+# a usage error found inside a subcommand's handler prints that subcommand's usage line
+@pytest.mark.parametrize("argv", [
+    ["bound", "--d", "1", "--sigma", "1", "--method", "momentum-optimal", "--optimize"],
+    ["optimize", "MISSING"],
+    ["table"],
+    ["verify", "--l-ratio", "0"],
+], ids=["bound", "optimize", "table", "verify"])
+def test_handler_usage_error_prints_subcommand_usage(run_cli, tmp_path, argv):
+    proc = run_cli(*(str(tmp_path / "missing.json") if arg == "MISSING" else arg for arg in argv))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"usage: ltbounds {argv[0]} ")
+    assert f"ltbounds {argv[0]}: error: " in proc.stderr
+
+
 def test_verify_csv_format(run_cli):
     proc = run_cli("verify", "--format", "csv")
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
@@ -423,10 +438,12 @@ def test_sweep_simplex_knobs_are_unknown_config_fields(run_cli, tmp_path, key, v
        "grid": {"half_width": half_width, "n_points": 5}} for half_width in (1e-300, 1e-150, 1e300)),
     {"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0},
      "grid": {"half_width": 1e156, "n_points": 401}},
+    {**FAILING_CASE, "oops": 1},
+    {"potential": FAILING_CASE["potential"]},
 ], ids=["half_width-inf", "depth-inf", "nu-nan", "width-inf", "n_points-fraction", "n_points-overflow",
         "n_points-1e300", "depth-string", "width-bool", "integral-overflow",
         "spacing-squared-underflow", "spacing-inverse-fourth-overflow", "spacing-squared-overflow",
-        "spacing-inverse-fourth-underflow"])
+        "spacing-inverse-fourth-underflow", "extra-case-key", "missing-case-key"])
 def test_verify_non_finite_config_is_usage_error(run_cli, tmp_path, case):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps([case]))

@@ -101,11 +101,16 @@ def test_blown_quadrature_budget_names_the_functional(monkeypatch):
 
 def test_weight_the_graded_rule_cannot_carry_is_divergent():
     # (1 - s^0.05)^1e6 puts all of phi's mass below the rule's first node, where
-    # the objective would read C = 0, under criterion 6's floor of 1/3
+    # the objective would read C = 0, under criterion 6's floor of 1/3, and
+    # int phi^2 0.0; at r = 1000 the rule sees 0.54 of the mass and int phi^2
+    # would read 3.0e29
     fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
-    weight = trial.normalize_weight("bump_poly", q=0.05, r=1e6)
-    with pytest.raises(functionals.DivergentError, match="weight mass"):
-        functionals.averaging_objective(fam, weight, P11)
+    for r in (1e6, 1000.0):
+        weight = trial.normalize_weight("bump_poly", q=0.05, r=r)
+        with pytest.raises(functionals.DivergentError, match="averaging objective: the graded rule gives"):
+            functionals.averaging_objective(fam, weight, P11)
+        with pytest.raises(functionals.DivergentError, match="weight L2 norm: the graded rule gives"):
+            functionals.weight_l2(weight)
 
 
 def _one_minus_g_mpmath(fam, w, t):
@@ -195,7 +200,7 @@ def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=st.floats(1.1, 400.0), p_frac=st.floats(0.0, 1.0), kind=st.sampled_from(trial.WEIGHT_KINDS),
+@given(a=st.floats(1.1, 400.0), p_frac=st.floats(0.0, 1.0), kind=st.sampled_from(list(trial.WEIGHT_KINDS)),
        q=st.floats(0.05, 3.0), r=st.floats(0.5, 10.0),
        us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=15))
 @example(a=291.0, p_frac=0.0, kind="bump_simple", q=1.0, r=1.0, us=[1.0625])  # x overflows, t^a does not
@@ -206,8 +211,7 @@ def test_compressed_inner_rule_matches_full_rule(a, p_frac, kind, q, r, us):
     p_lo = max(0.05, 0.55 / a)
     p = p_lo * (100.0 / p_lo) ** p_frac
     fam = trial.normalize_profile("rational_power", a=a, p=p)
-    parametric = kind in ("bump_rich", "bump_poly")
-    w = trial.normalize_weight(kind, q=q if parametric else None, r=r if parametric else None)
+    w = trial.normalize_weight(kind, *(q, r)[:len(trial.WEIGHT_KINDS[kind])])
     nodes, weights = quad.graded_rule()
     wphi = weights * trial.eval_weight(w, nodes)
     ts = fam.mu ** (-1.0 / a) * 10.0 ** np.array(us)

@@ -161,9 +161,12 @@ def test_run_sweep_validates_upfront():
 
 def test_run_sweep_bad_numbers_are_per_run_errors():
     configs = [{"d": 0, "sigma": 1.0, "seed_params": [2.0, 0.5], "phi_kind": "bump_simple"},
-               {"d": 1, "sigma": 1.0, "seed_params": [], "phi_kind": "bump_simple"}]
+               {"d": 1, "sigma": 1.0, "seed_params": [], "phi_kind": "bump_simple"},
+               *({"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5], "phi_kind": kind}
+                 for kind in ("nope", ["bump_simple"], {"bump_simple": 1}))]
     runs = [r for r in optimize.run_sweep(configs) if not r.get("summary")]
-    assert all("ValueError" in r["error"] for r in runs)
+    assert all(r["error"].startswith("ValueError: ") for r in runs), runs
+    assert all(r["error"].startswith("ValueError: unknown phi_kind") for r in runs[2:]), runs
 
 
 def test_run_sweep_bad_max_iters_or_seed_is_value_error_record():

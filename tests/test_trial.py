@@ -135,25 +135,3 @@ def test_bump_simple_in_one_buffer():
         tracemalloc.stop()
     assert peak < 2 * tail_nodes.nbytes, peak  # one output array and the mask
 
-
-def test_json_round_trip():
-    fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
-    back = trial.profile_from_json(fam.to_json())
-    assert back == fam
-    w = trial.normalize_weight("bump_rich", q=0.36, r=2.1)
-    backw = trial.weight_from_json(w.to_json())
-    np.testing.assert_allclose(backw.c, w.c, rtol=1e-15)
-    ind = trial.normalize_profile("indicator")
-    assert trial.profile_from_json(ind.to_json()) == ind
-    assert "a" not in ind.to_json()
-
-
-def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        trial.profile_from_json({"kind": "spline", "a": 2.0})
-    with pytest.raises(ValueError):
-        trial.profile_from_json({"kind": "rational_power", "a": 2.0})  # missing p, mu
-    with pytest.raises(ValueError):
-        trial.profile_from_json({"kind": "indicator", "a": 2.0})  # stray field
-    with pytest.raises(ValueError):
-        trial.weight_from_json({"kind": "bump_rich", "q": "big", "r": 1.0, "c": 1.0})

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import warnings
 from fractions import Fraction
@@ -227,9 +228,19 @@ def test_json_round_trips():
     assert blob["potential"]["kind"] == "poschl_teller"
     assert blob["sum_negative"] == res.sum_negative
     with pytest.raises(ValueError):
-        verify.potential_from_json({"kind": "morse", "depth": 1.0})
-    with pytest.raises(ValueError):
         verify.grid_from_json({"half_width": 5.0, "n_points": 101, "spacing": 0.1})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "morse", "depth": 1.0}, "unknown potential kind 'morse'"),
+    ({"kind": "gaussian_well", "width": 2.0}, "missing potential fields ['depth'] for kind 'gaussian_well'"),
+    ({"kind": "gaussian_well", "depth": "big"}, "potential field 'depth' must be a number, got 'big'"),
+    ({"kind": "poschl_teller", "nu": 1.0, "depth": 2.0},
+     "unexpected potential fields ['depth'] for kind 'poschl_teller'"),
+], ids=["unknown-kind", "missing-field", "non-number-field", "field-not-for-kind"])
+def test_potential_from_json_rejects_malformed(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify.potential_from_json(obj)
 
 
 @pytest.mark.parametrize("kwargs", [
