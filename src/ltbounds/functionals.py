@@ -19,9 +19,15 @@ to vanish fast enough: 1 - f ~ t^a requires a > tau/2, checked up front and
 re-checked numerically through quadrature convergence.
 
 Both functionals are one deficit integral over t of a 1 - h, h = f or g,
-split at t = 1: on (0,1) the integrand is small and vanishes at 0, on
-(1, inf) the known t^(-beta) decay is folded into a power substitution so
-the transformed integrand stays bounded.  Every integral over s runs on the
+split at t = 1, each half mapped onto (0, 1) by a power substitution that
+makes its integrand vanish at least linearly at the mapped end: the near
+half through t = u^n, n = max(1, 2 / (2a + 1 - beta)), which turns the
+t^(2a - beta) behavior next to the admissibility edge into u^1, and the far
+half through t = y^(-m), m = max(1, ceil(2 / (beta - 1))), which folds in
+the t^(-beta) decay.  Where t^a underflows but t^(-beta) does not, the near
+half takes 1 - h as its power law K t^a in logs (_deficit_integral).  A
+non-finite integrand value or a blown quadrature budget is a DivergentError
+naming the functional.  Every integral over s runs on the
 fixed rule quad.graded_rule: inside the objective the inner g integral and
 int phi^2 share phi at its nodes, and mu (s t)^a = (mu s^a) t^a costs a
 batch of outer nodes t^a and one outer product.  For 1 - g the rule's rows
@@ -89,39 +95,72 @@ class ProblemSpec:
         return self.d / (2.0 * self.sigma)
 
 
-def _require_admissible(fam: ProfileFamily, beta: float):
-    a = math.inf if fam.kind == "indicator" else fam.a  # 1 - f ~ t^a at t -> 0
+def _deficit_integral(one_minus, a: float, beta: float, what: str) -> float:
+    """int_0^inf one_minus(t)^2 t^(-beta) dt for 1 - h ~ t^a at t -> 0 (a = inf
+    for the indicator), split at t = 1.
+
+    Each half is mapped onto (0, 1) by a power substitution that makes its
+    integrand vanish at least linearly at the mapped end:
+
+      near  t = u^n,     n = max(1, 2 / e) for the margin e = 2a + 1 - beta > 0,
+            integrand n (1 - h)^2 u^(n - 1 - n beta) ~ u^(n e - 1);
+      far   t = y^(-m),  m = max(1, ceil(2 / (beta - 1))),
+            integrand m (1 - h)^2 y^(m (beta - 1) - 1),  also for tails slower than t^-2.
+
+    n is not rounded up: n e = 2 makes the near integrand's leading term
+    exactly linear in u, which GK15 integrates without bisecting toward u = 0
+    (rounded up, n e - 1 is a fraction above 1 whose second derivative blows
+    up there).  For n = 1 the near integrand is (1 - h)^2 t^(-beta) as it
+    stands; for n > 1 it is formed in logs, since u^(n - 1 - n beta) alone
+    overflows.  Below t_deep = 2^(-600/a), where t^a may underflow while
+    t^(-beta) is huge, 1 - h is the power law K t^a in logs, with K = (1 - h)/t^a
+    taken once at t_deep: 1 - h is a positive sum of terms 1 - (1 + x)^(-p)
+    with x <= mu t^a <= mu 2^-600, linear in x to rounding.
+
+    Raises DivergentError naming `what` for 2a <= beta - 1, for beta <= 1, for
+    a non-finite integrand value and for a blown budget.
+    """
     if not 2.0 * a > beta - 1.0:
         raise DivergentError(f"deficit diverges at t -> 0: profile vanishes like t^{a!r}, "
                              f"weight needs exponent > {(beta - 1.0) / 2.0!r}")
-
-
-def _deficit_integral(one_minus, beta: float, what: str) -> float:
-    """int_0^inf one_minus(t)^2 t^(-beta) dt, split at t = 1.
-
-    On (1, inf) the substitution t = y^(-m) with m (beta - 1) >= 2 maps the
-    range onto (0, 1) and makes the integrand vanish at least linearly at
-    y = 0, also for tails slower than t^-2.
-    Raises DivergentError naming `what` for beta <= 1 or a blown budget.
-    """
     if not beta > 1.0:
         raise DivergentError(f"{what}: weight exponent must satisfy beta > 1, got {beta!r}")
+    margin = 2.0 * a - (beta - 1.0)  # > 0 in floats too, since 2a > beta - 1
+    n = max(1.0, 2.0 / margin)
     m = float(max(1, math.ceil(2.0 / (beta - 1.0))))
+    near_expo = n - 1.0 - n * beta
     expo = m * (beta - 1.0) - 1.0
+    t_deep = 2.0 ** (-600.0 / a) if a < math.inf else 0.0  # the indicator's 1 - h is 0 on (0, 1)
+    log_k = None  # log K, formed on first use
 
-    def near_integrand(t):
+    def near_integrand(u):
+        nonlocal log_k
+        t = u if n == 1.0 else u**n
         omf = one_minus(t)
-        with np.errstate(over="ignore"):
-            val = omf * omf * t ** (-beta)
-        return np.where(omf == 0.0, 0.0, val)
+        deep = t < t_deep
+        # inf and nan reach quad, which raises; log 0 = -inf makes a 0, and
+        # 0 * inf where 1 - h = 0 is masked
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if n == 1.0:
+                val = np.where(omf == 0.0, 0.0, omf * omf * t ** (-beta))
+            else:
+                val = n * np.exp(2.0 * np.log(np.maximum(omf, 0.0)) + near_expo * np.log(u))
+            if deep.any():
+                if log_k is None:
+                    log_k = float(np.log(max(one_minus(np.array([t_deep]))[0], 0.0))) - a * math.log(t_deep)
+                val[deep] = n * np.exp(2.0 * log_k + (n * margin - 1.0) * np.log(u[deep]))
+        return val
 
     def far_integrand(y):
         with np.errstate(over="ignore"):
             t = y**-m
         return m * one_minus(t) ** 2 * y**expo
 
-    near = quad.integrate(near_integrand, 0.0, 1.0)
-    far = quad.integrate(far_integrand, 0.0, 1.0)
+    try:
+        near = quad.integrate(near_integrand, 0.0, 1.0)
+        far = quad.integrate(far_integrand, 0.0, 1.0)
+    except quad.NonFiniteIntegrandError as exc:
+        raise DivergentError(f"{what}: {exc}") from exc
     if not (near.converged and far.converged):
         raise DivergentError(f"{what} quadrature did not converge: near={near!r}, far={far!r}")
     return near.value + far.value
@@ -131,10 +170,11 @@ def weighted_deficit(fam: ProfileFamily, beta: float) -> float:
     """J_beta(f) = int_0^inf (1 - f)^2 t^(-beta) dt.
 
     Raises DivergentError when the small-t behavior makes the integral
-    infinite or the quadrature budget runs out.
+    infinite, an integrand value is not finite or the quadrature budget runs
+    out.
     """
-    _require_admissible(fam, beta)
-    return _deficit_integral(lambda t: one_minus_profile(fam, t), beta, "weighted deficit")
+    a = math.inf if fam.kind == "indicator" else fam.a
+    return _deficit_integral(lambda t: one_minus_profile(fam, t), a, beta, "weighted deficit")
 
 
 def deficit_functional(fam: ProfileFamily, problem: ProblemSpec) -> float:
@@ -336,7 +376,6 @@ def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: Probl
     a weight whose mass on quad.graded_rule is off 1 by more than 1e-12.
     """
     tau = problem.tau
-    _require_admissible(fam, 1.0 + tau)
     wphi, l2 = _weight_on_rule(weight, "averaging objective")
     l2_tau = l2**tau
     if fam.kind == "indicator":
@@ -347,4 +386,4 @@ def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: Probl
         t_of_s = later[:, None] + np.einsum("kjm,kjm->kj", tail_weights, eval_weight(weight, tail_nodes))
         return float(l2_tau * 2.0 * ((wphi * s_nodes**tau) @ t_of_s.ravel()))
     one_minus_g = _one_minus_g_factory(fam, wphi)
-    return float(l2_tau * tau * _deficit_integral(one_minus_g, 1.0 + tau, "averaging objective"))
+    return float(l2_tau * tau * _deficit_integral(one_minus_g, fam.a, 1.0 + tau, "averaging objective"))

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ltbounds import cli, optimize
+from ltbounds import cli, functionals, optimize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -126,6 +126,16 @@ def test_bound_optimize_at_tau_below_float_spacing_is_usage_error(run_cli):
     assert proc.returncode == 2
     assert "--optimize: 5 of 5 initial simplex points are infeasible" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bound_optimize_non_finite_objective_is_usage_error(run_cli, monkeypatch):
+    # a non-finite integrand value is a DivergentError: each simplex point is
+    # penalized, and the search that finds no feasible start exits 2
+    monkeypatch.setattr(functionals, "one_minus_rational", lambda p, x, out=None: np.full_like(x, np.nan))
+    proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "from-c", "--optimize", "--max-iters", "5")
+    assert proc.returncode == 2
+    assert "--optimize: 5 of 5 initial simplex points are infeasible" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("d, sigma", [("100", "1e-3"), ("1000", "0.01"), ("100000", "1"), ("1", "1e-9")])

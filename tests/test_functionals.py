@@ -77,6 +77,100 @@ def test_weighted_deficit_divergence_guards():
         functionals.weighted_deficit(fam, 1.0)  # beta must exceed 1
 
 
+def _mellin_deficit(fam, beta):
+    """J_beta of a rational_power profile in closed form at 40 digits: with x = mu t^a,
+    J = mu^(-s) M(s) / a for s = (1 - beta)/a, where M(s) = Gamma(s) [Gamma(2p - s)/Gamma(2p)
+    - 2 Gamma(p - s)/Gamma(p)] is the Mellin transform of (1 - (1 + x)^(-p))^2 on -2 < s < 0,
+    exactly the admissible strip 2a > beta - 1."""
+    with mpmath.workdps(40):
+        a, p, mu = (mpmath.mpf(v) for v in (fam.a, fam.p, fam.mu))
+        s = (1 - mpmath.mpf(beta)) / a
+        gammas = mpmath.gamma(2 * p - s) / mpmath.gamma(2 * p) - 2 * mpmath.gamma(p - s) / mpmath.gamma(p)
+        return float(mu ** (-s) * mpmath.gamma(s) * gammas / a)
+
+
+def _mellin_grid(taus):
+    """(tau, a, p) with margin 2a + 1 - beta in {0.05 .. 2.5}, beta = 1 + tau, skipping
+    2pa <= 1 (no normalized profile) and integer s (poles of Gamma)."""
+    cases = []
+    for tau in taus:
+        for margin in (0.05, 0.1, 0.2, 0.5, 1.0, 2.5):
+            a = (tau + margin) / 2.0
+            s = -tau / a
+            for p in (0.05, 0.7, 2.9):
+                if 2.0 * p * a > 1.0 and s != round(s):
+                    cases.append((tau, a, p))
+    return cases
+
+
+@pytest.mark.parametrize("tau, a, p", _mellin_grid((0.5, 1.5, 3.0)))
+def test_weighted_deficit_against_mellin_closed_form(tau, a, p):
+    # next to the admissibility edge the near half's integrand was t^(2a - beta),
+    # singular at t = 0: 6 of these 31 cases raised NonFiniteIntegrandError and
+    # 9 came out up to 7.2e-10 off; mapped through t = u^n all are within 2e-13
+    fam = trial.normalize_profile("rational_power", a=a, p=p)
+    np.testing.assert_allclose(functionals.weighted_deficit(fam, 1.0 + tau), _mellin_deficit(fam, 1.0 + tau),
+                               rtol=1e-10)
+    # the averaging objective runs the same integral over 1 - g: finite, no RuntimeWarning
+    problem = functionals.ProblemSpec(1, 0.5 / tau)
+    c = functionals.averaging_objective(fam, trial.normalize_weight("bump_rich", q=0.36, r=2.1), problem)
+    assert math.isfinite(c) and c > 0.0
+
+
+@pytest.mark.parametrize("tau, a, p", _mellin_grid((15.0, 40.0)))
+def test_weighted_deficit_at_large_tau_against_mellin_closed_form(tau, a, p):
+    # at margin 0.2 and below, t^a underflows where t^(-beta) is still huge; the
+    # near half takes 1 - f as its power law there.  Read as 0, that 1 - f made
+    # 13 of these 30 cases blow the subdivision budget and 2 (tau = 15, margin
+    # 0.2) converge 3.2e-9 off; before the map, 20 raised NonFiniteIntegrandError
+    fam = trial.normalize_profile("rational_power", a=a, p=p)
+    np.testing.assert_allclose(functionals.weighted_deficit(fam, 1.0 + tau), _mellin_deficit(fam, 1.0 + tau),
+                               rtol=1e-10)
+
+
+def test_non_finite_integrand_is_divergent():
+    # Nelder-Mead penalizes a DivergentError; a quad.NonFiniteIntegrandError would end the run
+    for a in (1.5, 0.75):  # the near half with n = 1, and with n = 2 / (2a - 1) = 4
+        with pytest.raises(functionals.DivergentError, match="weighted deficit: integrand non-finite"):
+            functionals._deficit_integral(lambda t: np.full_like(t, np.nan), a, 2.0, "weighted deficit")
+
+
+# the two certify pairs of seed 1 that were furthest off their tight-tolerance
+# values (8.9e-10 and 8.8e-10) with the near half integrated in t
+CERTIFY_EDGE_PAIRS = [
+    (("rational_power", 1.7168570511160532, 2.8261171683006974),
+     ("bump_poly", 0.9351581250207206, 2.444853372167623)),
+    (("deficit_optimal", 1.6312040458539316, None),
+     ("bump_rich", 1.6497301493798748, 4.487510670946943)),
+]
+
+
+@pytest.mark.parametrize("profile, weight", CERTIFY_EDGE_PAIRS, ids=lambda v: v[0])
+def test_certify_edge_pairs_against_tight_tolerance(monkeypatch, profile, weight):
+    fam = trial.normalize_profile(profile[0], a=profile[1], p=profile[2])
+    w = trial.normalize_weight(*weight)
+    calls = []
+
+    def counting(func, lo, hi):
+        count = len(calls)
+        calls.append(0)
+
+        def counted(t):
+            calls[count] += 1
+            return func(t)
+        return integrate(counted, lo, hi)
+
+    integrate = quad.integrate
+    monkeypatch.setattr(quad, "integrate", counting)
+    c = functionals.averaging_objective(fam, w, P3HALF)
+    assert len(calls) == 2 and calls[0] <= 2, calls  # near half, then far half
+    monkeypatch.setattr(quad, "integrate", integrate)
+    monkeypatch.setattr(quad, "_ABS_TOL", 1e-300)
+    monkeypatch.setattr(quad, "_REL_TOL", 1e-14)
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 100_000)
+    np.testing.assert_allclose(c, functionals.averaging_objective(fam, w, P3HALF), rtol=1e-10)
+
+
 def test_tau_below_float_spacing_of_one_is_divergent():
     # tau = 5e-17 rounds 1 + tau to 1.0: the deficit weight t^-1 is not integrable
     problem = functionals.ProblemSpec(1, 1e16)

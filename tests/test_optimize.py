@@ -179,3 +179,14 @@ def test_run_sweep_bad_max_iters_or_seed_is_value_error_record():
     assert all(e.startswith("ValueError: max_iters must be an integer") for e in errors[:3]), errors
     assert all(e.startswith("ValueError: seed_params must be finite") for e in errors[3:]), errors
     assert not any("best_value" in r for r in runs)
+
+
+def test_run_sweep_from_an_edge_start_penalizes_instead_of_failing():
+    # tau = 2.15 and a = 1.12: t^(-beta) overflowed in the near half, and the
+    # NonFiniteIntegrandError ended the run with an "error" record
+    cfg = {"d": 4, "sigma": 0.93, "phi_kind": "bump_simple", "seed_params": [1.12, 2.0], "max_iters": 60}
+    record, summary = optimize.run_sweep([cfg])
+    assert "error" not in record, record
+    assert record["iterations"] == 60
+    np.testing.assert_allclose(record["best_value"], 0.081731, rtol=1e-5)
+    assert summary["best_value"] == record["best_value"]
