@@ -303,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="minimize the averaging objective to obtain the c value")
     bound.add_argument("--phi-kind", choices=WEIGHT_KINDS, default=None)
     bound.add_argument("--seed", type=_seed_list, default=None, metavar="A,P[,Q,R]")
-    bound.add_argument("--max-iters", type=int, default=2000)
+    bound.add_argument("--max-iters", type=int, default=optimize.OptConfig.max_iters)
     _add_common(bound)
     bound.set_defaults(func=cmd_bound, parser=bound)
 
@@ -319,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = subs.add_parser("verify", help="spectral check of the eigenvalue-sum inequality")
     ver.add_argument("config", nargs="?", default=None, help="JSON suite of {potential, grid} cases")
-    ver.add_argument("--l-ratio", type=float, default=1.456)
+    ver.add_argument("--l-ratio", type=float, default=constants.UNIVERSAL_L_RATIO)
     _add_common(ver)
     ver.set_defaults(func=cmd_verify, parser=ver)
     return parser

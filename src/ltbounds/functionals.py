@@ -19,18 +19,16 @@ to vanish fast enough: 1 - f ~ t^a requires a > tau/2, checked up front and
 re-checked numerically through quadrature convergence.
 
 Both functionals are one deficit integral over t of a 1 - h, h = f or g,
-split at t = 1, each half mapped onto (0, 1) by a power substitution that
-makes its integrand vanish at least linearly at the mapped end: the near
-half through t = u^n, n = max(1, 2 / (2a + 1 - beta)), which turns the
-t^(2a - beta) behavior next to the admissibility edge into u^1, and the far
-half through t = y^(-m), m = max(1, ceil(2 / (beta - 1))), which folds in
-the t^(-beta) decay.  Where t^a underflows but t^(-beta) does not, the near
-half takes 1 - h as its power law K t^a in logs (_deficit_integral).  A
-non-finite integrand value or a blown quadrature budget is a DivergentError
-naming the functional.  Every integral over s runs on the
-fixed rule quad.graded_rule: inside the objective the inner g integral and
-int phi^2 share phi at its nodes, and mu (s t)^a = (mu s^a) t^a costs a
-batch of outer nodes t^a and one outer product.  For 1 - g the rule's rows
+split at t = 1, each half mapped onto (0, 1) by t = v^k, with the one
+integrand |k| (1 - h)^2 v^(k (1 - beta) - 1) in logs: near k = n = max(1,
+2 / (2a + 1 - beta)), which turns the t^(2a - beta) behavior next to the
+admissibility edge into v^1; far k = -m, m = max(1, ceil(2 / (beta - 1))),
+which folds in the t^(-beta) decay (_deficit_integral).  A non-finite
+integrand value or a blown quadrature budget is a DivergentError naming the
+functional.  Every integral over s runs on the fixed rule quad.graded_rule:
+inside the objective the inner g integral and int phi^2 share phi at its
+nodes, and mu (s t)^a = (mu s^a) t^a costs a batch of outer nodes t^a and
+one outer product.  For 1 - g the rule's rows
 with s^a within delta_0 ~ 1/65 of 1 (the panels graded toward s = 1) are
 folded, once per evaluation, into a 4-point Gauss rule in delta = s^a - 1
 whose error is at most 2^-54 of their sum (_one_minus_g_factory): about
@@ -99,23 +97,20 @@ def _deficit_integral(one_minus, a: float, beta: float, what: str) -> float:
     """int_0^inf one_minus(t)^2 t^(-beta) dt for 1 - h ~ t^a at t -> 0 (a = inf
     for the indicator), split at t = 1.
 
-    Each half is mapped onto (0, 1) by a power substitution that makes its
-    integrand vanish at least linearly at the mapped end:
+    Each half is t = v^k on v in (0, 1), with integrand, formed in logs,
 
-      near  t = u^n,     n = max(1, 2 / e) for the margin e = 2a + 1 - beta > 0,
-            integrand n (1 - h)^2 u^(n - 1 - n beta) ~ u^(n e - 1);
-      far   t = y^(-m),  m = max(1, ceil(2 / (beta - 1))),
-            integrand m (1 - h)^2 y^(m (beta - 1) - 1),  also for tails slower than t^-2.
+      |k| (1 - h)^2 v^(k (1 - beta) - 1):
+      near  k = n = max(1, 2 / e) for the margin e = 2a + 1 - beta > 0,  ~ v^(n e - 1);
+      far   k = -m, m = max(1, ceil(2 / (beta - 1))),                     ~ v^(m (beta - 1) - 1).
 
-    n is not rounded up: n e = 2 makes the near integrand's leading term
-    exactly linear in u, which GK15 integrates without bisecting toward u = 0
-    (rounded up, n e - 1 is a fraction above 1 whose second derivative blows
-    up there).  For n = 1 the near integrand is (1 - h)^2 t^(-beta) as it
-    stands; for n > 1 it is formed in logs, since u^(n - 1 - n beta) alone
-    overflows.  Below t_deep = 2^(-600/a), where t^a may underflow while
-    t^(-beta) is huge, 1 - h is the power law K t^a in logs, with K = (1 - h)/t^a
-    taken once at t_deep: 1 - h is a positive sum of terms 1 - (1 + x)^(-p)
-    with x <= mu t^a <= mu 2^-600, linear in x to rounding.
+    Both vanish at least linearly at v = 0.  n is not rounded up: n e = 2
+    makes the near integrand's leading term exactly linear in v, which GK15
+    integrates without bisecting toward v = 0 (rounded up, n e - 1 is a
+    fraction above 1 whose second derivative blows up there).  Below t_deep =
+    2^(-600/a), where t^a may underflow while t^(-beta) is huge, log(1 - h) is
+    log K + a k log v, with K = (1 - h)/t^a taken once at t_deep: 1 - h is a
+    positive sum of terms 1 - (1 + x)^(-p) with x <= mu t^a <= mu 2^-600,
+    linear in x to rounding.
 
     Raises DivergentError naming `what` for 2a <= beta - 1, for beta <= 1, for
     a non-finite integrand value and for a blown budget.
@@ -128,37 +123,37 @@ def _deficit_integral(one_minus, a: float, beta: float, what: str) -> float:
     margin = 2.0 * a - (beta - 1.0)  # > 0 in floats too, since 2a > beta - 1
     n = max(1.0, 2.0 / margin)
     m = float(max(1, math.ceil(2.0 / (beta - 1.0))))
-    near_expo = n - 1.0 - n * beta
-    expo = m * (beta - 1.0) - 1.0
     t_deep = 2.0 ** (-600.0 / a) if a < math.inf else 0.0  # the indicator's 1 - h is 0 on (0, 1)
     log_k = None  # log K, formed on first use
 
-    def near_integrand(u):
-        nonlocal log_k
-        t = u if n == 1.0 else u**n
-        omf = one_minus(t)
-        deep = t < t_deep
-        # inf and nan reach quad, which raises; log 0 = -inf makes a 0, and
-        # 0 * inf where 1 - h = 0 is masked
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            if n == 1.0:
-                val = np.where(omf == 0.0, 0.0, omf * omf * t ** (-beta))
-            else:
-                val = n * np.exp(2.0 * np.log(np.maximum(omf, 0.0)) + near_expo * np.log(u))
-            if deep.any():
-                if log_k is None:
-                    log_k = float(np.log(max(one_minus(np.array([t_deep]))[0], 0.0))) - a * math.log(t_deep)
-                val[deep] = n * np.exp(2.0 * log_k + (n * margin - 1.0) * np.log(u[deep]))
-        return val
+    def half(k):
+        expo = k * (1.0 - beta) - 1.0  # k - 1 - k beta cancels for beta -> 1 at large m
 
-    def far_integrand(y):
-        with np.errstate(over="ignore"):
-            t = y**-m
-        return m * one_minus(t) ** 2 * y**expo
+        def integrand(v):
+            nonlocal log_k
+            log_v = np.log(v)
+            # inf, nan and a negative 1 - h (nan in logs) reach quad, which raises;
+            # log 0 = -inf makes a 0
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                t = v**k
+                val = one_minus(t)
+                np.log(val, out=val)
+                if t.min() < t_deep:  # near half only: t > 1 on the far half
+                    if log_k is None:
+                        log_k = float(np.log(one_minus(np.array([t_deep]))[0])) - a * math.log(t_deep)
+                    deep = t < t_deep
+                    val[deep] = log_k + a * k * log_v[deep]
+                val *= 2.0
+                log_v *= expo
+                val += log_v
+                np.exp(val, out=val)
+            val *= abs(k)
+            return val
+        return integrand
 
     try:
-        near = quad.integrate(near_integrand, 0.0, 1.0)
-        far = quad.integrate(far_integrand, 0.0, 1.0)
+        near = quad.integrate(half(n), 0.0, 1.0)
+        far = quad.integrate(half(-m), 0.0, 1.0)
     except quad.NonFiniteIntegrandError as exc:
         raise DivergentError(f"{what}: {exc}") from exc
     if not (near.converged and far.converged):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import DivergentError, ProblemSpec, averaging_objective, weighted_deficit
-from .trial import WEIGHT_KINDS, ConstraintViolationError, _is_json_number, normalize_profile, normalize_weight
+from .trial import (WEIGHT_KINDS, ConstraintViolationError, _is_json_number, normalize_profile, normalize_weight,
+                    spec_to_json)
 
 __all__ = [
     "PENALTY",
@@ -74,14 +75,7 @@ class OptResult:
     converged: bool
     trace: tuple[tuple[int, float], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "best_params": list(self.best_params),
-            "best_value": self.best_value,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "trace": [[i, v] for i, v in self.trace],
-        }
+    to_json = spec_to_json
 
 
 def _initial_simplex(x0: np.ndarray, scale: float) -> np.ndarray:

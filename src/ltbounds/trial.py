@@ -65,7 +65,7 @@ def _is_json_number(v) -> bool:
 
 
 def spec_to_json(spec) -> dict:
-    """A spec dataclass as a flat JSON object, None fields omitted."""
+    """A dataclass as a JSON object, None fields omitted; json writes tuples as arrays."""
     return {f.name: getattr(spec, f.name) for f in fields(spec) if getattr(spec, f.name) is not None}
 
 

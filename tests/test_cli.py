@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ltbounds import cli, functionals, optimize
+from ltbounds import cli, constants, functionals, optimize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -473,6 +473,13 @@ def test_verify_deep_well_terminates(tmp_path):
     cases = json.loads(proc.stdout)["cases"]
     assert [len(case["negative_eigenvalues"]) for case in cases] == [11, 11]  # one per node in the well
     assert cases[0]["negative_eigenvalues"][-1] < -2.0**19
+
+
+def test_parser_defaults_are_the_library_constants():
+    parser = cli._build_parser()
+    bound = parser.parse_args(["bound", "--d", "1", "--sigma", "1", "--method", "best-of"])
+    assert bound.max_iters == optimize.OptConfig.max_iters
+    assert parser.parse_args(["verify"]).l_ratio == constants.UNIVERSAL_L_RATIO
 
 
 def test_readme_cli_block_parses():

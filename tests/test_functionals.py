@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sci
 
@@ -123,6 +123,32 @@ def test_weighted_deficit_at_large_tau_against_mellin_closed_form(tau, a, p):
     # near half takes 1 - f as its power law there.  Read as 0, that 1 - f made
     # 13 of these 30 cases blow the subdivision budget and 2 (tau = 15, margin
     # 0.2) converge 3.2e-9 off; before the map, 20 raised NonFiniteIntegrandError
+    fam = trial.normalize_profile("rational_power", a=a, p=p)
+    np.testing.assert_allclose(functionals.weighted_deficit(fam, 1.0 + tau), _mellin_deficit(fam, 1.0 + tau),
+                               rtol=1e-10)
+
+
+@pytest.mark.parametrize("beta, rtol", [(1.5, 1e-14), (2.0, 1e-14), (4.0, 1e-14), (41.0, 1e-14), (1.0001, 1e-11)])
+def test_weighted_deficit_of_indicator_is_exact(beta, rtol):
+    # 1 - f is 0 on (0, 1), so the near half is log 0 -> 0 at every node, and 1 on
+    # (1, inf), where the far half integrates m y^(m (beta - 1) - 1) to 1/(beta - 1)
+    fam = trial.normalize_profile("indicator")
+    np.testing.assert_allclose(functionals.weighted_deficit(fam, beta), 1.0 / (beta - 1.0), rtol=rtol)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tau_frac=st.floats(0.0, 1.0), margin_frac=st.floats(0.0, 1.0), p_frac=st.floats(0.0, 1.0))
+@example(tau_frac=0.0, margin_frac=1.0, p_frac=0.5)  # n = 1, m = 4
+@example(tau_frac=1.0, margin_frac=0.0, p_frac=1.0)  # n = 40, m = 1, deep nodes
+def test_weighted_deficit_matches_mellin_closed_form(tau_frac, margin_frac, p_frac):
+    # log-uniform tau in [0.5, 40], margin 2a + 1 - beta in [0.05, 4], p in [max(0.05, 0.55/a), 3]:
+    # n = 1 and n > 1, m = 1 and m > 1, and the near half's power law below t_deep
+    tau = 0.5 * 80.0**tau_frac
+    a = (tau + 0.05 * 80.0**margin_frac) / 2.0
+    p_lo = max(0.05, 0.55 / a)
+    p = p_lo * (3.0 / p_lo) ** p_frac
+    s = -tau / a
+    assume(abs(s - round(s)) >= 1e-3)  # next to a pole of Gamma(s)
     fam = trial.normalize_profile("rational_power", a=a, p=p)
     np.testing.assert_allclose(functionals.weighted_deficit(fam, 1.0 + tau), _mellin_deficit(fam, 1.0 + tau),
                                rtol=1e-10)
