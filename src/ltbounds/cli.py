@@ -27,7 +27,7 @@ import sys
 
 from . import constants, optimize, verify
 from .functionals import ProblemSpec, averaging_objective
-from .trial import WEIGHT_KINDS, normalize_profile, normalize_weight
+from .trial import WEIGHT_KINDS, json_object, normalize_profile, normalize_weight
 
 _METHODS = ("rumin-original", "momentum-optimal", "from-c", "best-of")
 
@@ -95,6 +95,8 @@ def _optimized_c(problem: ProblemSpec, args):
 
 
 def cmd_bound(args, parser) -> int:
+    if not args.optimize and (args.phi_kind is not None or args.seed is not None):
+        parser.error("--phi-kind and --seed set up the --optimize search: give them with --optimize")
     if args.optimize and args.c_value is not None:
         parser.error("--c-value and --optimize both set C; give one")
     if args.method in ("rumin-original", "momentum-optimal") and (args.optimize or args.c_value is not None):
@@ -228,25 +230,30 @@ def _label(pot: verify.PotentialSpec) -> str:
     return f"{pot.kind}({inner})"
 
 
+def _verify_suite(raw) -> list:
+    """The (potential, grid) cases of a verify config; a bad input raises a
+    ValueError that names it, as in "case 2 grid: missing fields ['n_points']"."""
+    if isinstance(raw, dict):
+        raw = json_object(raw, "top level", ("cases",))["cases"]
+    if not isinstance(raw, list):
+        raise ValueError("top level: must be a JSON array of cases or {'cases': [...]}")
+    suite = []
+    for idx, case in enumerate(raw):
+        json_object(case, f"case {idx}", ("grid", "potential"))
+        try:
+            suite.append((verify.potential_from_json(case["potential"]), verify.grid_from_json(case["grid"])))
+        except ValueError as exc:
+            raise ValueError(f"case {idx} {exc}") from None
+    return suite
+
+
 def cmd_verify(args, parser) -> int:
     if not (args.l_ratio > 0.0 and math.isfinite(args.l_ratio)):
         parser.error(f"--l-ratio must be positive and finite, got {args.l_ratio!r}")
     if args.config:
-        raw = _read_config(args.config, parser)
-        if isinstance(raw, dict):
-            if set(raw) != {"cases"}:
-                parser.error(f"verify config object must have exactly the key 'cases', got {sorted(raw)!r}")
-            raw = raw["cases"]
-        if not isinstance(raw, list):
-            parser.error("verify config must be a JSON array of cases or {'cases': [...]}")
-        for case in raw:
-            if not (isinstance(case, dict) and set(case) == {"grid", "potential"}):
-                parser.error(f"bad verify config: a case must be an object with exactly the keys "
-                             f"'grid' and 'potential', got {case!r}")
         try:
-            suite = [(verify.potential_from_json(case["potential"]), verify.grid_from_json(case["grid"]))
-                     for case in raw]
-        except (TypeError, ValueError, OverflowError) as exc:
+            suite = _verify_suite(_read_config(args.config, parser))
+        except ValueError as exc:
             parser.error(f"bad verify config: {exc}")
     else:
         suite = list(verify.default_suite())

@@ -152,8 +152,8 @@ def _deficit_integral(one_minus, a: float, beta: float, what: str) -> float:
         return integrand
 
     try:
-        near = quad.integrate(half(n), 0.0, 1.0)
-        far = quad.integrate(half(-m), 0.0, 1.0)
+        near = quad.integrate(half(n))
+        far = quad.integrate(half(-m))
     except quad.NonFiniteIntegrandError as exc:
         raise DivergentError(f"{what}: {exc}") from exc
     if not (near.converged and far.converged):

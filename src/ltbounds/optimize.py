@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import DivergentError, ProblemSpec, averaging_objective, weighted_deficit
-from .trial import (WEIGHT_KINDS, ConstraintViolationError, _is_json_number, normalize_profile, normalize_weight,
-                    spec_to_json)
+from .trial import (WEIGHT_KINDS, ConstraintViolationError, _is_json_number, json_object, normalize_profile,
+                    normalize_weight, spec_to_json)
 
 __all__ = [
     "PENALTY",
@@ -221,10 +221,6 @@ def default_seed(problem: ProblemSpec, phi_kind: str = "bump_rich") -> tuple[flo
     return (max(2.0, problem.tau + 1.0), 0.5, 0.5, 2.0)
 
 
-_RUN_REQUIRED = {"d", "sigma", "seed_params"}
-_RUN_OPTIONAL = {"phi_kind", "max_iters"}
-
-
 def run_sweep(configs: list[dict]):
     """Run minimize_averaging for each config dict; yield one record per run
     and then one summary record per distinct (d, sigma).
@@ -238,14 +234,7 @@ def run_sweep(configs: list[dict]):
     if not isinstance(configs, list):
         raise ValueError("sweep config must be a JSON array of run objects")
     for idx, raw in enumerate(configs):
-        if not isinstance(raw, dict):
-            raise ValueError(f"run {idx}: config entries must be objects")
-        unknown = set(raw) - _RUN_REQUIRED - _RUN_OPTIONAL
-        if unknown:
-            raise ValueError(f"run {idx}: unknown config fields {sorted(unknown)!r}")
-        missing = _RUN_REQUIRED - set(raw)
-        if missing:
-            raise ValueError(f"run {idx}: missing config fields {sorted(missing)!r}")
+        json_object(raw, f"run {idx}", ("d", "sigma", "seed_params"), ("phi_kind", "max_iters"))
         seed = raw["seed_params"]
         if not (isinstance(seed, (list, tuple))
                 and all(map(_is_json_number, (raw["d"], raw["sigma"], *seed)))):

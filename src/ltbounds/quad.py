@@ -1,13 +1,14 @@
 """Adaptive panel quadrature with the embedded Gauss-Kronrod 15/7 pair.
 
-Integrals of an averaging weight over (0,1) use the one fixed graded_rule();
-every other integral (the two halves of the deficit integral over t) runs
-through integrate(), whose tolerances and budget are the module constants
-_ABS_TOL, _REL_TOL and _MAX_SUBDIVISIONS, read at call time.  The scheme is
+Every integral runs over the unit interval (0, 1).  Integrals of an
+averaging weight use the one fixed graded_rule(); every other integral (the
+two halves of the deficit integral, each mapped onto (0, 1)) runs through
+integrate(), whose tolerances and budget are the module constants _ABS_TOL,
+_REL_TOL and _MAX_SUBDIVISIONS, read at call time.  The scheme is
 adaptive bisection in rounds: each panel carries the 15-point Kronrod value
 K15 and the 7-point Gauss value G7 taken from the same 15 integrand values
 (the K15 nodes contain the G7 nodes, as in QUADPACK's qk15), and |K15 - G7|
-is the panel's error estimate.  The range starts as _START_PANELS equal
+is the panel's error estimate.  The interval starts as _START_PANELS equal
 panels.  Each round picks panels worst first, ties by position, until the
 summed error of the panels left fits the tolerance, splits every picked
 panel and scores all the halves; every round, the first included, is one
@@ -16,10 +17,9 @@ the subdivision budget runs out.  Budget exhaustion is reported through
 QuadResult.converged, never raised, so callers decide whether a slow
 integral is fatal.
 
-Ranges are finite, and so is their width; callers fold an infinite range
-to a finite one with a substitution that suits the integrand's decay.
-Kronrod nodes are interior, so an endpoint singularity of the integrand is
-never evaluated.
+Callers map any other range onto (0, 1) with a substitution that suits the
+integrand, an infinite range by its decay.  Kronrod nodes are interior, so
+an endpoint singularity of the integrand is never evaluated.
 
 Integrands must be vectorized: they receive a 1-D float ndarray of nodes,
 15 per panel, and must return an ndarray of the same shape.
@@ -78,18 +78,7 @@ _ABS_TOL = 1e-11
 _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 2000
 _START_PANELS = 4  # integrate() scores these equal panels in its first call
-_START_STEPS = np.arange(_START_PANELS + 1.0)
-
-
-def _start_edges(lo: float, hi: float):
-    """The edges of the start panels, np.linspace(lo, hi, _START_PANELS + 1)
-    in its own arithmetic (k steps of (hi - lo) / _START_PANELS, then the
-    last edge set to hi) without its overhead: bit for bit the same wherever
-    that step is nonzero."""
-    edges = _START_STEPS * ((hi - lo) / _START_PANELS)
-    edges += lo
-    edges[-1] = hi
-    return edges
+_START_EDGES = np.linspace(0.0, 1.0, _START_PANELS + 1)
 
 
 def _panels(func, los, his):
@@ -109,23 +98,14 @@ def _panels(func, los, his):
     return value, np.abs(diff)
 
 
-def integrate(func, lo: float, hi: float) -> QuadResult:
-    """Integrate func over the finite range (lo, hi).
+def integrate(func) -> QuadResult:
+    """Integrate func over (0, 1).
 
-    func maps an ndarray of nodes to an ndarray of values.  Endpoints are
-    never evaluated.  Raises ValueError unless hi - lo is finite and >= 0,
-    NonFiniteIntegrandError on nan/inf at a node; a blown subdivision budget
-    comes back as converged=False.
+    func maps an ndarray of nodes to an ndarray of values.  The endpoints
+    are never evaluated.  Raises NonFiniteIntegrandError on nan/inf at a
+    node; a blown subdivision budget comes back as converged=False.
     """
-    if not math.isfinite(hi - lo):  # nan or infinite ends, or a width that overflows
-        raise ValueError(f"integration endpoints and their width must be finite, got ({lo!r}, {hi!r})")
-    if hi < lo:
-        raise ValueError(f"need lo <= hi, got ({lo!r}, {hi!r})")
-    if lo == hi:
-        return QuadResult(0.0, 0.0, 0, True)
-
-    edges = _start_edges(lo, hi)
-    los, his = edges[:-1].copy(), edges[1:].copy()
+    los, his = _START_EDGES[:-1].copy(), _START_EDGES[1:].copy()
     vals, errs = _panels(func, los, his)
     frozen_v = frozen_e = 0.0  # panels too narrow to split further
     splits = 0

@@ -24,8 +24,9 @@ kind to the parameters it takes; the optimizer and the CLI read it:
 Families are immutable, and normalize_profile / normalize_weight are the
 only way to build one, so the stored scale constants always match the
 stated normalization.  to_json writes a family as a flat JSON object for
-reports, absent fields omitted; nothing reads a family back.
-spec_from_json reads verify's potential and grid specs.
+reports, absent fields omitted; nothing reads a family back.  json_object
+checks every JSON input the package reads (sweep runs, verify's config and
+cases, and through spec_from_json its potential and grid specs).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "one_minus_profile",
     "eval_weight",
     "spec_to_json",
+    "json_object",
     "spec_from_json",
 ]
 
@@ -207,31 +209,44 @@ def eval_weight(fam: WeightFamily, t):
     return out
 
 
+def json_object(obj, name: str, required, optional=(), kind: str | None = None) -> dict:
+    """obj, checked to be a JSON object with every key of required and no key
+    outside required and optional; else a ValueError that starts with name,
+    as in "run 3: unknown fields ['x_tol']", ending " for kind 'k'" if given."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name}: must be a JSON object, got {type(obj).__name__}")
+    where = "" if kind is None else f" for kind {kind!r}"
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{name}: unknown fields {unknown!r}{where}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{name}: missing fields {missing!r}{where}")
+    return obj
+
+
 def spec_from_json(obj: dict, cls, label: str, fields_by_kind: dict | None = None):
-    """Inverse of spec_to_json for the dataclass cls; raises ValueError.
+    """Inverse of spec_to_json for the dataclass cls; raises a ValueError
+    that starts with label, cls's own errors included.
 
     fields_by_kind maps each kind to the fields it takes; without it there is
     no kind and every field of cls is taken.  Fields must be JSON numbers and
     are required unless their dataclass default is a value other than None.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"{label} JSON must be an object, got {type(obj).__name__}")
-    vals = dict(obj)
-    if fields_by_kind is None:
-        allowed, where, head = [f.name for f in fields(cls)], "", {}
-    else:
-        kind = vals.pop("kind", None)
+    defaults = {f.name: f.default for f in fields(cls)}
+    names, kind = list(defaults), None
+    if fields_by_kind is not None and isinstance(obj, dict):
+        kind = obj.get("kind")
         if not isinstance(kind, str) or kind not in fields_by_kind:
-            raise ValueError(f"unknown {label} kind {kind!r}")
-        allowed, where, head = fields_by_kind[kind], f" for kind {kind!r}", {"kind": kind}
-    extra = set(vals) - set(allowed)
-    if extra:
-        raise ValueError(f"unexpected {label} fields {sorted(extra)!r}{where}")
-    missing = [f.name for f in fields(cls)
-               if f.name in allowed and f.name not in vals and f.default in (None, MISSING)]
-    if missing:
-        raise ValueError(f"missing {label} fields {missing!r}{where}")
+            raise ValueError(f"{label}: unknown kind {kind!r}")
+        names = ["kind", *fields_by_kind[kind]]
+    required = [name for name in names if defaults[name] in (None, MISSING)]
+    vals = dict(json_object(obj, label, required, names, kind))
+    head = {} if kind is None else {"kind": vals.pop("kind")}
     for name, v in vals.items():
         if not _is_json_number(v):
-            raise ValueError(f"{label} field {name!r} must be a number, got {v!r}")
-    return cls(**head, **{name: float(v) for name, v in vals.items()})
+            raise ValueError(f"{label}: field {name!r} must be a number, got {v!r}")
+    try:
+        return cls(**head, **{name: float(v) for name, v in vals.items()})
+    except (ValueError, OverflowError) as exc:  # float() overflows on an integer past the float range
+        raise ValueError(f"{label}: {exc}") from None

@@ -87,7 +87,9 @@ __all__ = [
     "grid_from_json",
 ]
 
-POTENTIAL_KINDS = ("poschl_teller", "gaussian_well", "square_well")
+# each kind and the fields it takes; PotentialSpec and potential_from_json read it
+POTENTIAL_KINDS = {"poschl_teller": ("nu", "width"), "gaussian_well": ("depth", "width"),
+                   "square_well": ("depth", "width")}
 
 _L_CL_1D = l_cl(ProblemSpec(d=1, sigma=1.0))  # 2/(3 pi)
 _SAFE_MIN = 2.2250738585072014e-308  # smallest normal float64
@@ -118,20 +120,18 @@ class PotentialSpec:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in POTENTIAL_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in POTENTIAL_KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if not (0.0 < self.width < math.inf):
             raise ValueError(f"width must be positive and finite, got {self.width!r}")
+        for name in ("nu", "depth"):
+            if name not in POTENTIAL_KINDS[self.kind] and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} takes {'/'.join(POTENTIAL_KINDS[self.kind])}, not {name}")
         if self.kind == "poschl_teller":
             if self.nu is None or not (0.0 < self.nu < math.inf):
                 raise ValueError(f"poschl_teller requires finite nu > 0, got {self.nu!r}")
-            if self.depth is not None:
-                raise ValueError("poschl_teller takes nu/width, not depth")
-        else:
-            if self.depth is None or not (0.0 <= self.depth < math.inf):
-                raise ValueError(f"{self.kind} requires finite depth >= 0, got {self.depth!r}")
-            if self.nu is not None:
-                raise ValueError(f"{self.kind} takes depth/width, not nu")
+        elif self.depth is None or not (0.0 <= self.depth < math.inf):
+            raise ValueError(f"{self.kind} requires finite depth >= 0, got {self.depth!r}")
         try:
             integral = potential_integral(self)
         except (OverflowError, ZeroDivisionError):
@@ -390,13 +390,9 @@ def default_suite() -> tuple[tuple[PotentialSpec, GridSpec], ...]:
     )
 
 
-_POTENTIAL_FIELDS = {"poschl_teller": {"nu", "width"}, "gaussian_well": {"depth", "width"},
-                     "square_well": {"depth", "width"}}
-
-
 def potential_from_json(obj: dict) -> PotentialSpec:
     """Inverse of PotentialSpec.to_json; rejects unknown kinds and fields."""
-    return spec_from_json(obj, PotentialSpec, "potential", _POTENTIAL_FIELDS)
+    return spec_from_json(obj, PotentialSpec, "potential", POTENTIAL_KINDS)
 
 
 def grid_from_json(obj: dict) -> GridSpec:

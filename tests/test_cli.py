@@ -170,12 +170,18 @@ def test_bound_usage_errors(run_cli):
     ("rumin-original", ["--c-value", "0.37"], "--method rumin-original takes no C"),
     ("from-c", ["--c-value", "0.37", "--optimize"], "--c-value and --optimize both set C"),
     ("best-of", ["--c-value", "0.37", "--optimize"], "--c-value and --optimize both set C"),
-], ids=["momentum-optimize", "momentum-c-value", "rumin-c-value", "from-c-both", "best-of-both"])
+    # --phi-kind and --seed only shape the search; --max-iters has a default, so its absence is not seen
+    ("from-c", ["--c-value", "0.3736", "--seed", "9,9,9"], "--phi-kind and --seed set up the --optimize search"),
+    ("best-of", ["--phi-kind", "bump_poly"], "--phi-kind and --seed set up the --optimize search"),
+    ("momentum-optimal", ["--seed", "2,0.5"], "--phi-kind and --seed set up the --optimize search"),
+], ids=["momentum-optimize", "momentum-c-value", "rumin-c-value", "from-c-both", "best-of-both",
+        "from-c-seed", "best-of-phi-kind", "momentum-seed"])
 def test_bound_rejects_c_flags_its_method_ignores(run_cli, monkeypatch, method, flags, message):
     searches = []
     monkeypatch.setattr(optimize, "minimize_averaging", lambda *args, **kwargs: searches.append(args))
     proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", method, *flags)
     assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ltbounds bound ")
     assert message in proc.stderr
     assert proc.stdout == ""
     assert searches == []  # rejected before any search
@@ -419,8 +425,43 @@ def test_sweep_simplex_knobs_are_unknown_config_fields(run_cli, tmp_path, key, v
                                    "phi_kind": "bump_simple", "max_iters": 1, key: value}]))
     proc = run_cli("optimize", str(config))
     assert proc.returncode == 2
-    assert f"run 0: unknown config fields ['{key}']" in proc.stderr
+    assert f"run 0: unknown fields ['{key}']" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+GOOD_RUN = {"d": 1, "sigma": 1.0, "seed_params": [2.0, 0.5], "phi_kind": "bump_simple", "max_iters": 1}
+GOOD_GRID = {"half_width": 10.0, "n_points": 201}
+GOOD_CASE = {"potential": {"kind": "square_well", "depth": 3.0, "width": 2.0}, "grid": GOOD_GRID}
+JSON_INPUTS = {  # input -> (command, its name in errors, a good value, a required key, the config around a value)
+    "run": ("optimize", "run 0", GOOD_RUN, "seed_params", lambda v: [v]),
+    "verify-top-level": ("verify", "top level", {"cases": [GOOD_CASE]}, "cases", lambda v: v),
+    "verify-case": ("verify", "case 0", GOOD_CASE, "grid", lambda v: [v]),
+    "potential": ("verify", "case 0 potential", GOOD_CASE["potential"], "depth",
+                  lambda v: [{**GOOD_CASE, "potential": v}]),
+    "grid": ("verify", "case 0 grid", GOOD_GRID, "n_points", lambda v: [{**GOOD_CASE, "grid": v}]),
+}
+
+
+@pytest.mark.parametrize("defect", ["non-object", "unknown-key", "missing-key"])
+@pytest.mark.parametrize("name", list(JSON_INPUTS))
+def test_json_inputs_share_one_reader(run_cli, tmp_path, name, defect):
+    command, label, good, required, wrap = JSON_INPUTS[name]
+    bad, message = {
+        "non-object": (7, f"{label}: must be a JSON"),
+        "unknown-key": ({**good, "extra": 1}, f"{label}: unknown fields ['extra']"),
+        "missing-key": ({k: v for k, v in good.items() if k != required},
+                        f"{label}: missing fields ['{required}']"),
+    }[defect]
+    config, target = tmp_path / "config.json", tmp_path / "out.txt"
+    config.write_text(json.dumps(wrap(good)))
+    assert run_cli(command, str(config), "--out", str(target)).returncode == 0  # the good value passes
+    target.write_text("kept\n")
+    config.write_text(json.dumps(wrap(bad)))
+    proc = run_cli(command, str(config), "--out", str(target))
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("case", [

@@ -177,14 +177,14 @@ def test_certify_edge_pairs_against_tight_tolerance(monkeypatch, profile, weight
     w = trial.normalize_weight(*weight)
     calls = []
 
-    def counting(func, lo, hi):
+    def counting(func):
         count = len(calls)
         calls.append(0)
 
         def counted(t):
             calls[count] += 1
             return func(t)
-        return integrate(counted, lo, hi)
+        return integrate(counted)
 
     integrate = quad.integrate
     monkeypatch.setattr(quad, "integrate", counting)
@@ -419,11 +419,11 @@ def test_integrand_calls_at_criterion_5_start(monkeypatch):
     # (one call per panel made 10 calls on 150 nodes)
     calls = []
 
-    def counting(func, lo, hi):
+    def counting(func):
         def counted(t):
             calls.append(t.size)
             return func(t)
-        return integrate(counted, lo, hi)
+        return integrate(counted)
 
     integrate = quad.integrate
     monkeypatch.setattr(quad, "integrate", counting)
@@ -550,9 +550,9 @@ def test_averaging_objective_indicator_bump_rich(q, r):
 def test_indicator_objective_calls_no_adaptive_integral(monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return integrate(*args, **kwargs)
+    def counting(func):
+        calls.append(func)
+        return integrate(func)
 
     integrate = quad.integrate
     monkeypatch.setattr(quad, "integrate", counting)

@@ -103,7 +103,7 @@ def test_weight_normalization_constants():
 ])
 def test_weight_unit_mass(kind, kwargs):
     w = trial.normalize_weight(kind, **kwargs)
-    res = quad.integrate(lambda s: trial.eval_weight(w, s), 0.0, 1.0)
+    res = quad.integrate(lambda s: trial.eval_weight(w, s))
     assert res.converged
     np.testing.assert_allclose(res.value, 1.0, atol=1e-9)
 

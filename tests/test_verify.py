@@ -67,7 +67,7 @@ def test_potential_integral_closed_forms():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(verify.POTENTIAL_KINDS), st.floats(0.1, 20.0), st.floats(0.0, 1e4), st.floats(0.1, 10.0))
+@given(st.sampled_from(list(verify.POTENTIAL_KINDS)), st.floats(0.1, 20.0), st.floats(0.0, 1e4), st.floats(0.1, 10.0))
 @example(kind="gaussian_well", nu=1.0, depth=8.771695823295842e-43, width=1.0)
 def test_potential_integral_against_mpmath(kind, nu, depth, width):
     """The closed forms against 30-digit quadrature of |V|^(3/2) over the line.
@@ -92,7 +92,7 @@ def test_potential_integral_against_mpmath(kind, nu, depth, width):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(verify.POTENTIAL_KINDS), st.floats(0.1, 20.0), st.floats(0.1, 10.0),
+@given(st.sampled_from(list(verify.POTENTIAL_KINDS)), st.floats(0.1, 20.0), st.floats(0.1, 10.0),
        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20))
 def test_potential_values_are_even(kind, strength, width, xs):
     """discretize_and_solve solves the even and odd parity blocks of a grid symmetric about 0,
@@ -232,11 +232,11 @@ def test_json_round_trips():
 
 
 @pytest.mark.parametrize("obj, message", [
-    ({"kind": "morse", "depth": 1.0}, "unknown potential kind 'morse'"),
-    ({"kind": "gaussian_well", "width": 2.0}, "missing potential fields ['depth'] for kind 'gaussian_well'"),
-    ({"kind": "gaussian_well", "depth": "big"}, "potential field 'depth' must be a number, got 'big'"),
+    ({"kind": "morse", "depth": 1.0}, "potential: unknown kind 'morse'"),
+    ({"kind": "gaussian_well", "width": 2.0}, "potential: missing fields ['depth'] for kind 'gaussian_well'"),
+    ({"kind": "gaussian_well", "depth": "big"}, "potential: field 'depth' must be a number, got 'big'"),
     ({"kind": "poschl_teller", "nu": 1.0, "depth": 2.0},
-     "unexpected potential fields ['depth'] for kind 'poschl_teller'"),
+     "potential: unknown fields ['depth'] for kind 'poschl_teller'"),
 ], ids=["unknown-kind", "missing-field", "non-number-field", "field-not-for-kind"])
 def test_potential_from_json_rejects_malformed(obj, message):
     with pytest.raises(ValueError, match=re.escape(message)):
