@@ -38,6 +38,24 @@ a count on the full matrix.  The right half reuses the left half's V, so an
 eigenvalue differs from that of the matrix on the full grid's own rounded
 nodes by rounding only; the tests certify each one on that matrix.
 
+Far from the well, 2/h^2 + V rounds to exactly c = 2/h^2: on a block's first
+k such rows (its edge prefix, found once per block with numpy, at most all
+rows but the last) the pass is a constant-coefficient recurrence with a
+closed form.  With beta = 1/h^2 (c = 2 beta exactly) and 1 - x/(2 beta) =
+cosh theta, the determinant of j prefix rows is beta^j U_j(cosh theta) =
+beta^j sinh((j+1) theta)/sinh theta (Chebyshev polynomials U), so the pivot
+after the prefix is q = beta sinh((k+1) theta)/sinh(k theta), beta (k+1)/k at
+x = 0, and s and t = q'/q are d/dx log U_k and d/dx log q.  Every probe has
+x <= 0, where each prefix pivot is at least beta and adds nothing to the
+count, so each pass starts at row k from q, t and s.  The closed form is
+within a few ulps of the exact pivot of the prefix with off-diagonal beta
+(the tests find 1 ulp against 50-digit arithmetic), so the count is exact
+for a matrix within a few ulps of the stored one: the grade of the loop's
+own count (Demmel, Dhillon and Ren, ETNA 3, 1995).  Where k theta < 1e-3 the
+slope's coth terms cancel, and that pass loops over the whole block.  The
+shift-0 count of each block and sturm_count_below read no slope and run a
+count-only loop.
+
 Each search starts next to its root.  A grid of at least
 _COARSEN * _COARSE_MIN = 400 nodes first solves the same well in the same
 box on n // _COARSEN nodes, recursively, and the j-th eigenvalue of each
@@ -49,12 +67,15 @@ lower end, still close every bracket, so a wrong, missing or extra start
 costs passes but never moves a result outside its bracket.  The coarse
 levels are solved below the advisories, which fire for the requested grid
 only.  SpectrumResult.sturm_passes counts the pivot passes on the requested
-grid, and row_steps the rows summed over every pass on every level.
+grid, and row_steps the rows that the passes' loops ran, summed over every
+pass on every level; closed-form edge rows are not among them.
 
 Discretization error in the eigenvalue sum scales as h^2 (the tests check
 the 4x decay per grid doubling).  A GridTooCoarseWarning advisory fires when
-the spacing h exceeds a quarter of the well width and when |V| at the box
-edge exceeds 1e-12.
+the spacing h exceeds a quarter of the well width, when h sqrt(max|V|)
+exceeds _RESOLUTION_LIMIT = 1 (the deepest states then vary on the grid
+scale; a Gaussian's sum is 2 % off at 1 and 19 % at 2.25), and when |V| at
+the box edge exceeds 1e-12.
 """
 
 from __future__ import annotations
@@ -94,14 +115,16 @@ POTENTIAL_KINDS = {"poschl_teller": ("nu", "width"), "gaussian_well": ("depth", 
 _L_CL_1D = l_cl(ProblemSpec(d=1, sigma=1.0))  # 2/(3 pi)
 _SAFE_MIN = 2.2250738585072014e-308  # smallest normal float64
 _BISECT_TOL = 1e-10
+_RESOLUTION_LIMIT = 1.0  # h sqrt(max|V|) above this warns: the deepest states vary on the grid scale
+_EDGE_SLOPE_MIN = 1e-3  # below this k theta the edge's slope comes from the loop: its coth terms cancel
 MAX_GRID_POINTS = 10**7  # about 80 MB per float array; the largest grid in use has 16,001 nodes
 _COARSEN = 4  # each coarser level that supplies starts has n_points // _COARSEN nodes
 _COARSE_MIN = 100  # no coarser level below this many nodes: grids under 400 nodes start cold
 
 
 class GridTooCoarseWarning(UserWarning):
-    """The grid spacing exceeds a quarter of the well width, or the box edge
-    cuts off more than 1e-12 of |V|."""
+    """The grid spacing exceeds a quarter of the well width or 1/sqrt(max|V|),
+    or the box edge cuts off more than 1e-12 of |V|."""
 
 
 @dataclass(frozen=True)
@@ -176,7 +199,7 @@ class SpectrumResult:
     sum_negative: float
     potential_integral: float
     sturm_passes: int  # LDL^T pivot passes on this grid, each over one parity block of ceil(n/2) or floor(n/2) rows
-    row_steps: int  # rows summed over every pivot pass, on this grid and on each coarser level
+    row_steps: int  # rows the pivot loops ran over every pass, on this grid and each coarser level
 
     def to_json(self) -> dict:
         return {
@@ -205,6 +228,13 @@ def potential_values(pot: PotentialSpec, x):
     if pot.kind == "gaussian_well":
         return -pot.depth * np.exp(-((x / pot.width) ** 2))
     return np.where(np.abs(x) <= 0.5 * pot.width, -pot.depth, 0.0)
+
+
+def _max_depth(pot: PotentialSpec) -> float:
+    """max |V| in closed form: nu(nu+1)/width^2 for poschl_teller, else depth."""
+    if pot.kind == "poschl_teller":
+        return pot.nu * (pot.nu + 1.0) / pot.width**2
+    return pot.depth
 
 
 def potential_integral(pot: PotentialSpec) -> float:
@@ -243,22 +273,33 @@ def sturm_count_below(diag, off, shift: float) -> int:
         off2 = np.full(diag.size - 1, float(off2))
     if off2.size != diag.size - 1:
         raise ValueError(f"off-diagonal length {off2.size} does not match diagonal length {diag.size}")
-    return _pivots(diag.tolist(), off2.tolist(), float(shift), _SAFE_MIN)[0]  # max off^2 <= 1
+    return _count(diag.tolist(), [0.0, *off2.tolist()], float(shift), _SAFE_MIN, math.inf)  # max off^2 <= 1
 
 
-def _pivots(diag: list, off2: list, shift: float, pivmin: float) -> tuple[int, float]:
-    """One LDL^T pivot pass of T - shift: the count of negative pivots q_i and
-    s = sum q_i'/q_i = d/dshift log|det(T - shift)|, carried as t_i = q_i'/q_i.
-    A pivot in (-pivmin, pivmin) is replaced by -pivmin and counted."""
-    rows = iter(diag)
-    q = next(rows) - shift
+# Two loops run an LDL^T pivot pass of T - shift from row 0 of the lists on,
+# given the pivot q of the row before (inf before a matrix's first row, whose
+# off2[0] is 0): off2[i] couples row i to the row before it.  A pivot in
+# (-pivmin, pivmin) is replaced by -pivmin and counted.
+
+def _count(diag: list, off2: list, shift: float, pivmin: float, q: float) -> int:
+    """The count of negative pivots q_i, for passes that need no slope."""
     count = 0
-    if q < pivmin:
-        if q > -pivmin:
-            q = -pivmin
-        count = 1
-    s = t = -1.0 / q
-    for d, e2 in zip(rows, off2):
+    for d, e2 in zip(diag, off2):
+        q = d - shift - e2 / q
+        if q < pivmin:
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
+    return count
+
+
+def _pivots(diag: list, off2: list, shift: float, pivmin: float,
+            q: float = math.inf, t: float = 0.0, s: float = -0.0) -> tuple[int, float]:
+    """The count of negative pivots q_i, and s = sum q_i'/q_i = d/dshift
+    log|det(T - shift)|, carried as t_i = q_i'/q_i; t and s enter as those of
+    the rows before (0 and -0, which adds to any t exactly, before row 0)."""
+    count = 0
+    for d, e2 in zip(diag, off2):
         r = e2 / q
         q = d - shift - r
         if q < pivmin:
@@ -270,25 +311,99 @@ def _pivots(diag: list, off2: list, shift: float, pivmin: float) -> tuple[int, f
     return count, s
 
 
-def _negative_eigenvalues(diag: list, off2: list, lower: float, starts) -> tuple[list, int]:
-    """All eigenvalues in [lower, 0) of the symmetric tridiagonal matrix with
-    diagonal diag and squared off-diagonal off2, ascending, and the pivot
-    passes spent.  The search for eigenvalue j first probes starts[j] if it
-    lies strictly inside that eigenvalue's bracket, else the bracket's
-    midpoint.  Counts alone close every bracket, so a start changes the
-    passes spent, never what is certified."""
+def _edge(k: int, beta: float, x: float, slope: bool) -> tuple[float, float, float] | None:
+    """The last LDL^T pivot q of k >= 1 rows with diagonal 2 beta - x,
+    off-diagonal beta and x <= 0, in closed form, and with slope its
+    t = q'/q and the rows' s = d/dx log det; None for the slope where
+    k theta < _EDGE_SLOPE_MIN, whose differences of coth terms cancel.
+
+    With 1 - x/(2 beta) = cosh theta the determinant of j such rows is
+    beta^j U_j = beta^j sinh((j+1) theta)/sinh theta (Chebyshev), so
+    q = beta sinh((k+1) theta)/sinh(k theta) = beta (cosh theta + sinh theta
+    coth(k theta)), a sum of two positive terms; it is beta (k+1)/k at x = 0
+    and at least beta for every x <= 0."""
+    delta = -x / (2.0 * beta)
+    sinh = math.sqrt(delta * (2.0 + delta))
+    theta = math.log1p(delta + sinh)
+    if theta == 0.0:
+        q = beta * (k + 1) / k
+    else:
+        q = 0.5 * (2.0 * beta - x) + beta * sinh / math.tanh(k * theta)
+    if not slope:
+        return q, math.nan, math.nan
+    if k * theta < _EDGE_SLOPE_MIN:
+        return None
+    # d/dx = -1/(2 beta sinh theta) d/dtheta, and d/dtheta log U_k = (k+1) coth((k+1) theta) - coth theta;
+    # d/dtheta log q = (sinh(m theta) - m sinh theta) / (2 sinh(k theta) sinh((k+1) theta)), m = 2k+1,
+    # scaled by e^(-m theta) so that it neither overflows nor cancels more than its leading term
+    scale = -1.0 / (2.0 * beta * sinh)
+    s = scale * ((k + 1) / math.tanh((k + 1) * theta) - (1.0 + delta) / sinh)
+    m = 2 * k + 1
+    dlog_q = ((-math.expm1(-2.0 * m * theta) - 2.0 * m * sinh * math.exp(-m * theta))
+              / (math.expm1(-2.0 * k * theta) * math.expm1(-2.0 * (k + 1) * theta)))
+    return q, scale * dlog_q, s
+
+
+class _Block(NamedTuple):
+    """A symmetric tridiagonal block: diag, off2 with off2[0] = 0, and its
+    edge prefix, the first `edge` rows (0 for none), whose diagonal is
+    2 beta and whose off-diagonal is beta; rest holds diag and off2 after it."""
+
+    diag: list
+    off2: list
+    edge: int
+    beta: float
+    rest: tuple[list, list]
+
+    def start(self, x: float, slope: bool) -> tuple[list, list, float, float, float]:
+        """The rows a pass at shift x loops over, and the q, t and s it starts
+        from: after the edge prefix where x <= 0, else from row 0."""
+        if self.edge and x <= 0.0:
+            state = _edge(self.edge, self.beta, x, slope)
+            if state is not None:
+                return *self.rest, *state
+        return self.diag, self.off2, math.inf, 0.0, -0.0
+
+
+def _edge_rows(diag: np.ndarray, c: float) -> int:
+    """The number of leading entries of diag equal to c."""
+    unequal = np.flatnonzero(diag != c)
+    return int(unequal[0]) if unequal.size else diag.size
+
+
+def _block(diag: list, off2: list, edge: int) -> _Block:
+    """The block with diagonal diag and squared off-diagonal off2, one entry
+    shorter, whose first `edge` rows have diagonal exactly 2 beta = diag[0],
+    beta > 0 with a normal beta^2, and squared off-diagonal exactly beta^2
+    among them.  The prefix is capped at all rows but the last and used from
+    2 rows on."""
+    edge = min(edge, len(diag) - 1)
+    edge = edge if edge >= 2 else 0
+    off2 = [0.0, *off2]
+    return _Block(diag, off2, edge, 0.5 * diag[0], (diag[edge:], off2[edge:]))
+
+
+def _negative_eigenvalues(block: _Block, lower: float, starts) -> tuple[list, int, int]:
+    """All eigenvalues in [lower, 0) of the block, ascending, the pivot passes
+    spent and the rows they looped over.  The search for eigenvalue j first
+    probes starts[j] if it lies strictly inside that eigenvalue's bracket,
+    else the bracket's midpoint.  Counts alone close every bracket, so a start
+    changes the passes spent, never what is certified."""
     tol = max(_BISECT_TOL, 4.0 * math.ulp(lower))  # from |lower| = 2^19 on, ulp(lower) > _BISECT_TOL
-    pivmin = _SAFE_MIN * max(1.0, max(off2, default=0.0))
-    m = _pivots(diag, off2, 0.0, pivmin)[0]
-    passes = 1
+    pivmin = _SAFE_MIN * max(1.0, max(block.off2))
+    diag, off2, q, _, _ = block.start(0.0, slope=False)
+    m = _count(diag, off2, 0.0, pivmin, q)
+    passes, rows = 1, len(diag)
     lo = [lower] * m
     hi = [0.0] * m
     for j in range(m):
         x = starts[j] if j < len(starts) and lo[j] < starts[j] < hi[j] else 0.5 * (lo[j] + hi[j])
         moved = older = hi[j] - lo[j]
         while hi[j] - lo[j] > tol:
-            count, s = _pivots(diag, off2, x, pivmin)
+            diag, off2, q, t, s = block.start(x, slope=True)
+            count, s = _pivots(diag, off2, x, pivmin, q, t, s)
             passes += 1
+            rows += len(diag)
             for k in range(m):  # every count tightens every bracket
                 if count > k:
                     hi[k] = min(hi[k], x)
@@ -301,7 +416,7 @@ def _negative_eigenvalues(diag: list, off2: list, lower: float, starts) -> tuple
             if not (lo[j] < y < hi[j] and abs(step) <= 0.5 * max(older, tol)):
                 y = 0.5 * (lo[j] + hi[j])
             x, moved, older = y, abs(y - x), moved
-    return [0.5 * (lo[k] + hi[k]) for k in range(m)], passes
+    return [0.5 * (lo[k] + hi[k]) for k in range(m)], passes, rows
 
 
 def _coarser(grid: GridSpec) -> GridSpec | None:
@@ -331,7 +446,9 @@ def _parity_spectra(pot: PotentialSpec, grid: GridSpec) -> tuple[list, int, int]
     m = n // 2
     x = -L + h * np.arange(1, n - m + 1)  # the left half, and the centre node for odd n
     V = potential_values(pot, x)
-    diag = (2.0 / h**2 + V).tolist()
+    diag = 2.0 / h**2 + V
+    edge = _edge_rows(diag, 2.0 / h**2)  # leading rows where V rounds away against 2/h^2
+    diag = diag.tolist()
     e2 = (1.0 / h**2) ** 2
     off2 = [e2] * (m - 1)
     if n % 2:  # even modes see the centre's two equal neighbours, odd modes vanish at the centre
@@ -341,22 +458,26 @@ def _parity_spectra(pot: PotentialSpec, grid: GridSpec) -> tuple[list, int, int]
         blocks = ((diag[:-1] + [1.0 / h**2 + corner], off2), (diag[:-1] + [3.0 / h**2 + corner], off2))
     lower = float(V.min()) - 1.0
     spectra, passes = [], 0
-    for (block_diag, block_off2), block_starts in zip(blocks, starts):
-        block_eigs, block_passes = _negative_eigenvalues(block_diag, block_off2, lower, block_starts)
+    for block, block_starts in zip(blocks, starts):
+        block_eigs, block_passes, block_rows = _negative_eigenvalues(_block(*block, edge), lower, block_starts)
         spectra.append(block_eigs)
         passes += block_passes
-        row_steps += block_passes * len(block_diag)
+        row_steps += block_rows
     return spectra, passes, row_steps
 
 
 def discretize_and_solve(pot: PotentialSpec, grid: GridSpec) -> SpectrumResult:
     """Negative spectrum of -d^2/dx^2 + V on the Dirichlet grid, with the
-    spacing and box-edge advisories (GridTooCoarseWarning)."""
+    spacing, resolution and box-edge advisories (GridTooCoarseWarning)."""
     n, L = grid.n_points, grid.half_width
     h = 2.0 * L / (n + 1)
     if h > 0.25 * pot.width:
         warnings.warn(f"grid spacing {h:.3e} exceeds a quarter of the well width {pot.width!r}; "
                       "the grid does not resolve the well", GridTooCoarseWarning, stacklevel=2)
+    resolution = h * math.sqrt(_max_depth(pot))
+    if resolution > _RESOLUTION_LIMIT:
+        warnings.warn(f"grid spacing times sqrt(max|V|) is {resolution:.3g}, above {_RESOLUTION_LIMIT}; "
+                      "the grid does not resolve the deepest states", GridTooCoarseWarning, stacklevel=2)
     edge = abs(float(potential_values(pot, np.array([L]))[0]))
     if edge > 1e-12:
         warnings.warn(f"potential magnitude {edge:.3e} at the box edge; "

@@ -516,6 +516,20 @@ def test_verify_deep_well_terminates(tmp_path):
     assert cases[0]["negative_eigenvalues"][-1] < -2.0**19
 
 
+def test_verify_unresolved_well_warns_and_keeps_its_verdict(tmp_path):
+    # h = 0.04 = width/4, h sqrt(depth) = 2.24: only the resolution advisory fires,
+    # and the 601-node sum still fails the inequality with exit 1
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps([{"potential": {"kind": "square_well", "depth": 3162.3, "width": 0.16},
+                                   "grid": {"half_width": 12.0, "n_points": 601}}]))
+    proc = run_entry_point("verify", str(config), "--format", "text")
+    assert proc.returncode == 1
+    assert "lhs=9782.185459 rhs=8791.132544" in proc.stdout
+    assert proc.stdout.endswith("INEQUALITY VIOLATED\n")
+    assert "GridTooCoarseWarning: grid spacing times sqrt(max|V|) is 2.24, above 1.0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_parser_defaults_are_the_library_constants():
     parser = cli._build_parser()
     bound = parser.parse_args(["bound", "--d", "1", "--sigma", "1", "--method", "best-of"])

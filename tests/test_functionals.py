@@ -326,6 +326,9 @@ def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
 @example(a=291.0, p_frac=0.0, kind="bump_simple", q=1.0, r=1.0, us=[1.0625])  # x overflows, t^a does not
 # a mixed batch: t^a overflows at u = 3 only, and the direct path would be 5e-15 off at u = -0.5625
 @example(a=291.0, p_frac=0.0, kind="bump_simple", q=1.0, r=1.0, us=[1.0625, -0.5625, 3.0])
+# a matrix product over each 5-column batch put 2.4e-15 into its last column
+@example(a=179.15625, p_frac=0.0, kind="bump_simple", q=1.0, r=1.0, us=[0.0, 0.0, 0.0, 0.0, 0.8322732075896928])
+@example(a=105.0, p_frac=1.0, kind="bump_rich", q=0.5, r=1.455786, us=[0.0, 0.0, 0.0, 0.0, 0.5])
 def test_compressed_inner_rule_matches_full_rule(a, p_frac, kind, q, r, us):
     # the s -> 1 rows folded into Gauss rows against the sum over all 1,350 rows
     p_lo = max(0.05, 0.55 / a)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from ltbounds import verify
-from ltbounds.constants import CONJECTURED_1D_L_RATIO
+from ltbounds.constants import CONJECTURED_1D_L_RATIO, UNIVERSAL_L_RATIO
 
 PT1 = verify.PotentialSpec(kind="poschl_teller", nu=1.0)
 PT2 = verify.PotentialSpec(kind="poschl_teller", nu=2.0)
@@ -26,6 +26,13 @@ def _tridiag(pot, grid):
     diag = 2.0 / h**2 + V
     off = np.full(grid.n_points - 1, -1.0 / h**2)
     return diag, off, float(V.min())
+
+
+def _full_block(pot, grid):
+    """The full matrix of _tridiag as one pivot block, with its edge prefix."""
+    diag, off, _ = _tridiag(pot, grid)
+    h = 2.0 * grid.half_width / (grid.n_points + 1)
+    return verify._block(diag.tolist(), (off * off).tolist(), verify._edge_rows(diag, 2.0 / h**2))
 
 
 def test_potential_spec_validation():
@@ -175,12 +182,30 @@ def test_coarse_grid_advisory():
         with pytest.warns(verify.GridTooCoarseWarning, match="quarter of the well width"):
             res = verify.discretize_and_solve(well, verify.GridSpec(half_width=100.0, n_points=5))
         assert not verify.check_inequality(res, CONJECTURED_1D_L_RATIO).holds
-    # silent where h <= width / 4: the default suite and the deep well (h = 0.196, width 2)
-    deep = (verify.PotentialSpec(kind="square_well", depth=5.5e5, width=2.0), verify.GridSpec(10.0, 101))
+    # silent where h <= width / 4 and h sqrt(max|V|) <= 1: the default suite (at most 0.016)
     with warnings.catch_warnings():
         warnings.simplefilter("error", verify.GridTooCoarseWarning)
-        for pot, grid in (*verify.default_suite(), deep):
+        for pot, grid in verify.default_suite():
             verify.discretize_and_solve(pot, grid)
+    # h = 0.196 is within a quarter of the width 2, but h sqrt(depth) = 145
+    deep = verify.PotentialSpec(kind="square_well", depth=5.5e5, width=2.0)
+    with pytest.warns(verify.GridTooCoarseWarning, match="does not resolve the deepest states"):
+        verify.discretize_and_solve(deep, verify.GridSpec(10.0, 101))
+
+
+def test_resolution_advisory_on_a_deep_narrow_well():
+    """h = 0.04 is exactly a quarter of the width, so only the resolution advisory
+    (h sqrt(depth) = 2.24) warns.  The verdict on this grid stays as it is: the
+    601-node sum overshoots the 48,001-node 6059.03 and fails the inequality."""
+    well = verify.PotentialSpec(kind="square_well", depth=3162.3, width=0.16)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = verify.discretize_and_solve(well, verify.GridSpec(12.0, 601))
+    assert [str(w.message) for w in caught] == [
+        "grid spacing times sqrt(max|V|) is 2.24, above 1.0; the grid does not resolve the deepest states"]
+    chk = verify.check_inequality(res, UNIVERSAL_L_RATIO)
+    assert not chk.holds
+    np.testing.assert_allclose((chk.lhs, chk.rhs), (9782.19, 8791.13), rtol=1e-6)
 
 
 def test_check_inequality_margins():
@@ -295,13 +320,16 @@ def test_sturm_count_rejects_nan_shift():
 
 def test_default_suite_pivot_passes():
     """Pivot passes per case stay below the bisection-only scan's 36 / 74 / 139 / 72, and the
-    row-steps of every level below the 296,000 that cold starts spent on the requested grids."""
+    rows looped on every level, 110,538 with the edge prefixes skipped, near that count."""
     results = [verify.discretize_and_solve(pot, grid) for pot, grid in verify.default_suite()]
     passes = [res.sturm_passes for res in results]
     row_steps = [res.row_steps for res in results]
     assert all(p < bisection for p, bisection in zip(passes, (36, 74, 139, 72))), passes
     assert sum(passes) <= 190, passes
-    assert sum(row_steps) <= 190_000, row_steps
+    assert sum(row_steps) <= 120_000, row_steps
+    # the square well is 0 on 90 % of its box: whole blocks of 2,001 / 500 / 125 rows
+    # would loop 34,256 rows over its passes
+    assert results[3].potential.kind == "square_well" and row_steps[3] <= 4_000, row_steps
     again = [verify.discretize_and_solve(pot, grid) for pot, grid in verify.default_suite()]
     assert passes == [res.sturm_passes for res in again]
     assert row_steps == [res.row_steps for res in again]
@@ -431,7 +459,7 @@ def test_pivots_bit_identical_to_unfolded_loop(entries, data):
     diag, off2 = entries
     shift = data.draw(st.one_of(st.sampled_from(diag), st.floats()))
     pivmin = verify._SAFE_MIN * max(1.0, max(off2, default=0.0))
-    count, s = verify._pivots(diag, off2, shift, pivmin)
+    count, s = verify._pivots(diag, [0.0, *off2], shift, pivmin)
     want_count, want_s = _pivots_before_folding(diag, off2, shift, pivmin)
     assert count == want_count
     assert struct.pack("<d", s) == struct.pack("<d", want_s)
@@ -456,7 +484,7 @@ def test_pivots_match_dense_spectrum(entries, data):
     scale = max(1.0, float(np.max(np.abs(eigs))))
     assume(np.min(np.abs(eigs - shift)) > 1e-8 * scale)
     pivmin = verify._SAFE_MIN * max(1.0, max(off2, default=0.0))
-    count, s = verify._pivots(diag, off2, shift, pivmin)
+    count, s = verify._pivots(diag, [0.0, *off2], shift, pivmin)
     assert count == int(np.sum(eigs < shift))
     # every pivot is det(T_k - shift) / det(T_(k-1) - shift), so none is tiny when the shift keeps
     # away from the spectrum of every leading block T_k; 1e-5 * scale away from T's own, the
@@ -465,6 +493,95 @@ def test_pivots_match_dense_spectrum(entries, data):
            for k in range(1, len(diag) + 1)):
         terms = 1.0 / (shift - eigs)
         assert abs(s - float(np.sum(terms))) <= 1e-9 * float(np.sum(np.abs(terms)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tridiagonals(st.one_of(st.sampled_from(TINY), st.floats()), st.one_of(st.sampled_from(TINY), st.floats())),
+       st.data())
+def test_count_loop_matches_slope_loop(entries, data):
+    """The count-only loop counts what the slope loop counts, from any pivot before row 0 that
+    a pass can hold (none in (-pivmin, pivmin)), nan, infinities and signed zeros included."""
+    diag, off2 = entries
+    shift = data.draw(st.one_of(st.sampled_from(diag), st.floats()))
+    pivmin = verify._SAFE_MIN * max(1.0, max(off2, default=0.0))
+    q = data.draw(st.one_of(st.just(math.inf), st.floats()))
+    assume(not -pivmin < q < pivmin)
+    off2 = [data.draw(st.one_of(st.just(0.0), st.floats())), *off2]
+    assert verify._count(diag, off2, shift, pivmin, q) == verify._pivots(diag, off2, shift, pivmin, q)[0]
+
+
+def _edge_shifts():
+    return st.one_of(st.just(0.0), st.floats(-12.0, 3.5).map(lambda u: -(10.0**u)), st.floats(-10.0**3.5, 0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.floats(1e-3, 2.0), k=st.integers(2, 8000), x=_edge_shifts())
+@example(h=0.005, k=8000, x=0.0)
+@example(h=1.0, k=2, x=-(10.0**3.5))
+def test_edge_pivot_against_mpmath(h, k, x):
+    """The closed-form last pivot of k rows with diagonal 2 beta - x and off-diagonal beta,
+    beta = 1/h^2 as the blocks store it, within 4 ulp of the pivot recurrence at 50 digits."""
+    beta = 1.0 / h**2
+    q = verify._edge(k, beta, x, slope=False)[0]
+    with mpmath.workdps(50):
+        b, diag = mpmath.mpf(beta), 2 * mpmath.mpf(beta) - mpmath.mpf(x)
+        want = diag
+        for _ in range(k - 1):
+            want = diag - b * b / want
+    assert abs(q - float(want)) <= 4.0 * math.ulp(float(want)), (q, float(want))
+    assert q >= beta  # so the prefix counts no negative pivot
+
+
+def _loop_edge(k, beta, x):
+    """q, t and s after k rows of the constant block, from the float recurrence of _pivots."""
+    q, t, s = math.inf, 0.0, -0.0
+    for _ in range(k):
+        r = beta * beta / q
+        q = 2.0 * beta - x - r
+        t = (r * t - 1.0) / q
+        s += t
+    return q, t, s
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.floats(1e-3, 2.0), k=st.integers(2, 8000), x=_edge_shifts())
+def test_edge_slope_matches_loop(h, k, x):
+    """t = q'/q and s = d/dx log det of the edge agree with the float loop to 1e-6 relative
+    where k theta >= _EDGE_SLOPE_MIN; below it the slope pass loops the full block."""
+    beta = 1.0 / h**2
+    edge = verify._edge(k, beta, x, slope=True)
+    theta = math.acosh(1.0 - x / (2.0 * beta))
+    if k * theta < 0.99 * verify._EDGE_SLOPE_MIN:
+        assert edge is None
+        return
+    if edge is None:  # acosh and the library's log1p may round to either side of the threshold
+        assert k * theta < 1.01 * verify._EDGE_SLOPE_MIN
+        return
+    q, t, s = edge
+    want_q, want_t, want_s = _loop_edge(k, beta, x)
+    np.testing.assert_allclose([t, s], [want_t, want_s], rtol=1e-6, atol=0.0)
+    np.testing.assert_allclose(q, want_q, rtol=1e-11, atol=0.0)
+
+
+def test_edge_prefix_keeps_every_probe_count(monkeypatch):
+    """Every pass that the default suite runs, on every level, counts the same from after its
+    block's edge prefix as over the whole block."""
+    probes = []
+    start = verify._Block.start
+
+    def recording(block, x, slope):
+        probes.append((block, x))
+        return start(block, x, slope)
+
+    monkeypatch.setattr(verify._Block, "start", recording)
+    for pot, grid in verify.default_suite():
+        verify.discretize_and_solve(pot, grid)
+    assert len(probes) > 46 and all(block.edge >= 2 for block, _ in probes)  # 46 on the requested grids
+    for block, x in probes:
+        pivmin = verify._SAFE_MIN * max(1.0, max(block.off2))
+        diag, off2, q, _, _ = start(block, x, slope=False)
+        assert len(diag) == len(block.diag) - block.edge
+        assert verify._count(diag, off2, x, pivmin, q) == verify._count(block.diag, block.off2, x, pivmin, math.inf)
 
 
 WELL = verify.PotentialSpec(kind="gaussian_well", depth=30.0)
@@ -481,14 +598,16 @@ WELL = verify.PotentialSpec(kind="gaussian_well", depth=30.0)
     lambda cold, lower: [cold[-1], math.nan, *cold[1:], -math.inf, cold[0]],
 ], ids=["exact", "reversed", "duplicates", "outside", "non-finite", "short", "long", "mixed"])
 def test_starts_change_passes_never_results(make_starts):
-    diag, off, vmin = _tridiag(WELL, verify.GridSpec(10.0, 301))
+    grid = verify.GridSpec(10.0, 301)
+    diag, off, vmin = _tridiag(WELL, grid)
     lower = vmin - 1.0
     tol = max(1e-10, 4.0 * math.ulp(lower))
-    off2 = (off * off).tolist()
-    cold, cold_passes = verify._negative_eigenvalues(diag.tolist(), off2, lower, [])
+    block = _full_block(WELL, grid)
+    assert block.edge > 0
+    cold, cold_passes, _ = verify._negative_eigenvalues(block, lower, [])
     assert len(cold) == 4
     starts = make_starts(cold, lower)
-    eigs, passes = verify._negative_eigenvalues(diag.tolist(), off2, lower, starts)
+    eigs, passes, _ = verify._negative_eigenvalues(block, lower, starts)
     assert len(eigs) == len(cold)
     np.testing.assert_allclose(eigs, cold, rtol=0.0, atol=tol)
     for j, lam in enumerate(eigs):
@@ -501,7 +620,8 @@ def test_starts_change_passes_never_results(make_starts):
 def test_advisories_fire_for_the_requested_grid_only():
     """The coarser levels that supply starts have wider spacing but never warn."""
     for pot, grid in ((verify.PotentialSpec(kind="square_well", depth=3.0, width=0.04), verify.GridSpec(10.0, 1601)),
-                      (verify.PotentialSpec(kind="gaussian_well", depth=5.0, width=3.0), verify.GridSpec(4.0, 1601))):
+                      (verify.PotentialSpec(kind="gaussian_well", depth=5.0, width=3.0), verify.GridSpec(4.0, 1601)),
+                      (verify.PotentialSpec(kind="square_well", depth=3162.3, width=0.16), verify.GridSpec(12.0, 601))):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             verify.discretize_and_solve(pot, grid)
@@ -516,4 +636,6 @@ def test_no_coarse_level_where_its_spacing_is_rejected():
     with pytest.warns(verify.GridTooCoarseWarning, match="quarter of the well width"):
         res = verify.discretize_and_solve(well, verify.GridSpec(1e79, 401))
     assert len(res.negative_eigenvalues) == 1
-    assert 200 * res.sturm_passes <= res.row_steps <= 201 * res.sturm_passes  # blocks of 201 and 200 rows only
+    # V = 0 off the centre node, so each block's edge prefix is all but its last row and a
+    # pass loops one row; a coarse level's passes would add rows but no sturm_passes
+    assert res.row_steps == res.sturm_passes
