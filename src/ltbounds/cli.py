@@ -86,11 +86,14 @@ def _add_common(sub, formats=True):
 
 # ---------------------------------------------------------------- bound --
 
-def _optimized_c(problem: ProblemSpec, args):
+def _optimized_c(problem: ProblemSpec, args, parser):
     phi_kind = args.phi_kind or ("bump_rich" if (problem.d, problem.sigma) == (1, 1.0) else "bump_poly")
     seed = tuple(args.seed) if args.seed else optimize.default_seed(problem, phi_kind)
     cfg = optimize.OptConfig(seed_params=seed, max_iters=args.max_iters)
     result = optimize.minimize_averaging(problem, cfg, phi_kind=phi_kind)
+    if not result.converged:  # C is still an admissible pair's value, so still an upper bound
+        print(f"{parser.prog}: warning: --optimize did not converge within --max-iters {cfg.max_iters}; "
+              "C is the best value found", file=sys.stderr)
     return result.best_value, optimize.trial_pair(phi_kind, result.best_params)
 
 
@@ -108,7 +111,7 @@ def cmd_bound(args, parser) -> int:
     c_value, trial = args.c_value, None
     if args.optimize:
         try:
-            c_value, trial = _optimized_c(problem, args)
+            c_value, trial = _optimized_c(problem, args, parser)
         except (optimize.ObjectiveFailureError, ValueError) as exc:
             parser.error(f"--optimize: {exc}")
     try:

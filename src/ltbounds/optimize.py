@@ -1,9 +1,15 @@
 """Derivative-free minimization of the deficit and averaging objectives.
 
 Plain Nelder-Mead with the textbook coefficients (reflection 1, expansion
-2, contraction 0.5, shrink 0.5), a deterministic axis-aligned initial
-simplex, and a single restart from the best vertex after first convergence
-to guard against premature collapse.  Tolerances and simplex size are fixed
+2, contraction 0.5, shrink 0.5) and a deterministic axis-aligned initial
+simplex, in two stages.  The first descent stops once the simplex diameter
+is at most _RESTART_SCALE (1e-4) and the value spread at most _F_TOL.  Then
+the search restarts once, from the best vertex with a fresh simplex of
+relative step _RESTART_SCALE, and runs to the final tolerances _X_TOL and
+_F_TOL.  The restart guards against a collapsed simplex (McKinnon, SIAM J.
+Optim. 9, 1998).  Any fresh, non-degenerate simplex gives that guard,
+whatever its size, and a small one does not redo the first descent's steps
+down to the restart scale.  Tolerances and simplex sizes are fixed
 constants, so an OptConfig is just a seed and an iteration budget.  No
 randomness anywhere: identical configs produce bit-identical traces.
 
@@ -42,7 +48,8 @@ __all__ = [
 PENALTY = 1.0e6
 
 _X_TOL, _F_TOL = 1e-6, 1e-9  # converged: simplex diameter <= _X_TOL and value spread <= _F_TOL
-_SIMPLEX_SCALE = 0.15  # initial simplex step relative to |x0|, halved for the restart
+_SIMPLEX_SCALE = 0.15  # initial simplex step relative to |x0|
+_RESTART_SCALE = 1e-4  # the first descent stops at this diameter; the restart simplex has this step
 
 _BOX = ((1.1, 20.0), (0.05, 3.0), (0.05, 3.0), (0.5, 10.0))
 
@@ -117,14 +124,15 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
         simplex, fvals = simplex[order], fvals[order]
 
         diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        if diameter <= _X_TOL and fvals[-1] - fvals[0] <= _F_TOL:
+        if diameter <= (_X_TOL if restarted else _RESTART_SCALE) and fvals[-1] - fvals[0] <= _F_TOL:
             if restarted:
                 converged = True
                 break
-            # restart once from the best vertex with a fresh, smaller simplex;
-            # its row 0 is that vertex, whose value is already known
+            # restart once from the best vertex with a fresh simplex about as
+            # small as the first descent's; its row 0 is that vertex, whose
+            # value is already known
             restarted = True
-            simplex = _initial_simplex(simplex[0], 0.5 * _SIMPLEX_SCALE)
+            simplex = _initial_simplex(simplex[0], _RESTART_SCALE)
             fvals = np.array([fvals[0], *(objective(x) for x in simplex[1:])])
             continue
 

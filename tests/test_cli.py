@@ -96,6 +96,23 @@ def test_bound_optimized_c(run_cli, tmp_path):
     assert blob["trial"]["weight"]["kind"] == "bump_rich"
 
 
+@pytest.mark.parametrize("method", ["from-c", "best-of"])
+def test_bound_optimize_out_of_iterations_warns(run_cli, method):
+    # the seed's own C is still an upper bound: exit 0, the usual stdout, one stderr line
+    proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", method, "--optimize", "--max-iters", "1")
+    assert proc.returncode == 0
+    assert proc.stderr == ("ltbounds bound: warning: --optimize did not converge within --max-iters 1; "
+                           "C is the best value found\n")
+    assert json.loads(proc.stdout)["c_value"] == pytest.approx(0.373554649068922, rel=1e-14)
+
+
+def test_bound_optimize_converged_is_silent(run_cli):
+    proc = run_cli("bound", "--d", "1", "--sigma", "1", "--method", "from-c", "--optimize")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["c_value"] <= 0.373522
+
+
 @pytest.mark.parametrize("phi_kind, seed, message", [
     ("bump_simple", "2.0,0.05", "3 of 3 initial simplex points are infeasible"),
     ("bump_simple", "2.0,0.5,1.0", "expects seed_params = (a, p)"),

@@ -80,6 +80,55 @@ def test_budget_exhaustion_flags_not_converged():
     assert res.iterations == 3
 
 
+def test_restart_rescues_mckinnon_collapse(monkeypatch):
+    # McKinnon (SIAM J. Optim. 9, 1998), tau = 2, theta = 6, phi = 60: from
+    # this simplex Nelder-Mead contracts onto (0, 0), which is not stationary
+    # (df/dy = 1 there); only the restart reaches the minimum (0, -1/2)
+    def mckinnon(x, y):
+        return (6.0 * 60.0 if x <= 0.0 else 6.0) * abs(x) ** 2 + y + y * y
+
+    root = math.sqrt(33.0)
+    collapsing = np.array([[1.0, 1.0], [(1.0 + root) / 8.0, (1.0 - root) / 8.0], [0.0, 0.0]])
+    bases = []
+    initial_simplex = optimize._initial_simplex
+
+    def recording(x0, scale):
+        bases.append(x0.copy())
+        return collapsing.copy() if len(bases) == 1 else initial_simplex(x0, scale)
+
+    monkeypatch.setattr(optimize, "_initial_simplex", recording)
+    monkeypatch.setattr(optimize, "_BOX", ((-10.0, 10.0), (-10.0, 10.0)))
+    res = optimize._nelder_mead(mckinnon, np.zeros(2), optimize.OptConfig(seed_params=(0.0, 0.0)))
+    assert len(bases) == 2  # one restart
+    assert bases[1].tolist() == [0.0, 0.0]  # where the first descent stopped
+    assert res.converged
+    assert abs(res.best_value + 0.25) <= 1e-9
+    np.testing.assert_allclose(res.best_params, (0.0, -0.5), atol=1e-4)
+
+
+def test_evaluation_budget(monkeypatch):
+    # the searches are deterministic: measured 414 evaluations and 48
+    # iterations, and each bound allows 5 % more
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return averaging_objective(*args)
+
+    averaging_objective = optimize.averaging_objective
+    monkeypatch.setattr(optimize, "averaging_objective", counting)
+    res = optimize.minimize_averaging(P11, optimize.OptConfig(seed_params=(5.2, 0.31, 0.42, 1.8)),
+                                      phi_kind="bump_rich")
+    assert res.converged
+    assert len(calls) <= 434, len(calls)
+    assert res.best_value <= 0.3740  # criterion 5
+    assert averaging_objective(*optimize.trial_pair("bump_rich", res.best_params), P11) == res.best_value
+
+    res = optimize.minimize_deficit(1.5, optimize.OptConfig(seed_params=(2.0, 0.8)))
+    assert res.converged
+    assert res.iterations <= 50, res.iterations
+
+
 def test_minimize_averaging_rich_improves_on_seed_trial():
     cfg = optimize.OptConfig(seed_params=(4.5, 0.25, 0.36, 2.1), max_iters=80)
     res = optimize.minimize_averaging(P11, cfg, phi_kind="bump_rich")
