@@ -28,16 +28,18 @@ integrand value or a blown quadrature budget is a DivergentError naming the
 functional.  Every integral over s runs on the fixed rule quad.graded_rule:
 inside the objective the inner g integral and int phi^2 share phi at its
 nodes, and mu (s t)^a = (mu s^a) t^a costs a batch of outer nodes t^a and
-one outer product.  For 1 - g the rule's rows
-with s^a within delta_0 ~ 1/65 of 1 (the panels graded toward s = 1) are
-folded, once per evaluation, into a 4-point Gauss rule in delta = s^a - 1
-whose error is at most 2^-54 of their sum (_one_minus_g_factory): about
-800 rows instead of 1,350 per batch.  Toward s = 0, where x = mu s^a t^a
-<= eps(p) <= 2^-19 for every node of a batch, 1 - f is the three-term
-series p x - C_2 x^2 + C_3 x^3 to 2^-54 of those rows' sum: they are
-summed from three moments scaled by the last folded row, and only the rows
-above that cut go through the log1p/expm1 kernel (33.2 M instead of 54.5 M
-kernel elements over the optimizer run from the criterion-5 start).  The
+one outer product.  For 1 - g both ends of the rule are folded, each to
+2^-54 of the rows it replaces, into binomial series of 1 - f = 1 - (1 +
+x)^(-p) with C_k = (p)_k / k! (_one_minus_g_factory).  Toward s = 1, the
+rows with d = 1 - s^a < delta_0(p) (0.053-0.065 for p <= 1, about 0.3/p for
+large p: the panels graded toward s = 1) are a 12-term series in rho d, rho
+= X / (1 + X), X = mu t^a, from 13 moments M_k = sum w d^k taken once per
+evaluation: 593 of the 1,350 rows at a = 5.2, p = 0.31.  Toward s = 0,
+where x = mu s^a t^a <= eps(p) <= 2^-19 for every node of a batch, 1 - f is
+the three-term series p x - C_2 x^2 + C_3 x^3, summed from three moments
+scaled by the last folded row.  Only the rows between the two go through
+the log1p/expm1 kernel: 21.8 M of the 67.0 M kernel elements that every row
+would cost over the optimizer run from the criterion-5 start.  The
 test suite checks this 1 - g against 30-digit mpmath and against the exact
 sum over all 1,350 rows to 2e-15 relative.  The indicator profile needs no
 integral over t:
@@ -199,67 +201,50 @@ def weight_l2(weight: WeightFamily) -> float:
     return float(_weight_on_rule(weight, "weight L2 norm")[1])
 
 
-# The s -> 1 end of the inner rule is replaced by _GAUSS_ROWS Gauss rows in
-# delta = s^a - 1; _GAUSS_EPS caps the error bound's eps (_one_minus_g_factory).
-_GAUSS_ROWS = 4
-_GAUSS_EPS = 2.0**-7
+# The two ends of the inner rule are folded into series of 1 - f
+# (_one_minus_g_factory): toward s = 0 the rows with x = mu s^a t^a <=
+# _series_eps(p) <= _SERIES_EPS, in _SERIES_TERMS terms; toward s = 1 the rows
+# with d = 1 - s^a < _suffix_width(p), in _SUFFIX_TERMS terms.
+_SERIES_TERMS, _SERIES_EPS = 3, 2.0**-19
+_SUFFIX_TERMS = 12
 
 
-def _suffix_width(p: float) -> float:
-    """delta_0 = 2 eps / (1 + 2 eps) for eps = min(_GAUSS_EPS, 1 / (2 kappa)),
-    kappa = max(1, (p + 2M) / (2M + 1)): the bound below is then <= 2^-54."""
-    n = 2 * _GAUSS_ROWS
-    eps = min(_GAUSS_EPS, 0.5 / max(1.0, (p + n) / (n + 1)))
-    return 2.0 * eps / (1.0 + 2.0 * eps)
-
-
-def _gauss_rows(delta, w):
-    """M-point Gauss rule of the discrete measure sum_i w_i [x = delta_i], w >= 0
-    -> (nodes, weights), or None for fewer than 2M points or when Lanczos
-    breaks down (a zero beta_j).
-
-    M Lanczos steps on diag(delta) from sqrt(w), each vector orthogonalized
-    against all earlier ones, then the Jacobi matrix's eigenpairs (Golub and
-    Welsch, Math. Comp. 23, 1969): nodes are its eigenvalues, weights the mass
-    times each eigenvector's squared first component, so they are positive and
-    sum to the mass to rounding.
-    """
-    m = _GAUSS_ROWS
-    if delta.size < 2 * m:
-        return None
-    basis = np.empty((m, delta.size))
-    jacobi = np.zeros((m, m))  # eigh reads the lower triangle only
-    v = np.sqrt(w)
-    mass = float(v @ v)
-    norm = math.sqrt(mass)
-    for j in range(m):
-        if not norm > 0.0:
-            return None
-        basis[j] = v / norm
-        v = delta * basis[j]
-        coef = basis[: j + 1] @ v
-        v -= coef @ basis[: j + 1]
-        jacobi[j, j] = coef[j]
-        if j + 1 < m:
-            norm = math.sqrt(float(v @ v))
-            jacobi[j + 1, j] = norm
-    nodes, vecs = np.linalg.eigh(jacobi, UPLO="L")
-    return nodes, mass * vecs[0] ** 2
-
-
-# Rows with x = mu s^a t^a <= _series_eps(p) take 1 - f as _SERIES_TERMS terms
-# of its alternating series; _SERIES_EPS caps eps (_one_minus_g_factory).
-_SERIES_TERMS = 3
-_SERIES_EPS = 2.0**-19
+def _binomials(p: float) -> list[float]:
+    """[C_1, .., C_(_SUFFIX_TERMS + 1)] for C_k = (p)_k / k!, the coefficients
+    of (1 - y)^(-p) = sum_k C_k y^k; a C_k that overflows, and every later
+    one, is inf."""
+    coef, c_k = [], 1.0
+    for k in range(1, _SUFFIX_TERMS + 2):
+        c_k *= (p + (k - 1)) / k
+        coef.append(c_k)
+    return coef
 
 
 def _series_eps(p: float) -> float:
-    """eps = min(_SERIES_EPS, (2^-55 p / C_(K+1))^(1/K)) for K = _SERIES_TERMS
-    and C_k = (p)_k / k!: the series bound below is then at most
-    2^-55 / (1 - (p + 1) eps / 2) <= 2^-54.  A C_(K+1) that overflows gives
-    eps = 0: no row is folded."""
-    c_next_over_p = math.prod((p + k) / (k + 1) for k in range(1, _SERIES_TERMS + 1))
-    return min(_SERIES_EPS, (2.0**-55 / c_next_over_p) ** (1.0 / _SERIES_TERMS))
+    """eps = min(_SERIES_EPS, (2^-55 p / C_(K+1))^(1/K)) for K = _SERIES_TERMS:
+    the s -> 0 bound below is then at most 2^-55 / (1 - (p + 1) eps / 2) <=
+    2^-54.  A C_(K+1) that overflows gives eps = 0: no row is folded."""
+    k = _SERIES_TERMS
+    return min(_SERIES_EPS, (2.0**-55 * p / _binomials(p)[k]) ** (1.0 / k))
+
+
+def _suffix_width(p: float) -> float:
+    """delta_0 = min(1 / (4 kappa), (2^-55 min(1, p) / C_(K+1))^(1/(K+1))) for
+    K = _SUFFIX_TERMS and kappa = max(1, (p + K + 1) / (K + 2)): then (1 -
+    delta_0)(1 - kappa delta_0) >= 9/16 and the s -> 1 bound below is at most
+    2^-54.  A C_(K+1) that overflows gives delta_0 = 0: no row is folded."""
+    k = _SUFFIX_TERMS + 1
+    kappa = max(1.0, (p + k) / (k + 1))
+    return min(0.25 / kappa, (2.0**-55 * min(1.0, p) / _binomials(p)[k - 1]) ** (1.0 / k))
+
+
+def _power_series(coef, y):
+    """sum_(k>=1) coef[k-1] y^k by Horner's rule, for an ndarray y."""
+    out = coef[-1] * y
+    for c in coef[-2::-1]:
+        out += c
+        out *= y
+    return out
 
 
 def _one_minus_g_factory(fam: ProfileFamily, wphi):
@@ -267,7 +252,10 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
 
     Since int phi = 1, 1 - g(t) = int phi(s)(1 - f(st)) ds: per batch of
     outer nodes, one pairwise sum down each column of wphi (1 - f), wphi the
-    graded rule's weights times phi, at x = (mu s^a) t^a.
+    graded rule's weights times phi, at x = (mu s^a) t^a.  Both ends of the
+    rule are folded into series of 1 - f whose coefficients are built once per
+    evaluation, C_k = (p)_k / k! from _binomials; only the rows between them
+    go through the kernel one_minus_rational.
 
     The s -> 0 end: the rows mu_x = mu s^a ascend, so each batch of outer
     nodes has one cut r0, the first row with mu_x max(t^a) >= eps =
@@ -275,50 +263,49 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
 
         sum_(k=1..K) (-1)^(k+1) C_k (z t^a)^k M_k,  M_k = sum_(i<r0) w_i (mu_x_i / z)^k,
 
-    with C_k = (p)_k / k!, K = _SERIES_TERMS and z = mu_x[r0 - 1]; only rows
-    r0.. go through the kernel one_minus_rational.  Rescaled by z, the
-    moments are sums of terms <= w_i led by the largest rows, and z t^a <=
-    eps, so nothing overflows and no leading term underflows even where t^a
-    is near 1e300.  For x <= eps the series of 1 - (1 + x)^(-p) alternates
-    with decreasing terms, so a row's error is at most C_(K+1) x^(K+1) and
-    its value at least p x (1 - (p + 1) x / 2): relative to the folded rows'
-    own sum the error is at most C_(K+1) eps^K / (p (1 - (p + 1) eps / 2)),
+    with K = _SERIES_TERMS and z = mu_x[r0 - 1].  Rescaled by z, the moments
+    are sums of terms <= w_i led by the largest rows, and z t^a <= eps, so
+    nothing overflows and no leading term underflows even where t^a is near
+    1e300.  For x <= eps the series of 1 - (1 + x)^(-p) alternates with
+    decreasing terms, so a row's error is at most C_(K+1) x^(K+1) and its
+    value at least p x (1 - (p + 1) x / 2): relative to the folded rows' own
+    sum the error is at most C_(K+1) eps^K / (p (1 - (p + 1) eps / 2)),
     which _series_eps keeps at or below 2^-54.
 
     The s -> 1 end: the rule's panels graded toward s = 1 exist only for
-    phi's (1 - s^q)^r corner; the rows with delta = s^a - 1 in [-delta_0, 0]
-    become the M-point Gauss rule of sum wphi_i [delta = delta_i], rows
-    mu (1 + delta_g) with weights W_g.  With X = mu t^a, 1 - f = 1 - (1 + X +
-    X delta)^(-p) is analytic in delta on a disc of radius (1 + X)/X >= 1, so
-    one set of rows serves every t.  The rule's error on the suffix, relative
-    to the suffix's own sum S, is at most
+    phi's (1 - s^q)^r corner.  The rows with d = 1 - s^a < delta_0 =
+    _suffix_width(p) are summed, with X = mu t^a and rho = X / (1 + X), from
+    1 + X (1 - d) = (1 + X)(1 - rho d) as
 
-        2 eps^(2M) / (1 - eps kappa),  eps = delta_0 / (2 (1 - delta_0)),
-                                       kappa = max(1, (p + 2M) / (2M + 1)):
+        S = M_0 (1 - (1 + X)^-p) - (1 + X)^-p sum_(k=1..K) C_k M_k rho^k,  M_k = sum_i w_i d_i^k,
 
-    both rules integrate the degree-(2M - 1) Taylor polynomial about -delta_0/2
-    exactly, with positive weights of mass m, so the error is <= 2 m times the
-    remainder, <= A^-p C_2M r^2M / (1 - r kappa) for A = 1 + X (1 - delta_0/2),
-    r = X delta_0 / (2A) and C_k = (p)_k / k!; and S >= m (1 - B^-p) for
-    B = 1 + X (1 - delta_0), where B^p - 1 = sum_k C_k z^k >= C_2M z^2M with
-    z = 1 - 1/B >= r / eps.  _suffix_width keeps this at or below 2^-54.
-    Fewer than 2M suffix rows, a zero suffix mass or a Lanczos breakdown keep
-    the full rows.
+    with K = _SUFFIX_TERMS and the moments taken once per evaluation.  Every
+    term of the series is positive, and C_(k+1) / C_k <= kappa = max(1, (p +
+    K + 1) / (K + 2)) past k = K, so the dropped tail is at most (1 + X)^-p
+    M_0 C_(K+1) (rho delta_0)^(K+1) / (1 - kappa delta_0); S >= M_0 (1 - (1 +
+    X (1 - delta_0))^-p) >= M_0 min(1, p) (1 - delta_0) rho (Bernoulli's
+    inequality for p < 1).  Relative to S the error is thus at most
+
+        C_(K+1) delta_0^(K+1) / (min(1, p) (1 - delta_0) (1 - kappa delta_0)),
+
+    which _suffix_width keeps at or below 2^-54.  A weight with no mass on
+    these rows makes S = 0, and where t^a overflows the batch is summed over
+    every row instead.
     """
     s_nodes = quad.graded_rule()[0]
     s_a = s_nodes**fam.a
-    start = int(np.searchsorted(s_a, 1.0 - _suffix_width(fam.p)))
-    gauss = _gauss_rows(s_a[start:] - 1.0, wphi[start:])
-    if gauss is None:
-        mu_x, w_x = fam.mu * s_a, wphi
-    else:
-        mu_x = fam.mu * np.concatenate((s_a[:start], 1.0 + gauss[0]))
-        w_x = np.concatenate((wphi[:start], gauss[1]))
+    start = int(np.searchsorted(s_a - 1.0, -_suffix_width(fam.p), side="right"))  # exact for s^a >= 1/2
+    mu_x, w_x = fam.mu * s_a[:start], wphi[:start]
+    coef = _binomials(fam.p)
     eps = _series_eps(fam.p)
-    coef, c_k = [], 1.0  # (-1)^(k+1) C_k, k = 1..K
-    for k in range(1, _SERIES_TERMS + 1):
-        c_k *= (fam.p + (k - 1)) / k
-        coef.append(c_k if k % 2 else -c_k)
+    head = [c if k % 2 else -c for k, c in enumerate(coef[:_SERIES_TERMS], 1)]  # (-1)^(k+1) C_k
+    d = 1.0 - s_a[start:]
+    moment = wphi[start:].copy()
+    suffix_mass = moment.sum()
+    suffix_terms = []  # C_k M_k
+    for c in coef[:_SUFFIX_TERMS]:
+        moment *= d
+        suffix_terms.append(c * moment.sum())
     # one reused (s, t) buffer, grown to the widest batch: fresh arrays per batch
     # can let malloc trim the heap and fault the pages in again, ~1e6 faults a sweep
     work = np.empty(0)
@@ -330,7 +317,7 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
         if work.size < rows * t_a.size:
             work = np.empty(rows * t_a.size)
         # column-major, so each column is contiguous and numpy sums it pairwise: a
-        # matrix product with wphi adds the ~800 rows in an order set by the
+        # matrix product with wphi adds the ~750 rows in an order set by the
         # batch's width, up to 2.4e-15 off
         buf = work[: rows * t_a.size].reshape(t_a.size, rows).T
         np.einsum("i,j->ij", mu_x[cut:], t_a, out=buf)  # np.multiply.outer would allocate a temporary
@@ -341,15 +328,17 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
             ratio = mu_x[:cut] / z
             moment = w_x[:cut] * ratio
             terms = []
-            for c in coef:
+            for c in head:
                 terms.append(c * moment.sum())
                 moment *= ratio
-            y = z * t_a
-            series = terms[-1] * y
-            for c_m in terms[-2::-1]:  # Horner
-                series += c_m
-                series *= y
-            out += series
+            out += _power_series(terms, z * t_a)
+        if suffix_mass > 0.0:  # the rows from start on, as the series in rho
+            log_b = np.log1p(fam.mu * t_a)  # log(1 + X)
+            series = _power_series(suffix_terms, -np.expm1(-log_b))  # rho = 1 - 1/(1 + X)
+            log_b *= -fam.p
+            series *= np.exp(log_b)
+            out -= series
+            out -= suffix_mass * np.expm1(log_b)
         return out
 
     def one_minus_g(t):

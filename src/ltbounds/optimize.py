@@ -55,7 +55,8 @@ _BOX = ((1.1, 20.0), (0.05, 3.0), (0.05, 3.0), (0.5, 10.0))
 
 
 class ObjectiveFailureError(RuntimeError):
-    """More than half of the initial simplex evaluations were penalized."""
+    """More than half of the initial simplex evaluations were penalized; the
+    message names why the first penalized point was rejected."""
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,14 @@ def _clipped(x) -> tuple[float, ...]:
 def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
     """Minimize score(*clipped params) over raw simplex coordinates; an
     inadmissible or divergent point scores PENALTY."""
+    rejected = []  # why the first penalized point was
 
     def objective(x) -> float:
         try:
             return score(*_clipped(x))
-        except (ConstraintViolationError, DivergentError):
+        except (ConstraintViolationError, DivergentError) as exc:
+            if not rejected:
+                rejected.append(str(exc))
             return PENALTY
 
     n = x0.size
@@ -112,7 +116,8 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
     fvals = np.array([objective(x) for x in simplex])
     if np.count_nonzero(fvals >= PENALTY) > (n + 1) / 2:
         raise ObjectiveFailureError(
-            f"{np.count_nonzero(fvals >= PENALTY)} of {n + 1} initial simplex points are infeasible")
+            f"{np.count_nonzero(fvals >= PENALTY)} of {n + 1} initial simplex points are infeasible"
+            + (f"; the first: {rejected[0]}" if rejected else ""))
 
     iters = 0
     restarted = False

@@ -45,6 +45,31 @@ def run_entry_point(*args, timeout=None):
                           capture_output=True, text=True, timeout=timeout)
 
 
+_RUNTIME_IMPORTS = """
+import sys
+before = set(sys.modules)  # what interpreter start-up imported, site hooks included
+import contextlib, io, json
+from ltbounds import cli, functionals, trial, verify
+functionals.averaging_objective(trial.normalize_profile("rational_power", a=4.5, p=0.25),
+                                trial.normalize_weight("bump_rich", q=0.36, r=2.1), functionals.ProblemSpec(1, 1.0))
+verify.discretize_and_solve(*verify.default_suite()[0])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["table", "--paper"])
+print(json.dumps([code, sorted({name.partition(".")[0] for name in set(sys.modules) - before})]))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # an objective, a verify case and table --paper in a fresh interpreter import
+    # nothing outside the standard library but numpy and ltbounds itself
+    proc = subprocess.run([sys.executable, "-c", _RUNTIME_IMPORTS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, imported = json.loads(proc.stdout)
+    assert code == 0
+    assert {"numpy", "ltbounds"} <= set(imported)
+    assert [name for name in imported if name not in sys.stdlib_module_names | {"numpy", "ltbounds"}] == []
+
+
 def test_bound_momentum_optimal_json():
     proc = run_entry_point("bound", "--d", "1", "--sigma", "1", "--method", "momentum-optimal")
     assert proc.returncode == 0
@@ -143,6 +168,17 @@ def test_bound_optimize_at_tau_below_float_spacing_is_usage_error(run_cli):
     assert proc.returncode == 2
     assert "--optimize: 5 of 5 initial simplex points are infeasible" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_bound_optimize_infeasible_start_names_the_reason(run_cli):
+    # tau = 50 needs a > 25, beyond the box's a <= 20: every start point diverges
+    proc = run_cli("bound", "--d", "100", "--sigma", "1", "--method", "from-c", "--optimize")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ltbounds bound ")
+    assert ("--optimize: 5 of 5 initial simplex points are infeasible; the first: deficit diverges at "
+            "t -> 0: profile vanishes like t^20.0, weight needs exponent > 25.0") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_bound_optimize_non_finite_objective_is_usage_error(run_cli, monkeypatch):

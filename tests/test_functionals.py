@@ -330,7 +330,7 @@ def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
 @example(a=179.15625, p_frac=0.0, kind="bump_simple", q=1.0, r=1.0, us=[0.0, 0.0, 0.0, 0.0, 0.8322732075896928])
 @example(a=105.0, p_frac=1.0, kind="bump_rich", q=0.5, r=1.455786, us=[0.0, 0.0, 0.0, 0.0, 0.5])
 def test_compressed_inner_rule_matches_full_rule(a, p_frac, kind, q, r, us):
-    # the s -> 1 rows folded into Gauss rows against the sum over all 1,350 rows
+    # both ends folded into series against the sum over all 1,350 rows
     p_lo = max(0.05, 0.55 / a)
     p = p_lo * (100.0 / p_lo) ** p_frac
     fam = trial.normalize_profile("rational_power", a=a, p=p)
@@ -364,27 +364,75 @@ def _series_rows(fam, ts):
     return int(np.searchsorted(mu_x * (ts**fam.a).max(), functionals._series_eps(fam.p)))
 
 
+def _suffix_start(fam):
+    """The first row the factory folds into the s -> 1 series: d = 1 - s^a < delta_0."""
+    s_a = quad.graded_rule()[0] ** fam.a
+    return int(np.searchsorted(s_a - 1.0, -functionals._suffix_width(fam.p), side="right"))
+
+
 def test_compressed_inner_rule_falls_back_to_full_rows(monkeypatch):
-    # without the s -> 1 fold the kernel sees every row from the series cut through s = 1
     shapes = _counting_kernel(monkeypatch)
     nodes, weights = quad.graded_rule()
     ts = np.logspace(-2, 2, 15)
-    # at p = 1e16 delta_0 ~ 9e-16 leaves one row in the suffix, fewer than 2M
+    # at p = 1e16 delta_0 ~ 3e-17 leaves no row in the suffix, so the kernel sees
+    # every row from the series cut through s = 1
     fam = trial.normalize_profile("rational_power", a=2.0, p=1e16)
-    assert nodes.size - np.searchsorted(nodes**fam.a, 1.0 - functionals._suffix_width(fam.p)) < 8
+    assert _suffix_start(fam) == nodes.size
     wphi = weights * trial.eval_weight(trial.normalize_weight("uniform"), nodes)
     got = functionals._one_minus_g_factory(fam, wphi)(ts)
     cut = _series_rows(fam, ts)
     assert cut > 0 and shapes == [(nodes.size - cut, ts.size)]
     np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=0)
-    # a weight with no mass on the suffix: Lanczos breaks down at its first step
-    shapes.clear()
+    # a weight with no mass on the suffix, whose series is then 0
     fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
     wphi = np.where(nodes < 0.99, wphi, 0.0)
     got = functionals._one_minus_g_factory(fam, wphi)(ts)
-    cut = _series_rows(fam, ts)
-    assert cut > 0 and shapes == [(nodes.size - cut, ts.size)]
     np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(0.6, 400.0), p_exp=st.floats(math.log10(0.05), 16.0),
+       kind=st.sampled_from(list(trial.WEIGHT_KINDS)), q=st.floats(0.05, 3.0), r=st.floats(0.5, 10.0),
+       log_x=st.lists(st.floats(-330.0, 312.0), min_size=1, max_size=15))
+@example(a=5.2, p_exp=14.0, kind="uniform", q=1.0, r=1.0, log_x=[0.0])  # a one-row suffix
+@example(a=2.0, p_exp=16.0, kind="uniform", q=1.0, r=1.0, log_x=[0.0])  # no row in the suffix
+@example(a=0.6, p_exp=0.0, kind="bump_simple", q=1.0, r=1.0, log_x=[-330.0, -8.0, 0.0, 8.0, 308.5, 312.0])
+def test_suffix_series_within_its_bound(a, p_exp, kind, q, r, log_x):
+    # only the suffix rows carry weight, so 1 - g is the s -> 1 series alone; X =
+    # mu t^a runs from 0 (t = 0) through overflow (log_x > 308.25), and where t^a
+    # itself overflows the factory sums the rows directly
+    p = max(10.0**p_exp, 0.55 / a)  # 2pa > 1
+    fam = trial.normalize_profile("rational_power", a=a, p=p)
+    w = trial.normalize_weight(kind, *(q, r)[:len(trial.WEIGHT_KINDS[kind])])
+    nodes, weights = quad.graded_rule()
+    start = _suffix_start(fam)
+    wphi = np.where(np.arange(nodes.size) >= start, weights * trial.eval_weight(w, nodes), 0.0)
+    log_t = (np.array(log_x) * math.log(10.0) - math.log(fam.mu)) / a
+    ts = np.append(np.exp(np.minimum(log_t, 709.0)), 0.0)  # t itself stays finite
+    exact = _full_rule_one_minus_g(fam, wphi, ts)
+    np.testing.assert_allclose(functionals._one_minus_g_factory(fam, wphi)(ts), exact, rtol=2e-15, atol=1e-300)
+    # the written bound, and the series terms past K that it bounds, summed until
+    # they stop adding to the tail
+    k_terms, delta0 = functionals._SUFFIX_TERMS, functionals._suffix_width(p)
+    kappa = max(1.0, (p + k_terms + 1) / (k_terms + 2))
+    bound = (functionals._binomials(p)[k_terms] * delta0 ** (k_terms + 1)
+             / (min(1.0, p) * (1.0 - delta0) * (1.0 - kappa * delta0)))
+    assert bound <= 2.0**-54
+    with np.errstate(over="ignore", under="ignore"):
+        x = fam.mu * ts**a
+        log_b = np.log1p(x[None, :])  # log(1 + X)
+        rho_d = -np.expm1(-log_b) * (1.0 - nodes[start:, None] ** a)
+        term = np.ones_like(rho_d)
+        for k in range(1, k_terms + 2):
+            term *= (p + (k - 1)) / k * rho_d
+        tail = np.zeros_like(term)
+        for k in range(k_terms + 1, 10_000):
+            tail += term
+            term *= (p + k) / (k + 1) * rho_d
+            if not (term > 1e-40 * tail).any():
+                break
+        dropped = wphi[start:] @ (np.exp(-p * log_b) * tail)
+    assert np.all(dropped <= bound * exact), (dropped, bound * exact)
 
 
 @pytest.mark.parametrize("a", [1.1, 5.2, 20.0, 99.0, 330.0, 400.0])
@@ -409,12 +457,12 @@ def test_series_rows_across_the_float_range(a, p):
 
 def test_compressed_inner_rows_at_criterion_5_start(monkeypatch):
     # near and far each score their 4 start panels in one batch of 60 t-nodes;
-    # of the 1,350 rows the s -> 1 fold leaves 791, and the s -> 0 series
-    # takes 628 of those for near (t < 1) and 36 for far
+    # of the 1,350 rows the s -> 1 series takes 593, and the s -> 0 series
+    # takes 628 of the other 757 for near (t < 1) and 36 for far
     shapes = _counting_kernel(monkeypatch)
     fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
     functionals.averaging_objective(fam, trial.normalize_weight("bump_rich", q=0.42, r=1.8), P11)
-    assert shapes == [(163, 60), (755, 60)]
+    assert shapes == [(129, 60), (721, 60)]
 
 
 def test_integrand_calls_at_criterion_5_start(monkeypatch):
