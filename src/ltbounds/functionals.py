@@ -23,25 +23,29 @@ split at t = 1, each half mapped onto (0, 1) by t = v^k, with the one
 integrand |k| (1 - h)^2 v^(k (1 - beta) - 1) in logs: near k = n = max(1,
 2 / (2a + 1 - beta)), which turns the t^(2a - beta) behavior next to the
 admissibility edge into v^1; far k = -m, m = max(1, ceil(2 / (beta - 1))),
-which folds in the t^(-beta) decay (_deficit_integral).  A non-finite
-integrand value or a blown quadrature budget is a DivergentError naming the
-functional.  Every integral over s runs on the fixed rule quad.graded_rule:
-inside the objective the inner g integral and int phi^2 share phi at its
-nodes, and mu (s t)^a = (mu s^a) t^a costs a batch of outer nodes t^a and
-one outer product.  For 1 - g both ends of the rule are folded, each to
-2^-54 of the rows it replaces, into binomial series of 1 - f = 1 - (1 +
-x)^(-p) with C_k = (p)_k / k! (_one_minus_g_factory).  Toward s = 1, the
-rows with d = 1 - s^a < delta_0(p) (0.053-0.065 for p <= 1, about 0.3/p for
-large p: the panels graded toward s = 1) are a 12-term series in rho d, rho
-= X / (1 + X), X = mu t^a, from 13 moments M_k = sum w d^k taken once per
-evaluation: 593 of the 1,350 rows at a = 5.2, p = 0.31.  Toward s = 0,
-where x = mu s^a t^a <= eps(p) <= 2^-19 for every node of a batch, 1 - f is
-the three-term series p x - C_2 x^2 + C_3 x^3, summed from three moments
-scaled by the last folded row.  Only the rows between the two go through
-the log1p/expm1 kernel: 21.8 M of the 67.0 M kernel elements that every row
-would cost over the optimizer run from the criterion-5 start.  The
-test suite checks this 1 - g against 30-digit mpmath and against the exact
-sum over all 1,350 rows to 2e-15 relative.  The indicator profile needs no
+which folds in the t^(-beta) decay.  Quadrature takes the sum of the two
+halves as one integral over v, so each of its rounds is one call of 1 - h
+on both halves' nodes (_deficit_integral).  A non-finite integrand value or
+a blown quadrature budget is a DivergentError naming the functional.  Every
+integral over s runs on the fixed rule quad.graded_rule: inside the
+objective the inner g integral and int phi^2 share phi at its nodes, and mu
+(s t)^a = (mu s^a) t^a costs each outer node one t^a.  For 1 - g both ends
+of the rule are folded, each to 2^-54 of the rows it replaces, into
+binomial series of 1 - f = 1 - (1 + x)^(-p) with C_k = (p)_k / k!
+(_one_minus_g_factory).  Toward s = 1, the rows with d = 1 - s^a <
+delta_0(p) (0.053-0.065 for p <= 1, about 0.3/p for large p: the panels
+graded toward s = 1) are a 12-term series in rho d, rho = X / (1 + X), X =
+mu t^a, from 13 moments M_k = sum w d^k taken once per evaluation: 593 of
+the 1,350 rows at a = 5.2, p = 0.31.  Toward s = 0, each outer node has
+its own cut below which x = mu s^a t^a <= eps(p) <= 2^-19, and there 1 - f
+is the three-term series p x - C_2 x^2 + C_3 x^3, summed from three
+moments read off prefix sums taken once per evaluation.  Only the rows
+between the two go through the log1p/expm1 kernel, in blocks of 16 rows:
+9.1 M of the 66.3 M kernel elements that every row would cost over the
+optimizer run from the criterion-5 start (one cut per batch of near or far
+nodes left it 21.8 M).  The test suite checks this 1 - g against 30-digit
+mpmath and against the exact sum over all 1,350 rows to 2e-15 relative.
+The indicator profile needs no
 integral over t:
 1 - g(t) = T(1/t) with T(x) = int_x^1 phi, and by parts tau int_1^inf
 T(1/t)^2 t^(-1-tau) dt = 2 int_0^1 phi x^tau T dx, one sum on the graded
@@ -50,6 +54,7 @@ rule with T at its nodes from the later panels' mass and quad.graded_tails.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,6 +119,12 @@ def _deficit_integral(one_minus, a: float, beta: float, what: str) -> float:
     positive sum of terms 1 - (1 + x)^(-p) with x <= mu t^a <= mu 2^-600,
     linear in x to rounding.
 
+    The two halves are one integral of their sum over (0, 1): each round of
+    quad.integrate is one call of one_minus on t = v^n and t = v^-m for all of
+    the round's nodes.  Its target max(ABS, REL |J|) is never looser than
+    the two halves' own targets summed, since max(A, R (x + y)) <= max(A, R
+    x) + max(A, R y) for x, y >= 0.
+
     Raises DivergentError naming `what` for 2a <= beta - 1, for beta <= 1, for
     a non-finite integrand value and for a blown budget.
     """
@@ -125,42 +136,38 @@ def _deficit_integral(one_minus, a: float, beta: float, what: str) -> float:
     margin = 2.0 * a - (beta - 1.0)  # > 0 in floats too, since 2a > beta - 1
     n = max(1.0, 2.0 / margin)
     m = float(max(1, math.ceil(2.0 / (beta - 1.0))))
+    k = np.array([[n], [-m]])  # near row, far row
+    expo = k * (1.0 - beta) - 1.0  # k - 1 - k beta cancels for beta -> 1 at large m
     t_deep = 2.0 ** (-600.0 / a) if a < math.inf else 0.0  # the indicator's 1 - h is 0 on (0, 1)
     log_k = None  # log K, formed on first use
 
-    def half(k):
-        expo = k * (1.0 - beta) - 1.0  # k - 1 - k beta cancels for beta -> 1 at large m
-
-        def integrand(v):
-            nonlocal log_k
-            log_v = np.log(v)
-            # inf, nan and a negative 1 - h (nan in logs) reach quad, which raises;
-            # log 0 = -inf makes a 0
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                t = v**k
-                val = one_minus(t)
-                np.log(val, out=val)
-                if t.min() < t_deep:  # near half only: t > 1 on the far half
-                    if log_k is None:
-                        log_k = float(np.log(one_minus(np.array([t_deep]))[0])) - a * math.log(t_deep)
-                    deep = t < t_deep
-                    val[deep] = log_k + a * k * log_v[deep]
-                val *= 2.0
-                log_v *= expo
-                val += log_v
-                np.exp(val, out=val)
-            val *= abs(k)
-            return val
-        return integrand
+    def integrand(v):
+        nonlocal log_k
+        log_v = np.log(v)
+        # inf, nan and a negative 1 - h (nan in logs) reach quad, which raises;
+        # log 0 = -inf makes a 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            near = v**n
+            val = one_minus(np.concatenate((near, v**-m))).reshape(2, v.size)
+            np.log(val, out=val)
+            if near.min() < t_deep:  # near half only: t > 1 on the far half
+                if log_k is None:
+                    log_k = float(np.log(one_minus(np.array([t_deep]))[0])) - a * math.log(t_deep)
+                deep = near < t_deep
+                val[0, deep] = log_k + a * n * log_v[deep]
+            val *= 2.0
+            val += expo * log_v
+            np.exp(val, out=val)
+        val *= abs(k)
+        return val[0] + val[1]
 
     try:
-        near = quad.integrate(half(n))
-        far = quad.integrate(half(-m))
+        res = quad.integrate(integrand)
     except quad.NonFiniteIntegrandError as exc:
         raise DivergentError(f"{what}: {exc}") from exc
-    if not (near.converged and far.converged):
-        raise DivergentError(f"{what} quadrature did not converge: near={near!r}, far={far!r}")
-    return near.value + far.value
+    if not res.converged:
+        raise DivergentError(f"{what} quadrature did not converge: {res!r}")
+    return res.value
 
 
 def weighted_deficit(fam: ProfileFamily, beta: float) -> float:
@@ -202,11 +209,17 @@ def weight_l2(weight: WeightFamily) -> float:
 
 
 # The two ends of the inner rule are folded into series of 1 - f
-# (_one_minus_g_factory): toward s = 0 the rows with x = mu s^a t^a <=
-# _series_eps(p) <= _SERIES_EPS, in _SERIES_TERMS terms; toward s = 1 the rows
-# with d = 1 - s^a < _suffix_width(p), in _SUFFIX_TERMS terms.
+# (_one_minus_g_factory): toward s = 0, for each outer node t, the rows with
+# x = mu s^a t^a <= _series_eps(p) <= _SERIES_EPS, in _SERIES_TERMS terms;
+# toward s = 1 the rows with d = 1 - s^a < _suffix_width(p), in
+# _SUFFIX_TERMS terms.  The rows between go through the kernel in blocks of
+# _BLOCK rows; a node whose top folded row has mu s^a below 2^e _LEAD_MIN
+# sums its series at x itself.
 _SERIES_TERMS, _SERIES_EPS = 3, 2.0**-19
 _SUFFIX_TERMS = 12
+_BLOCK = 16
+_LEAD_MIN = 2.0**-300
+_TINY = 2.0**-1022  # the smallest normal float
 
 
 def _binomials(p: float) -> list[float]:
@@ -247,30 +260,61 @@ def _power_series(coef, y):
     return out
 
 
+@functools.cache
+def _prefix_index(n: int):
+    """reduceat indices 0, 1, 0, 2, .., 0, n, 0: on n + 1 entries, the even
+    outputs are the sums of entries 0..m for m = 0..n."""
+    index = np.zeros(2 * n + 1, dtype=np.intp)
+    index[1::2] = np.arange(1, n + 1)
+    return index
+
+
+def _prefix_sums(terms):
+    """out[..., m] = terms[..., :m].sum(axis=-1) for m = 0..n, each a pairwise
+    sum as np.sum takes it; np.cumsum would add in sequence."""
+    n = terms.shape[-1]
+    padded = np.concatenate((np.zeros(terms.shape[:-1] + (1,)), terms), axis=-1)
+    return np.add.reduceat(padded, _prefix_index(n), axis=-1)[..., ::2]
+
+
 def _one_minus_g_factory(fam: ProfileFamily, wphi):
     """Vectorized t -> 1 - g(t) for a smooth profile, exact at small t.
 
-    Since int phi = 1, 1 - g(t) = int phi(s)(1 - f(st)) ds: per batch of
-    outer nodes, one pairwise sum down each column of wphi (1 - f), wphi the
+    Since int phi = 1, 1 - g(t) = int phi(s)(1 - f(st)) ds: for each outer
+    node, a pairwise sum of wphi (1 - f) over the rule's rows, wphi the
     graded rule's weights times phi, at x = (mu s^a) t^a.  Both ends of the
     rule are folded into series of 1 - f whose coefficients are built once per
     evaluation, C_k = (p)_k / k! from _binomials; only the rows between them
     go through the kernel one_minus_rational.
 
-    The s -> 0 end: the rows mu_x = mu s^a ascend, so each batch of outer
-    nodes has one cut r0, the first row with mu_x max(t^a) >= eps =
-    _series_eps(p).  The rows below it, where every x <= eps, are summed as
+    The s -> 0 end: the rows mu_x = mu s^a ascend, so each node t has its own
+    cut.  Below the suffix start the rows sit in blocks of _BLOCK, the first
+    padded in front with rows of mu_x = w = 0, and a node folds the blocks
+    whose top row has mu_x <= eps (1 - 2^-50) / t^a, eps = _series_eps(p).
+    That quotient rounds up by at most one ulp, so every folded row has mu_x
+    t^a <= eps in floats; a quotient below the normal range counts as 0, and
+    then only rows with mu_x = 0 fold.  The kernel takes the node's other
+    blocks, at most _BLOCK - 1 rows more than those with mu_x t^a above the
+    limit, laid out contiguously per node so that np.add.reduceat sums each
+    node pairwise.  The folded rows, where every x <= eps, are summed as
 
-        sum_(k=1..K) (-1)^(k+1) C_k (z t^a)^k M_k,  M_k = sum_(i<r0) w_i (mu_x_i / z)^k,
+        sum_(k=1..K) (-1)^(k+1) C_k (2^e t^a)^k P_k,  P_k = sum_i w_i (mu_x_i / 2^e)^k,
 
-    with K = _SERIES_TERMS and z = mu_x[r0 - 1].  Rescaled by z, the moments
-    are sums of terms <= w_i led by the largest rows, and z t^a <= eps, so
-    nothing overflows and no leading term underflows even where t^a is near
-    1e300.  For x <= eps the series of 1 - (1 + x)^(-p) alternates with
-    decreasing terms, so a row's error is at most C_(K+1) x^(K+1) and its
-    value at least p x (1 - (p + 1) x / 2): relative to the folded rows' own
-    sum the error is at most C_(K+1) eps^K / (p (1 - (p + 1) eps / 2)),
-    which _series_eps keeps at or below 2^-54.
+    with K = _SERIES_TERMS and 2^e the power of two above every mu_x.  P_k
+    comes from _prefix_sums of the blocks' own sums, taken once per
+    evaluation; pairwise within and across blocks, it is as accurate as a
+    pairwise sum over the folded rows.  Every mu_x_i / 2^e < 1 and 2^e t^a
+    is exact, so no moment overflows.  Where the node's top folded row has
+    mu_x / 2^e >= _LEAD_MIN = 2^-300, 2^e t^a <= eps / _LEAD_MIN < 2^282, so
+    no power overflows either, and that row's terms w (mu_x / 2^e)^k >= w
+    2^-900 keep their digits for every row weight w above 2^-120 (the
+    graded rule's smallest is about 2^-100).  A node whose top folded row lies
+    lower, t^a beyond about 2^(281 - e), sums its folded rows at x itself.
+    For x <= eps the series of 1 - (1 + x)^(-p) alternates with decreasing
+    terms, so a row's error is at most C_(K+1) x^(K+1) and its value at least
+    p x (1 - (p + 1) x / 2): relative to the folded rows' own sum the error
+    is at most C_(K+1) eps^K / (p (1 - (p + 1) eps / 2)), which _series_eps
+    keeps at or below 2^-54.
 
     The s -> 1 end: the rule's panels graded toward s = 1 exist only for
     phi's (1 - s^q)^r corner.  The rows with d = 1 - s^a < delta_0 =
@@ -289,7 +333,7 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
         C_(K+1) delta_0^(K+1) / (min(1, p) (1 - delta_0) (1 - kappa delta_0)),
 
     which _suffix_width keeps at or below 2^-54.  A weight with no mass on
-    these rows makes S = 0, and where t^a overflows the batch is summed over
+    these rows makes S = 0, and where t^a overflows the node is summed over
     every row instead.
     """
     s_nodes = quad.graded_rule()[0]
@@ -297,7 +341,7 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
     start = int(np.searchsorted(s_a - 1.0, -_suffix_width(fam.p), side="right"))  # exact for s^a >= 1/2
     mu_x, w_x = fam.mu * s_a[:start], wphi[:start]
     coef = _binomials(fam.p)
-    eps = _series_eps(fam.p)
+    eps_cut = _series_eps(fam.p) * (1.0 - 2.0**-50)
     head = [c if k % 2 else -c for k, c in enumerate(coef[:_SERIES_TERMS], 1)]  # (-1)^(k+1) C_k
     d = 1.0 - s_a[start:]
     moment = wphi[start:].copy()
@@ -306,32 +350,55 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
     for c in coef[:_SUFFIX_TERMS]:
         moment *= d
         suffix_terms.append(c * moment.sum())
-    # one reused (s, t) buffer, grown to the widest batch: fresh arrays per batch
-    # can let malloc trim the heap and fault the pages in again, ~1e6 faults a sweep
+    n_blocks = -(-start // _BLOCK)
+    pad = n_blocks * _BLOCK - start
+    mu_blocks = np.concatenate((np.zeros(pad), mu_x)).reshape(n_blocks, _BLOCK)
+    w_blocks = np.concatenate((np.zeros(pad), w_x)).reshape(n_blocks, _BLOCK)
+    tops = mu_blocks[:, -1].copy()  # the blocks' top rows; block m folds where tops[m] <= limit
+    e = math.frexp(tops[-1])[1] if start else 0  # every mu_x < 2^e
+    ratio = np.ldexp(mu_blocks, -e)
+    term = w_blocks * ratio
+    block_sums = []
+    for c in head:
+        block_sums.append(c * term.sum(axis=1))
+        term *= ratio
+    moments = _prefix_sums(np.array(block_sums))  # column m: (-1)^(k+1) C_k P_k over the blocks below m
+    shared = np.concatenate(([False], tops >= math.ldexp(_LEAD_MIN, e)))  # P_k at 2^e, by the top folded row
+    # one float buffer, grown to the largest call: fresh arrays per call can let
+    # malloc trim the heap and fault the pages in again
     work = np.empty(0)
 
     def factored(t_a):
         nonlocal work
-        cut = int(np.searchsorted(mu_x * t_a.max(initial=0.0), eps))
-        rows = mu_x.size - cut
-        if work.size < rows * t_a.size:
-            work = np.empty(rows * t_a.size)
-        # column-major, so each column is contiguous and numpy sums it pairwise: a
-        # matrix product with wphi adds the ~750 rows in an order set by the
-        # batch's width, up to 2.4e-15 off
-        buf = work[: rows * t_a.size].reshape(t_a.size, rows).T
-        np.einsum("i,j->ij", mu_x[cut:], t_a, out=buf)  # np.multiply.outer would allocate a temporary
-        one_minus_rational(fam.p, buf, out=buf)
-        out = np.multiply(buf, w_x[cut:, None], out=buf).sum(axis=0)
-        z = mu_x[cut - 1] if cut else 0.0
-        if z > 0.0:  # the rows below the cut, as the series in y = z t^a
-            ratio = mu_x[:cut] / z
-            moment = w_x[:cut] * ratio
-            terms = []
-            for c in head:
-                terms.append(c * moment.sum())
-                moment *= ratio
-            out += _power_series(terms, z * t_a)
+        with np.errstate(divide="ignore"):
+            limit = eps_cut / t_a  # inf at t^a = 0: every row folds
+        if limit.min(initial=np.inf) < _TINY:  # a subnormal quotient's rounding could pass a row
+            limit[limit < _TINY] = 0.0
+        cut = tops.searchsorted(limit, side="right")  # the blocks folded into the series
+        size = n_blocks - cut  # and those the kernel takes
+        out = np.zeros(t_a.size)
+        cols = np.flatnonzero(size)
+        if cols.size:
+            size = size[cols]
+            ends = np.cumsum(size)
+            total = int(ends[-1])
+            if work.size < 2 * total * _BLOCK:
+                work = np.empty(2 * total * _BLOCK)
+            x, w = work[:2 * total * _BLOCK].reshape(2, total, _BLOCK)
+            rows = np.repeat(n_blocks - ends, size)  # each kernel block's block of rows
+            rows += np.arange(total)
+            np.take(mu_blocks, rows, axis=0, out=x, mode="clip")  # mode="raise" would buffer out
+            x *= np.repeat(t_a[cols], size)[:, None]
+            one_minus_rational(fam.p, x, out=x)
+            np.take(w_blocks, rows, axis=0, out=w, mode="clip")
+            x *= w
+            out[cols] = np.add.reduceat(x.reshape(-1), (ends - size) * _BLOCK)
+        at_e = shared[cut]
+        out += _power_series(moments[:, cut], np.where(at_e, np.ldexp(t_a, e), 0.0))
+        if not at_e.all():  # the folded rows far below 2^e, at x itself
+            for j in np.flatnonzero(~at_e & (cut > 0)):
+                x_j = mu_x[:cut[j] * _BLOCK - pad] * t_a[j]
+                out[j] += (w_x[:x_j.size] * _power_series(head, x_j)).sum()
         if suffix_mass > 0.0:  # the rows from start on, as the series in rho
             log_b = np.log1p(fam.mu * t_a)  # log(1 + X)
             series = _power_series(suffix_terms, -np.expm1(-log_b))  # rho = 1 - 1/(1 + X)

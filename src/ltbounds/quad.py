@@ -2,7 +2,7 @@
 
 Every integral runs over the unit interval (0, 1).  Integrals of an
 averaging weight use the one fixed graded_rule(); every other integral (the
-two halves of the deficit integral, each mapped onto (0, 1)) runs through
+deficit integral, its two halves mapped onto (0, 1) and summed) runs through
 integrate(), whose tolerances and budget are the module constants _ABS_TOL,
 _REL_TOL and _MAX_SUBDIVISIONS, read at call time.  The scheme is
 adaptive bisection in rounds: each panel carries the 15-point Kronrod value
@@ -83,7 +83,7 @@ _START_EDGES = np.linspace(0.0, 1.0, _START_PANELS + 1)
 
 def _panels(func, los, his):
     """Gauss-Kronrod 15/7 pair (QUADPACK qk15) on every panel (los[i], his[i])
-    -> (values, errors) arrays.
+    -> array of two rows, values and errors.
 
     One integrand call on the 15 Kronrod nodes of every panel, panel after
     panel; each value is K15 and each error |K15 - G7|, with G7 reusing the
@@ -92,10 +92,19 @@ def _panels(func, los, his):
     half = 0.5 * (his - los)
     x = (0.5 * (his + los))[:, None] + half[:, None] * _XK15
     y = func(x.ravel()).reshape(x.shape)
-    if not np.isfinite(y).all():
+    out = _PANEL_WEIGHTS @ y.T  # rows: values, then K15 - G7
+    out *= half
+    # every K15 weight is positive, so a nan or inf node value makes the sum non-finite
+    if not math.isfinite(np.add.reduce(out[0])) and not np.isfinite(y).all():
         raise NonFiniteIntegrandError(f"integrand non-finite near node {x[~np.isfinite(y)][0]!r}")
-    value, diff = (half[:, None] * (y @ _PANEL_WEIGHTS.T)).T
-    return value, np.abs(diff)
+    np.abs(out[1], out=out[1])
+    return out
+
+
+# The start edges are quarters and bisection is exact, so every panel is a
+# dyadic interval [k 2^-j, (k + 1) 2^-j] of (0, 1): its midpoint is exact
+# while j < 53, and only a panel narrower than _NARROW can lose it to rounding.
+_NARROW = 2.0**-50
 
 
 def integrate(func) -> QuadResult:
@@ -105,40 +114,39 @@ def integrate(func) -> QuadResult:
     are never evaluated.  Raises NonFiniteIntegrandError on nan/inf at a
     node; a blown subdivision budget comes back as converged=False.
     """
-    los, his = _START_EDGES[:-1].copy(), _START_EDGES[1:].copy()
-    vals, errs = _panels(func, los, his)
+    edges = np.array([_START_EDGES[:-1], _START_EDGES[1:]])
+    pan = np.concatenate((edges, _panels(func, *edges)))  # rows: each panel's lo, hi, value and error
     frozen_v = frozen_e = 0.0  # panels too narrow to split further
     splits = 0
 
     while True:
-        total_v = math.fsum(vals.tolist()) + frozen_v
-        total_e = math.fsum(errs.tolist()) + frozen_e
-        target = max(_ABS_TOL, _REL_TOL * abs(total_v))
-        if total_e <= target or not los.size:
-            return QuadResult(total_v, total_e, splits, True)
-        if splits >= _MAX_SUBDIVISIONS:
-            return QuadResult(total_v, total_e, splits, False)
+        los, his, vals, errs = pan
+        # numpy sums steer the rounds; the value returned is an fsum
+        total_v, total_e = np.add.reduce(pan[2:], axis=1).tolist()
+        total_e += frozen_e
+        target = max(_ABS_TOL, _REL_TOL * abs(total_v + frozen_v))
+        if total_e <= target or not los.size or splits >= _MAX_SUBDIVISIONS:
+            converged = total_e <= target or not los.size
+            return QuadResult(math.fsum(vals.tolist()) + frozen_v, total_e, splits, converged)
         # worst first, ties by position, until the panels left fit the target
         order = np.lexsort((los, -errs))
-        short = int(np.count_nonzero(np.cumsum(errs[order]) < total_e - target))
+        short = int(np.add.accumulate(errs[order]).searchsorted(total_e - target))
         picked = order[:min(short + 1, _MAX_SUBDIVISIONS - splits)]
         plo, phi = los[picked], his[picked]
         mids = 0.5 * (plo + phi)
-        ok = (plo < mids) & (mids < phi)
-        if not ok.all():  # freeze the panels too narrow to split, then pick again
-            gone = picked[~ok]
+        if np.minimum.reduce(phi - plo) < _NARROW and not ((plo < mids) & (mids < phi)).all():
+            # freeze the panels too narrow to split, then pick again
+            gone = picked[(mids <= plo) | (mids >= phi)]
             frozen_v += math.fsum(vals[gone].tolist())
             frozen_e += math.fsum(errs[gone].tolist())
-            keep = np.ones(los.size, dtype=bool)
-            keep[gone] = False
-            los, his, vals, errs = los[keep], his[keep], vals[keep], errs[keep]
+            pan = np.delete(pan, gone, axis=1)
             continue
         splits += picked.size
         # left halves replace their parents, right halves go at the end
-        v, e = _panels(func, np.concatenate((plo, mids)), np.concatenate((mids, phi)))
-        his[picked], vals[picked], errs[picked] = mids, v[:picked.size], e[:picked.size]
-        los, his = np.concatenate((los, mids)), np.concatenate((his, phi))
-        vals, errs = np.concatenate((vals, v[picked.size:])), np.concatenate((errs, e[picked.size:]))
+        kids = np.array([plo, mids, mids, phi]).reshape(2, -1)  # rows: each half's lo, then hi
+        kids = np.concatenate((kids, _panels(func, *kids)))
+        pan[:, picked] = kids[:, :picked.size]
+        pan = np.concatenate((pan, kids[:, picked.size:]), axis=1)
 
 
 # leggauss is called inside the builders: importing numpy.polynomial costs

@@ -31,6 +31,7 @@ cases, and through spec_from_json its potential and grid specs).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -178,15 +179,30 @@ def normalize_weight(kind: str, q: float | None = None, r: float | None = None) 
             raise ConstraintViolationError(f"normalization constant overflows: log c = {log_c!r}")
         return WeightFamily(kind="bump_poly", q=q, r=r, c=float(np.exp(log_c)))
     s, w = quad.graded_rule()
-    mass = float(w @ eval_weight(WeightFamily(kind="bump_rich", q=q, r=r, c=1.0), s))
+    mass = float(w @ (_bump_on_rule(q, r) / (1.0 + s)))
     if not (mass > 0.0) or not np.isfinite(mass):
         raise ConstraintViolationError(f"weight normalization integral degenerate: {mass!r}")
     return WeightFamily(kind="bump_rich", q=q, r=r, c=1.0 / mass)
 
 
+@functools.lru_cache(maxsize=1)
+def _bump_on_rule(q: float, r: float):
+    """(1 - s^q)^r at the nodes s of quad.graded_rule(), read-only: bump_rich's
+    normalize_weight takes its mass from it, and eval_weight on those nodes
+    reuses it, so an objective evaluation forms the powers once."""
+    out = np.power(quad.graded_rule()[0], q)
+    np.subtract(1.0, out, out=out)
+    np.power(out, r, out=out)
+    out.setflags(write=False)
+    return out
+
+
 def eval_weight(fam: WeightFamily, t):
     """phi(t), zero outside [0, 1] (scalar or ndarray)."""
     t = np.asarray(t, dtype=float)
+    if fam.kind == "bump_rich" and t is quad.graded_rule()[0]:  # every node is in [0, 1]
+        out = np.multiply(fam.c, _bump_on_rule(fam.q, fam.r))
+        return np.divide(out, np.add(1.0, t), out=out)
     inside = (t >= 0.0) & (t <= 1.0)
     if fam.kind == "uniform":
         return np.where(inside, 1.0, 0.0)

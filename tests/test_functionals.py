@@ -189,7 +189,7 @@ def test_certify_edge_pairs_against_tight_tolerance(monkeypatch, profile, weight
     integrate = quad.integrate
     monkeypatch.setattr(quad, "integrate", counting)
     c = functionals.averaging_objective(fam, w, P3HALF)
-    assert len(calls) == 2 and calls[0] <= 2, calls  # near half, then far half
+    assert len(calls) == 1 and calls[0] <= 3, calls  # near and far halves in one integral
     monkeypatch.setattr(quad, "integrate", integrate)
     monkeypatch.setattr(quad, "_ABS_TOL", 1e-300)
     monkeypatch.setattr(quad, "_REL_TOL", 1e-14)
@@ -357,17 +357,94 @@ def _counting_kernel(monkeypatch):
     return shapes
 
 
-def _series_rows(fam, ts):
-    """The number of rows the factory folds into the s -> 0 series for the
-    batch ts when it keeps every row of the graded rule."""
-    mu_x = fam.mu * quad.graded_rule()[0] ** fam.a
-    return int(np.searchsorted(mu_x * (ts**fam.a).max(), functionals._series_eps(fam.p)))
+def _kernel_blocks(fam, ts):
+    """Per node t, the blocks of _BLOCK rows the factory sends to the kernel:
+    those holding the rows below the suffix start with x = mu s^a t^a above
+    eps (1 - 2^-50), counted by the products themselves, the first block
+    padded in front."""
+    mu_x = fam.mu * quad.graded_rule()[0][:_suffix_start(fam)] ** fam.a
+    eps_cut = functionals._series_eps(fam.p) * (1.0 - 2.0**-50)
+    rows = np.count_nonzero(mu_x[:, None] * ts[None, :] ** fam.a > eps_cut, axis=0)
+    return -(-rows // functionals._BLOCK)
 
 
 def _suffix_start(fam):
     """The first row the factory folds into the s -> 1 series: d = 1 - s^a < delta_0."""
     s_a = quad.graded_rule()[0] ** fam.a
     return int(np.searchsorted(s_a - 1.0, -functionals._suffix_width(fam.p), side="right"))
+
+
+def _node_kernel_rows(fam, t_a, captured):
+    """Split the kernel's captured input, blocks of mu s^a t^a over the rows
+    below the suffix start padded in front to whole blocks, into the rows each
+    node's own cut sent there: the last s blocks for some s per node."""
+    mu_x = fam.mu * quad.graded_rule()[0][:_suffix_start(fam)] ** fam.a
+    size = functionals._BLOCK
+    blocks = np.concatenate((np.zeros(-mu_x.size % size), mu_x)).reshape(-1, size)
+    rows = np.concatenate([x.reshape(-1, size) for x in captured]) if captured else np.zeros((0, size))
+    at, kernel_rows = 0, []
+    for ta in t_a:
+        with np.errstate(over="ignore"):  # x = inf is what the kernel sees too
+            tail = blocks * ta
+        ends = [s for s in range(1, blocks.shape[0] + 1)
+                if at + s <= rows.shape[0] and np.array_equal(rows[at:at + s], tail[-s:])]
+        s = ends[-1] if ends and np.array_equal(rows[at + ends[-1] - 1], tail[-1]) else 0
+        kernel_rows.append(s * size)
+        at += s
+    assert at == rows.shape[0]
+    return mu_x, kernel_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.floats(0.6, 400.0), p_exp=st.floats(math.log10(0.05), 16.0),
+       kind=st.sampled_from(list(trial.WEIGHT_KINDS)), q=st.floats(0.05, 3.0), r=st.floats(0.5, 10.0),
+       log_t=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=15))
+@example(a=5.2, p_exp=math.log10(0.31), kind="bump_rich", q=0.42, r=1.8, log_t=[-300.0, -3.0, 0.0, 2.0, 300.0])
+@example(a=400.0, p_exp=16.0, kind="uniform", q=1.0, r=1.0, log_t=[-300.0, -1.0, 0.0, 0.7, 300.0])
+@example(a=4.5, p_exp=-1.0, kind="bump_rich", q=1.0, r=1.0, log_t=[68.0])  # x overflows in the kernel
+def test_per_node_cut_folds_only_small_rows(a, p_exp, kind, q, r, log_t):
+    # t from 1e-300 to 1e300 in one batch, t^a overflowing at the top for a > 1.03
+    p = max(10.0**p_exp, 0.55 / a)  # 2pa > 1
+    fam = trial.normalize_profile("rational_power", a=a, p=p)
+    w = trial.normalize_weight(kind, *(q, r)[:len(trial.WEIGHT_KINDS[kind])])
+    nodes, weights = quad.graded_rule()
+    _check_per_node_cut(fam, weights * trial.eval_weight(w, nodes), 10.0 ** np.array(log_t))
+
+
+def test_per_node_cut_at_a_subnormal_limit():
+    # at a = 24 one block's top row has mu s^a = 2.3e-314; at this t its x is
+    # just above eps while eps (1 - 2^-50) / t^a, subnormal, rounds up onto it
+    fam = trial.normalize_profile("rational_power", a=24.0, p=0.5)
+    ts = np.array([6755728296153.329])
+    top = 2.335059172e-314
+    assert top in fam.mu * quad.graded_rule()[0] ** fam.a
+    eps = functionals._series_eps(fam.p)
+    assert top * ts[0] ** fam.a > eps and eps * (1.0 - 2.0**-50) / ts[0] ** fam.a >= top
+    nodes, weights = quad.graded_rule()
+    _check_per_node_cut(fam, weights * trial.eval_weight(trial.normalize_weight("uniform"), nodes), ts)
+
+
+def _check_per_node_cut(fam, wphi, ts):
+    """Every row a node folds into the s -> 0 series has mu s^a t^a <= eps in
+    floats, and the values match the sum over every row."""
+    captured = []
+    kernel = functionals.one_minus_rational
+
+    def capturing(p, x, out=None):
+        captured.append(x.copy())
+        return kernel(p, x, out=out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(functionals, "one_minus_rational", capturing)
+        got = functionals._one_minus_g_factory(fam, wphi)(ts)
+    with np.errstate(over="ignore"):
+        t_a = ts**fam.a
+    t_a = t_a[np.isfinite(t_a)]
+    mu_x, kernel_rows = _node_kernel_rows(fam, t_a, captured)
+    eps = functionals._series_eps(fam.p)
+    for ta, rows in zip(t_a, kernel_rows):
+        assert np.all(mu_x[:max(mu_x.size - rows, 0)] * ta <= eps), (ta, rows)
+    np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=1e-300)
 
 
 def test_compressed_inner_rule_falls_back_to_full_rows(monkeypatch):
@@ -380,8 +457,9 @@ def test_compressed_inner_rule_falls_back_to_full_rows(monkeypatch):
     assert _suffix_start(fam) == nodes.size
     wphi = weights * trial.eval_weight(trial.normalize_weight("uniform"), nodes)
     got = functionals._one_minus_g_factory(fam, wphi)(ts)
-    cut = _series_rows(fam, ts)
-    assert cut > 0 and shapes == [(nodes.size - cut, ts.size)]
+    blocks = _kernel_blocks(fam, ts)
+    assert blocks.sum() * functionals._BLOCK < nodes.size * ts.size
+    assert shapes == [(blocks.sum(), functionals._BLOCK)]
     np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=0)
     # a weight with no mass on the suffix, whose series is then 0
     fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
@@ -456,18 +534,38 @@ def test_series_rows_across_the_float_range(a, p):
 
 
 def test_compressed_inner_rows_at_criterion_5_start(monkeypatch):
-    # near and far each score their 4 start panels in one batch of 60 t-nodes;
-    # of the 1,350 rows the s -> 1 series takes 593, and the s -> 0 series
-    # takes 628 of the other 757 for near (t < 1) and 36 for far
+    # the 4 start panels are one call on 60 v-nodes, so 1 - g sees 60 near t =
+    # v^n < 1 and 60 far t = v^-m > 1 at once.  Of the 1,350 rows the s -> 1
+    # series takes 593; each node's own s -> 0 cut leaves the kernel 20,416
+    # elements in blocks of 16 (one cut per batch of near or far nodes left it
+    # 129 x 60 + 721 x 60 = 51,000)
     shapes = _counting_kernel(monkeypatch)
+    batches = []
+    factory = functionals._one_minus_g_factory
+
+    def recording(fam, wphi):
+        one_minus_g = factory(fam, wphi)
+
+        def recorded(t):
+            batches.append(np.array(t))
+            return one_minus_g(t)
+        return recorded
+
+    monkeypatch.setattr(functionals, "_one_minus_g_factory", recording)
     fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
     functionals.averaging_objective(fam, trial.normalize_weight("bump_rich", q=0.42, r=1.8), P11)
-    assert shapes == [(129, 60), (721, 60)]
+    assert [t.size for t in batches] == [120]
+    assert quad.graded_rule()[0].size - _suffix_start(fam) == 593
+    blocks = _kernel_blocks(fam, batches[0]) * functionals._BLOCK  # kernel elements per node
+    near, far = blocks[:60], blocks[60:]
+    assert near.sum() == 6_544 and (near.min(), near.max()) == (0, 144)
+    assert far.sum() == 13_872 and (far.min(), far.max()) == (144, 736)
+    assert shapes == [(20_416 // functionals._BLOCK, functionals._BLOCK)]
 
 
 def test_integrand_calls_at_criterion_5_start(monkeypatch):
-    # near and far converge on their 4 start panels: 2 calls on 120 t-nodes
-    # (one call per panel made 10 calls on 150 nodes)
+    # near and far converge together on their 4 start panels: 1 call on 60
+    # v-nodes (two integrals made 2 calls on 120 nodes)
     calls = []
 
     def counting(func):
@@ -480,7 +578,7 @@ def test_integrand_calls_at_criterion_5_start(monkeypatch):
     monkeypatch.setattr(quad, "integrate", counting)
     fam = trial.normalize_profile("rational_power", a=5.2, p=0.31)
     functionals.averaging_objective(fam, trial.normalize_weight("bump_rich", q=0.42, r=1.8), P11)
-    assert len(calls) <= 3 and sum(calls) <= 120, calls
+    assert calls == [60], calls
 
 
 @pytest.mark.parametrize("q, r", [(0.05, 0.5), (0.05, 10.0), (3.0, 0.5), (3.0, 10.0),
@@ -613,10 +711,10 @@ def test_indicator_objective_calls_no_adaptive_integral(monkeypatch):
     assert calls == []
     functionals.averaging_objective(trial.normalize_profile("rational_power", a=4.5, p=0.25),
                                     trial.normalize_weight("uniform"), P11)
-    assert len(calls) == 2  # the wrapper sees the smooth path's near and far integrals
+    assert len(calls) == 1  # the wrapper sees the smooth path's one integral, near and far halves
     calls.clear()
     functionals.weighted_deficit(trial.normalize_profile("rational_power", a=4.5, p=0.25), 2.0)
-    assert len(calls) == 2  # the same two
+    assert len(calls) == 1  # the same one
 
 
 def test_every_export_resolves():

@@ -135,3 +135,17 @@ def test_bump_simple_in_one_buffer():
         tracemalloc.stop()
     assert peak < 2 * tail_nodes.nbytes, peak  # one output array and the mask
 
+
+
+def test_bump_rich_on_the_graded_rule_forms_its_powers_once():
+    # normalize_weight takes the mass from (1 - s^q)^r on the rule's nodes, and
+    # eval_weight on those same nodes reuses it, bitwise equal to the full path
+    nodes = quad.graded_rule()[0]
+    for q, r in ((0.42, 1.8), (0.05, 10.0), (3.0, 0.5)):
+        trial._bump_on_rule.cache_clear()
+        w = trial.normalize_weight("bump_rich", q=q, r=r)
+        got = trial.eval_weight(w, nodes)
+        assert trial._bump_on_rule.cache_info()[:2] == (1, 1)  # one hit, one miss
+        assert got.tobytes() == trial.eval_weight(w, nodes.copy()).tobytes()
+        unnormalized = trial.eval_weight(trial.WeightFamily(kind="bump_rich", q=q, r=r, c=1.0), nodes.copy())
+        assert w.c == 1.0 / float(quad.graded_rule()[1] @ unnormalized)
