@@ -27,9 +27,10 @@ which folds in the t^(-beta) decay.  Quadrature takes the sum of the two
 halves as one integral over v, so each of its rounds is one call of 1 - h
 on both halves' nodes (_deficit_integral).  A non-finite integrand value or
 a blown quadrature budget is a DivergentError naming the functional.  Every
-integral over s runs on the fixed rule quad.graded_rule: inside the
-objective the inner g integral and int phi^2 share phi at its nodes, and mu
-(s t)^a = (mu s^a) t^a costs each outer node one t^a.  For 1 - g both ends
+integral over s runs on the fixed rule quad.graded_rule, Kronrod 15 panels
+graded toward both ends: inside the objective the inner g integral and int
+phi^2 share phi at its nodes, and mu (s t)^a = (mu s^a) t^a costs each
+outer node one t^a.  For 1 - g both ends
 of the rule are folded, each to 2^-54 of the rows it replaces, into
 binomial series of 1 - f = 1 - (1 + x)^(-p) with C_k = (p)_k / k!
 (_one_minus_g_factory).  Toward s = 1, the rows with d = 1 - s^a <
@@ -41,7 +42,7 @@ its own cut below which x = mu s^a t^a <= eps(p) <= 2^-19, and there 1 - f
 is the three-term series p x - C_2 x^2 + C_3 x^3, summed from three
 moments read off prefix sums taken once per evaluation.  Only the rows
 between the two go through the log1p/expm1 kernel, in blocks of 16 rows:
-9.1 M of the 66.3 M kernel elements that every row would cost over the
+9.4 M of the 68.3 M kernel elements that every row would cost over the
 optimizer run from the criterion-5 start (one cut per batch of near or far
 nodes left it 21.8 M).  The test suite checks this 1 - g against 30-digit
 mpmath and against the exact sum over all 1,350 rows to 2e-15 relative.
@@ -214,7 +215,7 @@ def weight_l2(weight: WeightFamily) -> float:
 # toward s = 1 the rows with d = 1 - s^a < _suffix_width(p), in
 # _SUFFIX_TERMS terms.  The rows between go through the kernel in blocks of
 # _BLOCK rows; a node whose top folded row has mu s^a below 2^e _LEAD_MIN
-# sums its series at x itself.
+# folds nothing.
 _SERIES_TERMS, _SERIES_EPS = 3, 2.0**-19
 _SUFFIX_TERMS = 12
 _BLOCK = 16
@@ -233,22 +234,24 @@ def _binomials(p: float) -> list[float]:
     return coef
 
 
-def _series_eps(p: float) -> float:
-    """eps = min(_SERIES_EPS, (2^-55 p / C_(K+1))^(1/K)) for K = _SERIES_TERMS:
-    the s -> 0 bound below is then at most 2^-55 / (1 - (p + 1) eps / 2) <=
-    2^-54.  A C_(K+1) that overflows gives eps = 0: no row is folded."""
+def _series_eps(p: float, coef) -> float:
+    """eps = min(_SERIES_EPS, (2^-55 p / C_(K+1))^(1/K)) for K = _SERIES_TERMS
+    and coef = _binomials(p): the s -> 0 bound below is then at most 2^-55 /
+    (1 - (p + 1) eps / 2) <= 2^-54.  A C_(K+1) that overflows gives eps = 0:
+    no row is folded."""
     k = _SERIES_TERMS
-    return min(_SERIES_EPS, (2.0**-55 * p / _binomials(p)[k]) ** (1.0 / k))
+    return min(_SERIES_EPS, (2.0**-55 * p / coef[k]) ** (1.0 / k))
 
 
-def _suffix_width(p: float) -> float:
+def _suffix_width(p: float, coef) -> float:
     """delta_0 = min(1 / (4 kappa), (2^-55 min(1, p) / C_(K+1))^(1/(K+1))) for
-    K = _SUFFIX_TERMS and kappa = max(1, (p + K + 1) / (K + 2)): then (1 -
-    delta_0)(1 - kappa delta_0) >= 9/16 and the s -> 1 bound below is at most
-    2^-54.  A C_(K+1) that overflows gives delta_0 = 0: no row is folded."""
+    K = _SUFFIX_TERMS, kappa = max(1, (p + K + 1) / (K + 2)) and coef =
+    _binomials(p): then (1 - delta_0)(1 - kappa delta_0) >= 9/16 and the s ->
+    1 bound below is at most 2^-54.  A C_(K+1) that overflows gives delta_0 =
+    0: no row is folded."""
     k = _SUFFIX_TERMS + 1
     kappa = max(1.0, (p + k) / (k + 1))
-    return min(0.25 / kappa, (2.0**-55 * min(1.0, p) / _binomials(p)[k - 1]) ** (1.0 / k))
+    return min(0.25 / kappa, (2.0**-55 * min(1.0, p) / coef[k - 1]) ** (1.0 / k))
 
 
 def _power_series(coef, y):
@@ -304,12 +307,12 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
     comes from _prefix_sums of the blocks' own sums, taken once per
     evaluation; pairwise within and across blocks, it is as accurate as a
     pairwise sum over the folded rows.  Every mu_x_i / 2^e < 1 and 2^e t^a
-    is exact, so no moment overflows.  Where the node's top folded row has
-    mu_x / 2^e >= _LEAD_MIN = 2^-300, 2^e t^a <= eps / _LEAD_MIN < 2^282, so
-    no power overflows either, and that row's terms w (mu_x / 2^e)^k >= w
-    2^-900 keep their digits for every row weight w above 2^-120 (the
-    graded rule's smallest is about 2^-100).  A node whose top folded row lies
-    lower, t^a beyond about 2^(281 - e), sums its folded rows at x itself.
+    is exact, so no moment overflows.  A node folds only if its top folded
+    row has mu_x / 2^e >= _LEAD_MIN = 2^-300; otherwise, t^a beyond about
+    2^(281 - e), the kernel takes all its rows below the suffix.  So 2^e t^a
+    <= eps / _LEAD_MIN < 2^282 and no power overflows either, and the top
+    row's terms w (mu_x / 2^e)^k >= w 2^-900 keep their digits for every row
+    weight w above 2^-120 (the graded rule's smallest is about 2^-100).
     For x <= eps the series of 1 - (1 + x)^(-p) alternates with decreasing
     terms, so a row's error is at most C_(K+1) x^(K+1) and its value at least
     p x (1 - (p + 1) x / 2): relative to the folded rows' own sum the error
@@ -338,11 +341,9 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
     """
     s_nodes = quad.graded_rule()[0]
     s_a = s_nodes**fam.a
-    start = int(np.searchsorted(s_a - 1.0, -_suffix_width(fam.p), side="right"))  # exact for s^a >= 1/2
-    mu_x, w_x = fam.mu * s_a[:start], wphi[:start]
     coef = _binomials(fam.p)
-    eps_cut = _series_eps(fam.p) * (1.0 - 2.0**-50)
-    head = [c if k % 2 else -c for k, c in enumerate(coef[:_SERIES_TERMS], 1)]  # (-1)^(k+1) C_k
+    start = int(np.searchsorted(s_a - 1.0, -_suffix_width(fam.p, coef), side="right"))  # exact for s^a >= 1/2
+    eps_cut = _series_eps(fam.p, coef) * (1.0 - 2.0**-50)
     d = 1.0 - s_a[start:]
     moment = wphi[start:].copy()
     suffix_mass = moment.sum()
@@ -352,18 +353,18 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
         suffix_terms.append(c * moment.sum())
     n_blocks = -(-start // _BLOCK)
     pad = n_blocks * _BLOCK - start
-    mu_blocks = np.concatenate((np.zeros(pad), mu_x)).reshape(n_blocks, _BLOCK)
-    w_blocks = np.concatenate((np.zeros(pad), w_x)).reshape(n_blocks, _BLOCK)
+    mu_blocks = np.concatenate((np.zeros(pad), fam.mu * s_a[:start])).reshape(n_blocks, _BLOCK)
+    w_blocks = np.concatenate((np.zeros(pad), wphi[:start])).reshape(n_blocks, _BLOCK)
     tops = mu_blocks[:, -1].copy()  # the blocks' top rows; block m folds where tops[m] <= limit
     e = math.frexp(tops[-1])[1] if start else 0  # every mu_x < 2^e
     ratio = np.ldexp(mu_blocks, -e)
     term = w_blocks * ratio
     block_sums = []
-    for c in head:
-        block_sums.append(c * term.sum(axis=1))
+    for k, c in enumerate(coef[:_SERIES_TERMS], 1):
+        block_sums.append((c if k % 2 else -c) * term.sum(axis=1))  # (-1)^(k+1) C_k
         term *= ratio
     moments = _prefix_sums(np.array(block_sums))  # column m: (-1)^(k+1) C_k P_k over the blocks below m
-    shared = np.concatenate(([False], tops >= math.ldexp(_LEAD_MIN, e)))  # P_k at 2^e, by the top folded row
+    foldable = np.concatenate(([False], tops >= math.ldexp(_LEAD_MIN, e)))  # cuts whose top row keeps its digits
     # one float buffer, grown to the largest call: fresh arrays per call can let
     # malloc trim the heap and fault the pages in again
     work = np.empty(0)
@@ -375,6 +376,7 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
         if limit.min(initial=np.inf) < _TINY:  # a subnormal quotient's rounding could pass a row
             limit[limit < _TINY] = 0.0
         cut = tops.searchsorted(limit, side="right")  # the blocks folded into the series
+        cut[~foldable[cut]] = 0  # a top folded row below 2^e _LEAD_MIN: the kernel takes every block
         size = n_blocks - cut  # and those the kernel takes
         out = np.zeros(t_a.size)
         cols = np.flatnonzero(size)
@@ -393,12 +395,8 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
             np.take(w_blocks, rows, axis=0, out=w, mode="clip")
             x *= w
             out[cols] = np.add.reduceat(x.reshape(-1), (ends - size) * _BLOCK)
-        at_e = shared[cut]
-        out += _power_series(moments[:, cut], np.where(at_e, np.ldexp(t_a, e), 0.0))
-        if not at_e.all():  # the folded rows far below 2^e, at x itself
-            for j in np.flatnonzero(~at_e & (cut > 0)):
-                x_j = mu_x[:cut[j] * _BLOCK - pad] * t_a[j]
-                out[j] += (w_x[:x_j.size] * _power_series(head, x_j)).sum()
+        # a node that folds nothing gets 0: its 2^e t^a may overflow
+        out += _power_series(moments[:, cut], np.where(cut > 0, np.ldexp(t_a, e), 0.0))
         if suffix_mass > 0.0:  # the rows from start on, as the series in rho
             log_b = np.log1p(fam.mu * t_a)  # log(1 + X)
             series = _power_series(suffix_terms, -np.expm1(-log_b))  # rho = 1 - 1/(1 + X)

@@ -18,8 +18,9 @@ Parameters are clipped into a fixed box before evaluation,
   a in [1.1, 20]   p in [0.05, 3]   q in [0.05, 3]   r in [0.5, 10]
 
 and evaluations that are inadmissible anyway (2pa <= 1, divergent
-functionals) score a flat 1e6 penalty, so the simplex slides back into the
-feasible region on its own.  Results report the clipped, scored point.
+functionals) score PENALTY = inf, which no objective value reaches (a
+non-finite integrand is a DivergentError), so the simplex slides back into
+the feasible region on its own.  Results report the clipped, scored point.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
     "trial_pair",
 ]
 
-PENALTY = 1.0e6
+PENALTY = math.inf
 
 _X_TOL, _F_TOL = 1e-6, 1e-9  # converged: simplex diameter <= _X_TOL and value spread <= _F_TOL
 _SIMPLEX_SCALE = 0.15  # initial simplex step relative to |x0|

@@ -1,8 +1,9 @@
-"""Adaptive panel quadrature with the embedded Gauss-Kronrod 15/7 pair.
+"""Panel quadrature with one panel rule, QUADPACK's Kronrod 15.
 
 Every integral runs over the unit interval (0, 1).  Integrals of an
-averaging weight use the one fixed graded_rule(); every other integral (the
-deficit integral, its two halves mapped onto (0, 1) and summed) runs through
+averaging weight use the one fixed graded_rule(), Kronrod 15 panels graded
+toward both ends; every other integral (the deficit integral, its two
+halves mapped onto (0, 1) and summed) runs through the adaptive
 integrate(), whose tolerances and budget are the module constants _ABS_TOL,
 _REL_TOL and _MAX_SUBDIVISIONS, read at call time.  The scheme is
 adaptive bisection in rounds: each panel carries the 15-point Kronrod value
@@ -149,28 +150,25 @@ def integrate(func) -> QuadResult:
         pan = np.concatenate((pan, kids[:, picked.size:]), axis=1)
 
 
-# leggauss is called inside the builders: importing numpy.polynomial costs
-# about 1.6 MiB and 10 ms, which code that never integrates a weight skips
 @functools.cache
 def graded_rule():
     """Fixed rule on (0,1) -> read-only (nodes, weights), built on first use.
 
-    Gauss-Legendre 15 panels graded to 2^-45 at both ends; the first panel,
-    in s = 2^-45 u^8, resolves a weight's s^q corner for q down to 0.05 even
-    at large r.
+    Kronrod 15 panels (integrate()'s own panel rule) graded to 2^-45 at both
+    ends; the first panel, in s = 2^-45 u^8, resolves a weight's s^q corner
+    for q down to 0.05 even at large r.
     """
-    nodes, weights = _graded_panels(*np.polynomial.legendre.leggauss(15))
+    nodes, weights = _graded_panels(_XK15, _WK15)
     return nodes.ravel(), weights.ravel()
 
 
 @functools.cache
 def graded_tails():
-    """Read-only (nodes, weights) of shape (panels, 15, 15): row [k, j] is Gauss-Legendre 15
+    """Read-only (nodes, weights) of shape (panels, 15, 15): row [k, j] is Kronrod 15
     from node j of graded_rule()'s panel k to the panel's end, in the panel's variable.
     Built on first use."""
-    x15, w15 = np.polynomial.legendre.leggauss(15)
-    x_tail = x15[:, None] + 0.5 * (1.0 - x15[:, None]) * (1.0 + x15)  # row j spans [x15[j], 1]
-    return _graded_panels(x_tail, 0.5 * (1.0 - x15[:, None]) * w15)
+    x_tail = _XK15[:, None] + 0.5 * (1.0 - _XK15[:, None]) * (1.0 + _XK15)  # row j spans [_XK15[j], 1]
+    return _graded_panels(x_tail, 0.5 * (1.0 - _XK15[:, None]) * _WK15)
 
 
 def _graded_panels(x, w):

@@ -43,7 +43,7 @@ k such rows (its edge prefix, found once per block with numpy, at most all
 rows but the last) the pass is a constant-coefficient recurrence with a
 closed form.  With beta = 1/h^2 (c = 2 beta exactly) and 1 - x/(2 beta) =
 cosh theta, the determinant of j prefix rows is beta^j U_j(cosh theta) =
-beta^j sinh((j+1) theta)/sinh theta (Chebyshev polynomials U), so the pivot
+beta^j sinh((j+1) theta)/sinh theta (Chebyshev U, second kind), so the pivot
 after the prefix is q = beta sinh((k+1) theta)/sinh(k theta), beta (k+1)/k at
 x = 0, and s and t = q'/q are d/dx log U_k and d/dx log q.  Every probe has
 x <= 0, where each prefix pivot is at least beta and adds nothing to the

@@ -50,24 +50,30 @@ import sys
 before = set(sys.modules)  # what interpreter start-up imported, site hooks included
 import contextlib, io, json
 from ltbounds import cli, functionals, trial, verify
-functionals.averaging_objective(trial.normalize_profile("rational_power", a=4.5, p=0.25),
-                                trial.normalize_weight("bump_rich", q=0.36, r=2.1), functionals.ProblemSpec(1, 1.0))
+weight = trial.normalize_weight("bump_rich", q=0.36, r=2.1)
+functionals.averaging_objective(trial.normalize_profile("rational_power", a=4.5, p=0.25), weight,
+                                functionals.ProblemSpec(1, 1.0))
+functionals.averaging_objective(trial.normalize_profile("indicator"), weight, functionals.ProblemSpec(1, 1.0))
 verify.discretize_and_solve(*verify.default_suite()[0])
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["table", "--paper"])
-print(json.dumps([code, sorted({name.partition(".")[0] for name in set(sys.modules) - before})]))
+print(json.dumps([code, sorted({name.partition(".")[0] for name in set(sys.modules) - before}),
+                  "numpy.polynomial" in sys.modules]))
 """
 
 
 def test_numpy_is_the_only_runtime_dependency():
-    # an objective, a verify case and table --paper in a fresh interpreter import
-    # nothing outside the standard library but numpy and ltbounds itself
+    # a smooth and an indicator objective (graded_rule and graded_tails), a
+    # verify case and table --paper in a fresh interpreter import nothing outside
+    # the standard library but numpy and ltbounds itself; both rules come from
+    # quad's own Kronrod 15 panel, so numpy.polynomial is never imported
     proc = subprocess.run([sys.executable, "-c", _RUNTIME_IMPORTS], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    code, imported = json.loads(proc.stdout)
+    code, imported, polynomial = json.loads(proc.stdout)
     assert code == 0
     assert {"numpy", "ltbounds"} <= set(imported)
     assert [name for name in imported if name not in sys.stdlib_module_names | {"numpy", "ltbounds"}] == []
+    assert not polynomial
 
 
 def test_bound_momentum_optimal_json():

@@ -361,17 +361,23 @@ def _kernel_blocks(fam, ts):
     """Per node t, the blocks of _BLOCK rows the factory sends to the kernel:
     those holding the rows below the suffix start with x = mu s^a t^a above
     eps (1 - 2^-50), counted by the products themselves, the first block
-    padded in front."""
+    padded in front; every block where the top folded row has mu s^a below
+    2^e _LEAD_MIN, 2^e the power of two above every mu s^a."""
     mu_x = fam.mu * quad.graded_rule()[0][:_suffix_start(fam)] ** fam.a
-    eps_cut = functionals._series_eps(fam.p) * (1.0 - 2.0**-50)
+    eps_cut = functionals._series_eps(fam.p, functionals._binomials(fam.p)) * (1.0 - 2.0**-50)
     rows = np.count_nonzero(mu_x[:, None] * ts[None, :] ** fam.a > eps_cut, axis=0)
-    return -(-rows // functionals._BLOCK)
+    blocks = -(-rows // functionals._BLOCK)
+    folded = mu_x.size - blocks * functionals._BLOCK  # the rows below the kernel's blocks
+    lead = math.ldexp(functionals._LEAD_MIN, math.frexp(mu_x[-1])[1]) if mu_x.size else 0.0
+    low = (folded > 0) & (mu_x[np.maximum(folded, 1) - 1] < lead)
+    return np.where(low, -(-mu_x.size // functionals._BLOCK), blocks)
 
 
 def _suffix_start(fam):
     """The first row the factory folds into the s -> 1 series: d = 1 - s^a < delta_0."""
     s_a = quad.graded_rule()[0] ** fam.a
-    return int(np.searchsorted(s_a - 1.0, -functionals._suffix_width(fam.p), side="right"))
+    return int(np.searchsorted(s_a - 1.0, -functionals._suffix_width(fam.p, functionals._binomials(fam.p)),
+                               side="right"))
 
 
 def _node_kernel_rows(fam, t_a, captured):
@@ -418,10 +424,31 @@ def test_per_node_cut_at_a_subnormal_limit():
     ts = np.array([6755728296153.329])
     top = 2.335059172e-314
     assert top in fam.mu * quad.graded_rule()[0] ** fam.a
-    eps = functionals._series_eps(fam.p)
+    eps = functionals._series_eps(fam.p, functionals._binomials(fam.p))
     assert top * ts[0] ** fam.a > eps and eps * (1.0 - 2.0**-50) / ts[0] ** fam.a >= top
     nodes, weights = quad.graded_rule()
     _check_per_node_cut(fam, weights * trial.eval_weight(trial.normalize_weight("uniform"), nodes), ts)
+
+
+def test_top_folded_row_below_lead_min_folds_nothing(monkeypatch):
+    # at a = 100, t = 4 the cut's top folded row has mu s^a = 1.4e-91, below
+    # 2^e _LEAD_MIN = 2^-300 (e = 0): the node folds nothing, and the kernel
+    # takes every block below the suffix start
+    shapes = _counting_kernel(monkeypatch)
+    fam = trial.normalize_profile("rational_power", a=100.0, p=0.5)
+    nodes, weights = quad.graded_rule()
+    mu_x = fam.mu * nodes[:_suffix_start(fam)] ** fam.a
+    size = functionals._BLOCK
+    tops = np.concatenate((np.zeros(-mu_x.size % size), mu_x)).reshape(-1, size)[:, -1]
+    ts = np.array([4.0])
+    eps = functionals._series_eps(fam.p, functionals._binomials(fam.p))
+    top = tops[tops * ts[0] ** fam.a <= eps].max()
+    assert 0.0 < top < math.ldexp(functionals._LEAD_MIN, math.frexp(mu_x[-1])[1])
+    wphi = weights * trial.eval_weight(trial.normalize_weight("bump_rich", q=0.36, r=2.1), nodes)
+    got = functionals._one_minus_g_factory(fam, wphi)(ts)
+    assert shapes == [(tops.size, size)]
+    assert list(_kernel_blocks(fam, ts)) == [tops.size]
+    np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=0)
 
 
 def _check_per_node_cut(fam, wphi, ts):
@@ -441,7 +468,7 @@ def _check_per_node_cut(fam, wphi, ts):
         t_a = ts**fam.a
     t_a = t_a[np.isfinite(t_a)]
     mu_x, kernel_rows = _node_kernel_rows(fam, t_a, captured)
-    eps = functionals._series_eps(fam.p)
+    eps = functionals._series_eps(fam.p, functionals._binomials(fam.p))
     for ta, rows in zip(t_a, kernel_rows):
         assert np.all(mu_x[:max(mu_x.size - rows, 0)] * ta <= eps), (ta, rows)
     np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=1e-300)
@@ -491,7 +518,7 @@ def test_suffix_series_within_its_bound(a, p_exp, kind, q, r, log_x):
     np.testing.assert_allclose(functionals._one_minus_g_factory(fam, wphi)(ts), exact, rtol=2e-15, atol=1e-300)
     # the written bound, and the series terms past K that it bounds, summed until
     # they stop adding to the tail
-    k_terms, delta0 = functionals._SUFFIX_TERMS, functionals._suffix_width(p)
+    k_terms, delta0 = functionals._SUFFIX_TERMS, functionals._suffix_width(p, functionals._binomials(p))
     kappa = max(1.0, (p + k_terms + 1) / (k_terms + 2))
     bound = (functionals._binomials(p)[k_terms] * delta0 ** (k_terms + 1)
              / (min(1.0, p) * (1.0 - delta0) * (1.0 - kappa * delta0)))
@@ -536,7 +563,7 @@ def test_series_rows_across_the_float_range(a, p):
 def test_compressed_inner_rows_at_criterion_5_start(monkeypatch):
     # the 4 start panels are one call on 60 v-nodes, so 1 - g sees 60 near t =
     # v^n < 1 and 60 far t = v^-m > 1 at once.  Of the 1,350 rows the s -> 1
-    # series takes 593; each node's own s -> 0 cut leaves the kernel 20,416
+    # series takes 593; each node's own s -> 0 cut leaves the kernel 20,432
     # elements in blocks of 16 (one cut per batch of near or far nodes left it
     # 129 x 60 + 721 x 60 = 51,000)
     shapes = _counting_kernel(monkeypatch)
@@ -558,9 +585,9 @@ def test_compressed_inner_rows_at_criterion_5_start(monkeypatch):
     assert quad.graded_rule()[0].size - _suffix_start(fam) == 593
     blocks = _kernel_blocks(fam, batches[0]) * functionals._BLOCK  # kernel elements per node
     near, far = blocks[:60], blocks[60:]
-    assert near.sum() == 6_544 and (near.min(), near.max()) == (0, 144)
+    assert near.sum() == 6_560 and (near.min(), near.max()) == (0, 144)
     assert far.sum() == 13_872 and (far.min(), far.max()) == (144, 736)
-    assert shapes == [(20_416 // functionals._BLOCK, functionals._BLOCK)]
+    assert shapes == [(20_432 // functionals._BLOCK, functionals._BLOCK)]
 
 
 def test_integrand_calls_at_criterion_5_start(monkeypatch):

@@ -169,6 +169,23 @@ def test_objective_failure_on_infeasible_seed():
         optimize.minimize_averaging(P3HALF, cfg, phi_kind="bump_poly")
 
 
+def test_admissible_start_above_a_finite_penalty():
+    # at d = 78 every point of this start's simplex is admissible, with C from
+    # 5.4e8 to 1.2e12: a finite penalty such as 1e6 would score them all as
+    # rejected.  The search then runs into the box corner
+    problem = ProblemSpec(d=78, sigma=1.0)
+    cfg = optimize.OptConfig(seed_params=(19.9, 0.05, 3.0, 10.0))
+    assert optimize.PENALTY == math.inf
+    start = functionals.averaging_objective(*optimize.trial_pair("bump_poly", (19.9, 0.05, 3.0, 10.0)), problem)
+    assert 1e12 < start < math.inf
+    res = optimize.minimize_averaging(problem, cfg, phi_kind="bump_poly")
+    assert res.converged
+    assert res.best_params == (20.0, 3.0, 3.0, 0.5)
+    np.testing.assert_allclose(res.best_value, 0.0134984861148883, rtol=1e-12)
+    assert functionals.averaging_objective(*optimize.trial_pair("bump_poly", res.best_params), problem) \
+        == res.best_value
+
+
 def test_default_seeds():
     assert optimize.default_seed(P11, "bump_rich") == (4.5, 0.25, 0.36, 2.1)
     assert len(optimize.default_seed(P11, "bump_simple")) == 2

@@ -144,9 +144,10 @@ def test_graded_tails_built_on_first_use():
     assert not tail_nodes.flags.writeable and not tail_weights.flags.writeable
     # row [k, j] integrates 1 over s from node j to the end of panel k; nodes
     # near s = 1 are rounded, so the lengths come from the panel variable
-    x15 = np.polynomial.legendre.leggauss(15)[0]
+    x15 = quad._XK15
     dyadic = 2.0 ** -np.arange(45, 0, -1)  # graded to 2^-45 at both ends
     cuts = np.unique(np.concatenate(([0.0], dyadic, 1.0 - dyadic, [1.0])))
     lengths = 0.5 * np.diff(cuts)[:, None] * (1.0 - x15)
-    lengths[0] = cuts[1] * (1.0 - (0.5 * (x15 + 1.0)) ** 8)  # s = cuts[1] u^8
+    # s = cuts[1] u^8 with u = 1 + (x - 1)/2: 1 - u^8 in logs keeps its digits near u = 1
+    lengths[0] = cuts[1] * -np.expm1(8.0 * np.log1p(0.5 * (x15 - 1.0)))
     np.testing.assert_allclose(tail_weights.sum(axis=2), lengths, rtol=1e-14)
