@@ -52,19 +52,23 @@ def _output(args, parser):
         parser.error(f"cannot write --out: {exc}")
 
 
-def _write(args, parser, text: str) -> None:
+def _emit(args, parser, payload, rows: list[dict], lines: list[str]) -> None:
+    """Write what --format asks for to --out or stdout: payload as JSON, rows
+    as CSV (numbers to 15 digits) or lines as text."""
+    if args.format == "json":
+        text = json.dumps(_sig15(payload), indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        if rows:
+            writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({k: (f"{v:.15g}" if isinstance(v, float) else v) for k, v in row.items()})
+        text = buf.getvalue()
+    else:
+        text = "\n".join(lines) + "\n"
     with _output(args, parser) as fh:
         fh.write(text)
-
-
-def _csv_text(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.15g}" if isinstance(v, float) else v) for k, v in row.items()})
-    return buf.getvalue()
 
 
 def _read_config(path: str, parser):
@@ -128,19 +132,14 @@ def cmd_bound(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     payload = report.to_json()
-    if args.format == "json":
-        _write(args, parser, json.dumps(_sig15(payload), indent=2) + "\n")
-    elif args.format == "csv":
-        row = {k: payload[k] for k in ("d", "sigma", "method", "k_ratio", "l_ratio", "c_value")}
-        _write(args, parser, _csv_text([row]))
-    else:
-        lines = [f"problem            d={payload['d']} sigma={payload['sigma']:g}",
-                 f"method             {payload['method']}",
-                 f"k_ratio            {payload['k_ratio']:.6f}",
-                 f"l_ratio            {payload['l_ratio']:.6f}"]
-        if payload["c_value"] is not None:
-            lines.append(f"c_value            {payload['c_value']:.6f}")
-        _write(args, parser, "\n".join(lines) + "\n")
+    row = {k: payload[k] for k in ("d", "sigma", "method", "k_ratio", "l_ratio", "c_value")}
+    lines = [f"problem            d={payload['d']} sigma={payload['sigma']:g}",
+             f"method             {payload['method']}",
+             f"k_ratio            {payload['k_ratio']:.6f}",
+             f"l_ratio            {payload['l_ratio']:.6f}"]
+    if payload["c_value"] is not None:
+        lines.append(f"c_value            {payload['c_value']:.6f}")
+    _emit(args, parser, payload, [row], lines)
     return 0
 
 
@@ -211,17 +210,12 @@ def cmd_table(args, parser) -> int:
     if not args.paper:
         parser.error("table requires --paper")
     rows = _paper_rows()
-    if args.format == "json":
-        _write(args, parser, json.dumps(_sig15(rows), indent=2) + "\n")
-    elif args.format == "csv":
-        _write(args, parser, _csv_text(rows))
-    else:
-        lines = [f"{'quantity':<50} {'paper':>12} {'computed':>12} {'diff':>10} {'status':>6}"]
-        for row in rows:
-            diff = f"{row['abs_diff']:.2e}" if row["abs_diff"] is not None else "-"
-            lines.append(f"{row['quantity']:<50} {row['paper']:>12.6f} {row['computed']:>12.6f} "
-                         f"{diff:>10} {row['status']:>6}")
-        _write(args, parser, "\n".join(lines) + "\n")
+    lines = [f"{'quantity':<50} {'paper':>12} {'computed':>12} {'diff':>10} {'status':>6}"]
+    for row in rows:
+        diff = f"{row['abs_diff']:.2e}" if row["abs_diff"] is not None else "-"
+        lines.append(f"{row['quantity']:<50} {row['paper']:>12.6f} {row['computed']:>12.6f} "
+                     f"{diff:>10} {row['status']:>6}")
+    _emit(args, parser, rows, rows, lines)
     return 0 if all(row["status"] != "fail" for row in rows) else 1
 
 
@@ -271,21 +265,15 @@ def cmd_verify(args, parser) -> int:
                       "lhs": chk.lhs, "rhs": chk.rhs, "margin": chk.margin, "holds": chk.holds})
     all_hold = all(case["holds"] for case in cases)
     payload = {"l_ratio": args.l_ratio, "cases": cases, "all_hold": all_hold}
-
-    if args.format == "json":
-        _write(args, parser, json.dumps(_sig15(payload), indent=2) + "\n")
-    elif args.format == "csv":
-        flat = [{k: case[k] for k in ("potential", "n_points", "half_width", "lhs", "rhs", "margin", "holds")}
-                for case in cases]
-        _write(args, parser, _csv_text(flat))
-    else:
-        lines = [f"l_ratio = {args.l_ratio:g}"]
-        for case in cases:
-            verdict = "holds" if case["holds"] else "FAILS"
-            lines.append(f"{case['potential']:<42} lhs={case['lhs']:>10.6f} rhs={case['rhs']:>10.6f} "
-                         f"margin={case['margin']:>10.6f} {verdict}")
-        lines.append("all hold" if all_hold else "INEQUALITY VIOLATED")
-        _write(args, parser, "\n".join(lines) + "\n")
+    flat = [{k: case[k] for k in ("potential", "n_points", "half_width", "lhs", "rhs", "margin", "holds")}
+            for case in cases]
+    lines = [f"l_ratio = {args.l_ratio:g}"]
+    for case in cases:
+        verdict = "holds" if case["holds"] else "FAILS"
+        lines.append(f"{case['potential']:<42} lhs={case['lhs']:>10.6f} rhs={case['rhs']:>10.6f} "
+                     f"margin={case['margin']:>10.6f} {verdict}")
+    lines.append("all hold" if all_hold else "INEQUALITY VIOLATED")
+    _emit(args, parser, payload, flat, lines)
     return 0 if all_hold else 1
 
 

@@ -258,15 +258,12 @@ def run_sweep(configs: list[dict]):
 
 def _sweep_records(configs: list[dict]):
     best: dict[tuple[int, float], float] = {}
-    keys_in_order: list[tuple[int, float]] = []
     for idx, raw in enumerate(configs):
         phi_kind = raw.get("phi_kind", "bump_rich")
         record = {"run": idx, "d": raw["d"], "sigma": raw["sigma"], "phi_kind": phi_kind,
                   "seed_params": list(raw["seed_params"])}
         key = (raw["d"], raw["sigma"])
-        if key not in best:
-            best[key] = math.inf
-            keys_in_order.append(key)
+        best.setdefault(key, math.inf)  # the summaries follow each problem's first run
         try:
             problem = ProblemSpec(d=raw["d"], sigma=raw["sigma"])
             cfg = OptConfig(tuple(raw["seed_params"]), raw.get("max_iters", OptConfig.max_iters))
@@ -276,7 +273,6 @@ def _sweep_records(configs: list[dict]):
         except Exception as exc:  # noqa: BLE001 - per-run isolation is the contract
             record["error"] = f"{type(exc).__name__}: {exc}"
         yield record
-    for d, sigma in keys_in_order:
-        value = best[(d, sigma)]
+    for (d, sigma), value in best.items():
         yield {"summary": True, "d": d, "sigma": sigma,
                "best_value": None if math.isinf(value) else value}

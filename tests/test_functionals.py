@@ -320,7 +320,7 @@ def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=st.floats(1.1, 400.0), p_frac=st.floats(0.0, 1.0), kind=st.sampled_from(list(trial.WEIGHT_KINDS)),
+@given(a=st.floats(0.3, 400.0), p_frac=st.floats(0.0, 1.0), kind=st.sampled_from(list(trial.WEIGHT_KINDS)),
        q=st.floats(0.05, 3.0), r=st.floats(0.5, 10.0),
        us=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=15))
 @example(a=291.0, p_frac=0.0, kind="bump_simple", q=1.0, r=1.0, us=[1.0625])  # x overflows, t^a does not
@@ -330,7 +330,9 @@ def _full_rule_one_minus_g(fam, wphi, ts, exact_sum=True):
 @example(a=179.15625, p_frac=0.0, kind="bump_simple", q=1.0, r=1.0, us=[0.0, 0.0, 0.0, 0.0, 0.8322732075896928])
 @example(a=105.0, p_frac=1.0, kind="bump_rich", q=0.5, r=1.455786, us=[0.0, 0.0, 0.0, 0.0, 0.5])
 def test_compressed_inner_rule_matches_full_rule(a, p_frac, kind, q, r, us):
-    # both ends folded into series against the sum over all 1,350 rows
+    # both ends folded into series against the sum over all 1,350 rows; a
+    # down to 0.3 takes in the small exponents certify scores (tau/2 + 0.1),
+    # where the s -> 0 block sums rise slowest
     p_lo = max(0.05, 0.55 / a)
     p = p_lo * (100.0 / p_lo) ** p_frac
     fam = trial.normalize_profile("rational_power", a=a, p=p)
@@ -342,6 +344,19 @@ def test_compressed_inner_rule_matches_full_rule(a, p_frac, kind, q, r, us):
     # atol: near the subnormal range x = mu s^a t^a keeps an absolute error of
     # 2^-1074 per row, so a relative test says nothing about 1 - g < 1e-300
     np.testing.assert_allclose(got, _full_rule_one_minus_g(fam, wphi, ts), rtol=2e-15, atol=1e-300)
+
+
+@pytest.mark.parametrize("shape", [(593,), (85, 16)])  # the s -> 1 rows at criterion 5; the s -> 0 blocks
+def test_moments_match_fsum_of_repeated_products(shape):
+    rng = np.random.default_rng(28)
+    w, y = rng.random(shape), rng.random(shape)
+    coef = [0.31, -0.2015, 0.15612]
+    got = functionals._moments(coef, w, y)
+    term = w * y
+    for c, moment in zip(coef, got):
+        want = [c * math.fsum(row) for row in np.atleast_2d(term)]
+        np.testing.assert_allclose(np.atleast_1d(moment), want, rtol=1e-15, atol=0)
+        term = term * y
 
 
 def _counting_kernel(monkeypatch):
