@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -286,7 +287,10 @@ def _seed_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"seed must be comma-separated floats: {exc}")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of main and reused by
+    every later one in the process."""
     parser = argparse.ArgumentParser(prog="ltbounds",
                                      description="bounds on kinetic and eigenvalue-sum constants")
     subs = parser.add_subparsers(dest="command", required=True)

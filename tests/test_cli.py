@@ -589,6 +589,18 @@ def test_verify_unresolved_well_warns_and_keeps_its_verdict(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_main_reuses_its_parser_across_subcommands(run_cli):
+    # one process, two subcommands on the one cached parser: the same output
+    # and exit codes as two fresh interpreters
+    runs = [("table", "--paper", "--format", "json"),
+            ("bound", "--d", "3", "--sigma", "0.5", "--method", "momentum-optimal")]
+    in_process = [run_cli(*argv) for argv in runs]
+    assert cli._build_parser() is cli._build_parser()
+    for argv, got in zip(runs, in_process):
+        fresh = run_entry_point(*argv)
+        assert (got.returncode, got.stdout) == (fresh.returncode, fresh.stdout), argv
+
+
 def test_parser_defaults_are_the_library_constants():
     parser = cli._build_parser()
     bound = parser.parse_args(["bound", "--d", "1", "--sigma", "1", "--method", "best-of"])

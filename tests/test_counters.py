@@ -2,11 +2,14 @@
 
 A change that moves one of them shows it here as a test diff: objective
 evaluations, iterations, integrand calls and nodes and kernel elements of the
-criterion-5 search, and the Sturm passes and row steps of the default verify
-suite.  Wrappers patched in for each test do the counting.
+criterion-5 search, evaluations, iterations and Mellin nodes of the sweep's
+two closed-form runs, and the Sturm passes and row steps of the default
+verify suite.  Wrappers patched in for each test do the counting.
 """
 
 from collections import Counter
+
+import pytest
 
 from ltbounds import functionals, optimize, quad, verify
 from ltbounds.functionals import ProblemSpec
@@ -39,6 +42,37 @@ def test_criterion_5_search_counters(monkeypatch):
     counts["iterations"] = res.iterations
     assert dict(counts) == {"evaluations": 418, "iterations": 241, "integrand calls": 425,
                             "integrand nodes": 25_290, "kernel elements": 9_383_456}
+
+
+@pytest.mark.parametrize("d, sigma, phi_kind, seed_params, want", [
+    (3, 0.5, "bump_poly", (8.0, 0.25, 2.0, 4.0), {"evaluations": 295, "iterations": 160, "Mellin nodes": 34_105}),
+    (1, 1.0, "bump_simple", (1.5, 0.5), {"evaluations": 128, "iterations": 63, "Mellin nodes": 9_474}),
+], ids=["bump_poly", "bump_simple"])
+def test_closed_form_sweep_counters(monkeypatch, d, sigma, phi_kind, seed_params, want):
+    # the benchmark sweep's exact (3, 1/2) and (1, 1) starts score on the
+    # Mellin line alone: two log-Gammas a node, no adaptive integral
+    counts = Counter()
+    objective, log_abs_gamma, integrate = optimize.averaging_objective, functionals.log_abs_gamma, quad.integrate
+
+    def counting_objective(*args):
+        counts["evaluations"] += 1
+        return objective(*args)
+
+    def counting_log_abs_gamma(z):
+        counts["Mellin nodes"] += z.size // 2
+        return log_abs_gamma(z)
+
+    def counting_integrate(func):
+        counts["integrate calls"] += 1
+        return integrate(func)
+
+    monkeypatch.setattr(optimize, "averaging_objective", counting_objective)
+    monkeypatch.setattr(functionals, "log_abs_gamma", counting_log_abs_gamma)
+    monkeypatch.setattr(quad, "integrate", counting_integrate)
+    res = optimize.minimize_averaging(ProblemSpec(d, sigma), optimize.OptConfig(seed_params=seed_params),
+                                      phi_kind=phi_kind)
+    counts["iterations"] = res.iterations
+    assert dict(counts) == want  # and no "integrate calls"
 
 
 def test_default_suite_counters():

@@ -162,10 +162,13 @@ def test_non_finite_integrand_is_divergent():
 
 
 # the two certify pairs of seed 1 that were furthest off their tight-tolerance
-# values (8.9e-10 and 8.8e-10) with the near half integrated in t
+# values (8.9e-10 and 8.8e-10) with the near half integrated in t; the first
+# was a bump_poly pair, which the Mellin line now scores (its oracle check is
+# in test_closed_form_pairs_against_oracle), so its weight is bump_rich at the
+# same (q, r) to keep the nested path under test
 CERTIFY_EDGE_PAIRS = [
     (("rational_power", 1.7168570511160532, 2.8261171683006974),
-     ("bump_poly", 0.9351581250207206, 2.444853372167623)),
+     ("bump_rich", 0.9351581250207206, 2.444853372167623)),
     (("deficit_optimal", 1.6312040458539316, None),
      ("bump_rich", 1.6497301493798748, 4.487510670946943)),
 ]
@@ -216,15 +219,17 @@ def test_blown_quadrature_budget_names_the_functional(monkeypatch):
     with pytest.raises(functionals.DivergentError, match="weighted deficit quadrature did not converge"):
         functionals.weighted_deficit(fam, 2.0)
     with pytest.raises(functionals.DivergentError, match="averaging objective quadrature did not converge"):
-        functionals.averaging_objective(fam, trial.normalize_weight("uniform"), P11)
+        functionals.averaging_objective(fam, trial.normalize_weight("bump_rich", q=0.36, r=2.1), P11)
 
 
 def test_weight_the_graded_rule_cannot_carry_is_divergent():
     # (1 - s^0.05)^1e6 puts all of phi's mass below the rule's first node, where
     # the objective would read C = 0, under criterion 6's floor of 1/3, and
     # int phi^2 0.0; at r = 1000 the rule sees 0.54 of the mass and int phi^2
-    # would read 3.0e29
-    fam = trial.normalize_profile("rational_power", a=4.5, p=0.25)
+    # would read 3.0e29.  The indicator profile scores the weight on the rule;
+    # the smooth profile's Mellin line needs no rule (oracle check in
+    # test_closed_form_pairs_against_oracle)
+    fam = INDICATOR
     for r in (1e6, 1000.0):
         weight = trial.normalize_weight("bump_poly", q=0.05, r=r)
         with pytest.raises(functionals.DivergentError, match="averaging objective: the graded rule gives"):
@@ -626,17 +631,22 @@ def test_integrand_calls_at_criterion_5_start(monkeypatch):
 @pytest.mark.parametrize("q, r", [(0.05, 0.5), (0.05, 10.0), (3.0, 0.5), (3.0, 10.0),
                                   (0.36, 2.1), (0.42, 1.8)])
 def test_weight_integrals_against_mpmath(q, r):
-    # the optimizer's (q, r) box corners and the two paper trials, 30 digits
-    with mpmath.workdps(30):
+    # the optimizer's (q, r) box corners and the two paper trials; bump_poly's
+    # c and its closed-form int phi^2 (the Mellin line's) at 40 digits to
+    # rounding, since C grows like c^(2 tau + 2)
+    with mpmath.workdps(40):
         qm, rm = mpmath.mpf(q), mpmath.mpf(r)
         c_rich = 1 / mpmath.quad(lambda s: (1 - s**qm) ** rm / (1 + s), [0, 1])
         l2_rich = c_rich**2 * mpmath.quad(lambda s: (1 - s**qm) ** (2 * rm) / (1 + s) ** 2, [0, 1])
         poly_mass = mpmath.beta(1 / qm, 2 * rm + 1) / qm
+        c_poly = qm / mpmath.beta(1 / qm, rm + 1)
     rich = trial.normalize_weight("bump_rich", q=q, r=r)
     np.testing.assert_allclose(rich.c, float(c_rich), rtol=1e-13)
     np.testing.assert_allclose(functionals.weight_l2(rich), float(l2_rich), rtol=1e-13)
     poly = trial.normalize_weight("bump_poly", q=q, r=r)
     np.testing.assert_allclose(functionals.weight_l2(poly), float(poly.c**2 * poly_mass), rtol=1e-13)
+    np.testing.assert_allclose(poly.c, float(c_poly), rtol=1e-15)
+    np.testing.assert_allclose(math.exp(functionals._log_l2(poly)), float(c_poly**2 * poly_mass), rtol=1e-15)
 
 
 def test_weight_l2_values():
@@ -752,7 +762,7 @@ def test_indicator_objective_calls_no_adaptive_integral(monkeypatch):
         functionals.averaging_objective(INDICATOR, trial.normalize_weight(kind, q=q, r=r), P3HALF)
     assert calls == []
     functionals.averaging_objective(trial.normalize_profile("rational_power", a=4.5, p=0.25),
-                                    trial.normalize_weight("uniform"), P11)
+                                    trial.normalize_weight("bump_rich", q=0.36, r=2.1), P11)
     assert len(calls) == 1  # the wrapper sees the smooth path's one integral, near and far halves
     calls.clear()
     functionals.weighted_deficit(trial.normalize_profile("rational_power", a=4.5, p=0.25), 2.0)

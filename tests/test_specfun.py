@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from ltbounds import specfun, trial
 
@@ -60,6 +61,55 @@ def test_log_beta_large_argument_against_mpmath():
             np.testing.assert_allclose(mu, float(want), rtol=2e-14, err_msg=f"p = {p:g}")
         want = 2 / mpmath.beta(mpmath.mpf(1) / 2, mpmath.mpf(10) ** 6 + 1)
         np.testing.assert_allclose(trial.normalize_weight("bump_poly", q=2.0, r=1e6).c, float(want), rtol=1e-14)
+
+
+def test_log_gamma_step_against_mpmath():
+    # steps far below x keep their digits, down to d = 1e-13 and across the
+    # shift to 12; a negative step is the step down
+    with mpmath.workdps(40):
+        for x in (0.05, 0.5, 3.0, 11.5, 12.0, 40.0, 2e4):
+            for d in (1e-13, 1e-6, 0.3, 2.5, 11.0, -0.5 * x):
+                want = mpmath.loggamma(mpmath.mpf(x) + mpmath.mpf(d)) - mpmath.loggamma(x)
+                got = specfun.log_gamma_step(x, d)
+                bound = 1e-15 * abs(float(want)) + 4e-16 * abs(d) * (1.0 / x + math.log(x + abs(d) + 2.0))
+                assert abs(got - float(want)) <= bound, (x, d, got, float(want))
+
+
+def test_beta_to_a_few_ulp():
+    with mpmath.workdps(40):
+        for a, b in ((20.0, 11.0), (20.0, 21.0), (1 / 3, 11.0), (2.5, 0.6), (0.5, 1e6), (170.5, 3.0), (300.0, 2.0)):
+            want = float(mpmath.beta(a, b))
+            np.testing.assert_allclose(specfun.beta(a, b), want, rtol=1e-15, err_msg=f"B({a}, {b})")
+            assert specfun.beta(b, a) == specfun.beta(a, b)
+
+
+def test_log_abs_gamma_against_scipy():
+    # Re z in (-1, 60], |Im z| <= 2000, and the error bound of the docstring
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-1.0, 60.0, 4000) + 1j * rng.uniform(-2000.0, 2000.0, 4000)
+    z[:1000] = rng.uniform(-1.0, 3.0, 1000) + 1j * rng.uniform(-5.0, 5.0, 1000)
+    z[1000:1010] = [-0.5, -0.999, 0.001, 1.0, 2.0, 0.5 + 2000j, 60.0 - 2000j, 8.0, 7.999, 60.0]
+    z = z[z.real > -1.0]
+    size = np.abs(z)
+    bound = 1e-14 * (1.0 + size * np.log(np.maximum(size, 1.0)))
+    err = np.abs(specfun.log_abs_gamma(z) - sp.loggamma(z).real)
+    assert np.all(err <= bound), (z[np.argmax(err / bound)], (err / bound).max())
+    np.testing.assert_allclose(specfun.log_abs_gamma(np.array([0.5, 5.0])), [0.5 * math.log(math.pi), math.log(24.0)],
+                               rtol=0.0, atol=1e-14)
+
+
+def test_log_abs_gamma_step_against_mpmath():
+    # Re log Gamma(z + b) - Re log Gamma(z) to a few ulp of b log|z + b|,
+    # also at |z| = 2000 where log|Gamma| itself is about 1.3e4
+    rng = np.random.default_rng(6)
+    z = rng.uniform(0.01, 60.0, 60) + 1j * rng.uniform(-2000.0, 2000.0, 60)
+    z[:20] = rng.uniform(0.01, 3.0, 20) + 1j * rng.uniform(-5.0, 5.0, 20)
+    for b in (0.5, 3.7, 11.0):
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.re(mpmath.loggamma(mpmath.mpc(v) + b) - mpmath.loggamma(mpmath.mpc(v))))
+                             for v in z])
+        bound = 2e-15 * (1.0 + b * np.log(np.abs(z + b) + 1.0))
+        assert np.all(np.abs(specfun.log_abs_gamma_step(z, b) - want) <= bound), b
 
 
 def test_unit_ball_volume():

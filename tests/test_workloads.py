@@ -1,6 +1,7 @@
 """The benchmark's workloads call the package by name, so deleting or
 renaming something one of them uses must fail here and not only in a
-benchmark run."""
+benchmark run; and one full pass of each must report no problem, so a failing
+or incorrect op shows here before the benchmark counts it."""
 
 import importlib.util
 import sys
@@ -32,3 +33,20 @@ def test_every_workload_warms_up_and_passes_its_checks(monkeypatch):
     case = instances["verify"].inputs(0)[0]  # the first default-suite case
     pot, grid = verify.potential_from_json(case["potential"]), verify.grid_from_json(case["grid"])
     assert workloads.VerifyWorkload._check(pot, *workloads._solve(pot, grid)) is None
+
+
+class _NoTimer:
+    """The op timer a workload pass calls before each op; it measures nothing."""
+
+    def before_op(self) -> None:
+        pass
+
+
+def test_one_full_pass_of_every_workload_reports_no_problem(monkeypatch):
+    workloads = _load_workloads(monkeypatch)
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(0)
+        workload.warm_up()
+        ops = workload.run_pass(0, _NoTimer())
+        assert ops, name
+        assert [op.problem for op in ops if op.problem is not None] == [], name
