@@ -1,17 +1,20 @@
 """Derivative-free minimization of the deficit and averaging objectives.
 
-Plain Nelder-Mead with the textbook coefficients (reflection 1, expansion
-2, contraction 0.5, shrink 0.5) and a deterministic axis-aligned initial
-simplex, in two stages.  The first descent stops once the simplex diameter
-is at most _RESTART_SCALE (1e-4) and the value spread at most _F_TOL.  Then
-the search restarts once, from the best vertex with a fresh simplex of
-relative step _RESTART_SCALE, and runs to the final tolerances _X_TOL and
-_F_TOL.  The restart guards against a collapsed simplex (McKinnon, SIAM J.
-Optim. 9, 1998).  Any fresh, non-degenerate simplex gives that guard,
-whatever its size, and a small one does not redo the first descent's steps
-down to the restart scale.  Tolerances and simplex sizes are fixed
-constants, so an OptConfig is just a seed and an iteration budget.  No
-randomness anywhere: identical configs produce bit-identical traces.
+Two stages.  Plain Nelder-Mead with the textbook coefficients (reflection
+1, expansion 2, contraction 0.5, shrink 0.5) from a deterministic
+axis-aligned initial simplex descends until the simplex diameter is at
+most _RESTART_SCALE (1e-4) and the value spread at most _F_TOL.  A Newton
+refinement then starts from the best vertex, whose value is known: each
+round scores a central-difference stencil of steps _RESTART_SCALE relative
+to each coordinate, n(n + 3)/2 points, and steps to the minimum of the
+quadratic model it gives (Nocedal and Wright, Numerical Optimization, ch.
+8), until that step is at most _X_TOL and the stencil's first-order spread
+at most _F_TOL.  The objectives are smooth quadratics to rounding at this
+scale, so two or three rounds end a search.  A fresh stencil every round
+also guards against a collapsed simplex (McKinnon, SIAM J. Optim. 9, 1998).
+Tolerances and step sizes are fixed constants, so an OptConfig is just a
+seed and an iteration budget.  No randomness anywhere: identical configs
+produce bit-identical traces.
 
 Parameters are clipped into a fixed box before evaluation,
 
@@ -20,7 +23,9 @@ Parameters are clipped into a fixed box before evaluation,
 and evaluations that are inadmissible anyway (2pa <= 1, divergent
 functionals) score PENALTY = inf, which no objective value reaches (a
 non-finite integrand is a DivergentError), so the simplex slides back into
-the feasible region on its own.  Results report the clipped, scored point.
+the feasible region on its own; a refinement round holds fixed each
+coordinate whose stencil would leave the box or scores PENALTY.  Results
+report the clipped, scored point.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ __all__ = [
 
 PENALTY = math.inf
 
-_X_TOL, _F_TOL = 1e-6, 1e-9  # converged: simplex diameter <= _X_TOL and value spread <= _F_TOL
+_X_TOL, _F_TOL = 1e-6, 1e-9  # converged: Newton step <= _X_TOL and first-order spread <= _F_TOL
 _SIMPLEX_SCALE = 0.15  # initial simplex step relative to |x0|
-_RESTART_SCALE = 1e-4  # the first descent stops at this diameter; the restart simplex has this step
+_RESTART_SCALE = 1e-4  # the first descent stops at this diameter; the refinement's relative step
 
 _BOX = ((1.1, 20.0), (0.05, 3.0), (0.05, 3.0), (0.5, 10.0))
 
@@ -87,11 +92,11 @@ class OptResult:
     to_json = spec_to_json
 
 
-def _initial_simplex(x0: np.ndarray, scale: float) -> np.ndarray:
+def _initial_simplex(x0: np.ndarray) -> np.ndarray:
     n = x0.size
     simplex = np.tile(x0, (n + 1, 1))
     for i in range(n):
-        simplex[i + 1, i] += scale * max(abs(x0[i]), 0.1)
+        simplex[i + 1, i] += _SIMPLEX_SCALE * max(abs(x0[i]), 0.1)
     return simplex
 
 
@@ -113,7 +118,7 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
             return PENALTY
 
     n = x0.size
-    simplex = _initial_simplex(x0, _SIMPLEX_SCALE)
+    simplex = _initial_simplex(x0)
     fvals = np.array([objective(x) for x in simplex])
     if np.count_nonzero(fvals >= PENALTY) > (n + 1) / 2:
         raise ObjectiveFailureError(
@@ -121,8 +126,6 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
             + (f"; the first: {rejected[0]}" if rejected else ""))
 
     iters = 0
-    restarted = False
-    converged = False
     trace = [(0, float(fvals.min()))]
 
     while iters < cfg.max_iters:
@@ -130,17 +133,8 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
         simplex, fvals = simplex[order], fvals[order]
 
         diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        if diameter <= (_X_TOL if restarted else _RESTART_SCALE) and fvals[-1] - fvals[0] <= _F_TOL:
-            if restarted:
-                converged = True
-                break
-            # restart once from the best vertex with a fresh simplex about as
-            # small as the first descent's; its row 0 is that vertex, whose
-            # value is already known
-            restarted = True
-            simplex = _initial_simplex(simplex[0], _RESTART_SCALE)
-            fvals = np.array([fvals[0], *(objective(x) for x in simplex[1:])])
-            continue
+        if diameter <= _RESTART_SCALE and fvals[-1] - fvals[0] <= _F_TOL:
+            return _refine(objective, simplex[0], float(fvals[0]), iters, trace, cfg)
 
         iters += 1
         centroid = simplex[:-1].mean(axis=0)
@@ -172,10 +166,78 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
                 fvals[1:] = [objective(x) for x in simplex[1:]]
         trace.append((iters, float(min(trace[-1][1], fvals.min()))))
 
-    order = np.argsort(fvals, kind="stable")
-    simplex, fvals = simplex[order], fvals[order]
-    return OptResult(best_params=_clipped(simplex[0]),
-                     best_value=float(fvals[0]), iterations=iters,
+    best = int(np.argmin(fvals))
+    return OptResult(best_params=_clipped(simplex[best]), best_value=float(fvals[best]),
+                     iterations=iters, converged=False, trace=tuple(trace))
+
+
+def _refine(objective, x, fx: float, iters: int, trace: list, cfg: OptConfig) -> OptResult:
+    """Newton rounds on central differences from x, whose value fx is known.
+
+    A round scores x +- h_i e_i and x + h_i e_i + h_j e_j, i < j, with h_i =
+    _RESTART_SCALE max(|x_i|, 0.1), for the gradient g and Hessian H; a
+    coordinate whose stencil leaves the box or scores PENALTY is held fixed
+    for the round.  With H positive definite the round also scores the
+    clipped x - H^-1 g.  The next round starts from the lowest point scored,
+    which is the lowest stencil point when there is no model or the trial is
+    not lower.  Converged: the Newton step is at most _X_TOL in every
+    coordinate, or the round did not move, and the stencil's first-order
+    spread max |f(x + h_i e_i) - f(x - h_i e_i)| / 2 is at most _F_TOL (its
+    even part is curvature times h_i^2, which no step closes).  A round that
+    neither moves nor converges halves the steps for the rest of the search:
+    a repeat would score the same stencil, and one that straddles a jump in
+    the curvature (McKinnon's function at x = 0) resolves it only when
+    smaller.
+    """
+    n = x.size
+    lo, hi = np.array(_BOX[:n]).T
+    x = np.array(_clipped(x))
+    converged = False
+    scale = _RESTART_SCALE
+    while iters < cfg.max_iters:
+        iters += 1
+        steps = np.diag(scale * np.maximum(np.abs(x), 0.1))
+        h = np.diag(steps)
+        points, values = [x], [fx]
+
+        def scored(y) -> float:
+            points.append(y)
+            values.append(objective(y))
+            return values[-1]
+
+        f_up, f_down = np.full(n, PENALTY), np.full(n, PENALTY)
+        for i in np.flatnonzero((x - h >= lo) & (x + h <= hi)):
+            f_up[i], f_down[i] = scored(x + steps[i]), scored(x - steps[i])
+        free = np.flatnonzero((f_up < PENALTY) & (f_down < PENALTY))
+        grad = (f_up[free] - f_down[free]) / (2.0 * h[free])
+        hess = np.diag((f_up[free] + f_down[free] - 2.0 * fx) / h[free] ** 2)
+        for a, i in enumerate(free):
+            for b, j in enumerate(free[a + 1:], a + 1):
+                f_ij = scored(x + steps[i] + steps[j])
+                hess[a, b] = hess[b, a] = (f_ij - f_up[i] - f_up[j] + fx) / (h[i] * h[j])
+        spread = float(np.max(np.abs(f_up[free] - f_down[free]), initial=0.0)) / 2.0
+
+        newton = None
+        if np.all(np.isfinite(hess)):
+            try:
+                np.linalg.cholesky(hess)  # raises unless positive definite
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                newton = np.zeros(n)
+                newton[free] = -np.linalg.solve(hess, grad)
+        small = newton is not None and float(np.max(np.abs(newton))) <= _X_TOL
+        if newton is not None and not (small and spread <= _F_TOL):
+            scored(np.array(_clipped(x + newton)))
+        best = int(np.argmin(values))  # 0, the round's start, on a tie
+        x, fx = points[best], float(values[best])
+        trace.append((iters, fx))
+        converged = spread <= _F_TOL and (small or best == 0)
+        if converged:
+            break
+        if best == 0:
+            scale *= 0.5  # a repeat of a round that did not move would score the same stencil
+    return OptResult(best_params=_clipped(x), best_value=fx, iterations=iters,
                      converged=converged, trace=tuple(trace))
 
 

@@ -37,7 +37,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from . import quad
-from .specfun import beta, log_beta, log_gamma
+from .specfun import beta, log_beta
 
 __all__ = [
     "ConstraintViolationError",
@@ -121,12 +121,8 @@ def normalize_profile(kind: str, a: float | None = None, p: float | None = None)
 
 def _mu_closed_form(a: float, p: float) -> float:
     # int f^2 = mu^(-1/a) B(1/a, 2p - 1/a)/a, so int f^2 = 1 at
-    # mu = (B(1/a, 2p - 1/a)/a)^a; evaluated in log space.  Below 30 the log
-    # Beta stays the difference of three lgammas, the roundings every pinned
-    # search (criterion 5 and its counters) was measured with.
-    lo, hi = sorted((1.0 / a, 2.0 * p - 1.0 / a))
-    log_b = log_gamma(lo) + log_gamma(hi) - log_gamma(lo + hi) if hi < 30.0 else log_beta(lo, hi)
-    log_mu = float(a * (log_b - np.log(a)))
+    # mu = (B(1/a, 2p - 1/a)/a)^a; evaluated in log space.
+    log_mu = float(a * (log_beta(1.0 / a, 2.0 * p - 1.0 / a) - np.log(a)))
     if log_mu > _EXP_OVERFLOW:
         raise ConstraintViolationError(f"normalization scale overflows: log mu = {log_mu!r}")
     return float(np.exp(log_mu))

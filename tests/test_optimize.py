@@ -50,7 +50,9 @@ def test_determinism_bit_identical():
 
 
 def test_no_point_is_scored_twice(monkeypatch):
-    # the restart starts from the best vertex, whose value is already known
+    # the refinement starts from the best vertex, whose value is already
+    # known, and its stencils never repeat a point: checked on a 2-parameter
+    # deficit search and a 4-parameter bump_poly search
     points = []
 
     def counting(fam, beta):
@@ -62,6 +64,20 @@ def test_no_point_is_scored_twice(monkeypatch):
     res = optimize.minimize_deficit(1.5, optimize.OptConfig(seed_params=(2.0, 0.7)))
     assert res.converged
     assert len(points) == len(set(points))
+
+    pairs = []
+
+    def counting_pair(fam, weight, problem):
+        pairs.append((fam.a, fam.p, weight.q, weight.r))
+        return averaging_objective(fam, weight, problem)
+
+    averaging_objective = optimize.averaging_objective
+    monkeypatch.setattr(optimize, "averaging_objective", counting_pair)
+    res = optimize.minimize_averaging(P3HALF, optimize.OptConfig(seed_params=(8.0, 0.25, 2.0, 4.0)),
+                                      phi_kind="bump_poly")
+    assert res.converged
+    assert len(pairs) == len(set(pairs))
+    assert res.best_params in pairs
 
 
 def test_trace_is_monotone_and_indexed():
@@ -80,38 +96,39 @@ def test_budget_exhaustion_flags_not_converged():
     assert res.iterations == 3
 
 
-def test_restart_rescues_mckinnon_collapse(monkeypatch):
+def test_refinement_rescues_mckinnon_collapse(monkeypatch):
     # McKinnon (SIAM J. Optim. 9, 1998), tau = 2, theta = 6, phi = 60: from
     # this simplex Nelder-Mead contracts onto (0, 0), which is not stationary
-    # (df/dy = 1 there); only the restart reaches the minimum (0, -1/2)
+    # (df/dy = 1 there); only the Newton refinement reaches the minimum (0, -1/2)
     def mckinnon(x, y):
         return (6.0 * 60.0 if x <= 0.0 else 6.0) * abs(x) ** 2 + y + y * y
 
     root = math.sqrt(33.0)
     collapsing = np.array([[1.0, 1.0], [(1.0 + root) / 8.0, (1.0 - root) / 8.0], [0.0, 0.0]])
-    bases = []
-    initial_simplex = optimize._initial_simplex
+    starts = []
+    refine = optimize._refine
 
-    def recording(x0, scale):
-        bases.append(x0.copy())
-        return collapsing.copy() if len(bases) == 1 else initial_simplex(x0, scale)
+    def recording(objective, x, *args):
+        starts.append(x.copy())
+        return refine(objective, x, *args)
 
-    monkeypatch.setattr(optimize, "_initial_simplex", recording)
+    monkeypatch.setattr(optimize, "_initial_simplex", lambda x0: collapsing.copy())
+    monkeypatch.setattr(optimize, "_refine", recording)
     monkeypatch.setattr(optimize, "_BOX", ((-10.0, 10.0), (-10.0, 10.0)))
     res = optimize._nelder_mead(mckinnon, np.zeros(2), optimize.OptConfig(seed_params=(0.0, 0.0)))
-    assert len(bases) == 2  # one restart
-    assert bases[1].tolist() == [0.0, 0.0]  # where the first descent stopped
+    assert [x.tolist() for x in starts] == [[0.0, 0.0]]  # where the first descent stopped
     assert res.converged
     assert abs(res.best_value + 0.25) <= 1e-9
     np.testing.assert_allclose(res.best_params, (0.0, -0.5), atol=1e-4)
 
 
 def test_evaluation_budget(monkeypatch):
-    # the searches are deterministic.  Criterion 5 takes 418 evaluations and
-    # 241 iterations, pinned exactly by
-    # test_counters.py::test_criterion_5_search_counters; the cap of 434 is
-    # 5 % above the 414 it took when the cap was set.  The deficit search
-    # takes 48 iterations, and its cap allows 5 % more.
+    # the searches are deterministic.  Criterion 5 takes 328 evaluations and
+    # 169 iterations, pinned exactly by
+    # test_counters.py::test_criterion_5_search_counters; the cap of 434 was
+    # set 5 % above the 414 that Nelder-Mead with a restart took, and leaves
+    # 32 % headroom now.  The deficit search takes 33 iterations; its cap of
+    # 50 was set 5 % above the 48 it took then.
     calls = []
 
     def counting(*args):
@@ -160,6 +177,17 @@ def test_reported_params_are_the_scored_pair():
     assert optimize.trial_pair("bump_simple", res.best_params) == (fam, trial.normalize_weight("bump_simple"))
 
     res = optimize.minimize_deficit(25.0, optimize.OptConfig(seed_params=(19.0, 1.0), max_iters=60))
+    assert res.best_params[0] == 20.0
+    fam = trial.normalize_profile("rational_power", a=res.best_params[0], p=res.best_params[1])
+    assert functionals.weighted_deficit(fam, 25.0) == res.best_value
+
+
+def test_refinement_holds_a_coordinate_at_a_box_face():
+    # beta = 25 puts the exact minimizer a = 25 past the face a = 20; the
+    # refinement's stencil would leave the box there, so a stays fixed at
+    # the face and the full search still converges
+    res = optimize.minimize_deficit(25.0, optimize.OptConfig(seed_params=(19.0, 1.0)))
+    assert res.converged
     assert res.best_params[0] == 20.0
     fam = trial.normalize_profile("rational_power", a=res.best_params[0], p=res.best_params[1])
     assert functionals.weighted_deficit(fam, 25.0) == res.best_value

@@ -50,3 +50,15 @@ def test_one_full_pass_of_every_workload_reports_no_problem(monkeypatch):
         ops = workload.run_pass(0, _NoTimer())
         assert ops, name
         assert [op.problem for op in ops if op.problem is not None] == [], name
+
+
+def test_optimize_converges_from_perturbed_starts(monkeypatch):
+    # pass 0 of seed 0 starts every run exactly at its package start; pass 1
+    # perturbs each start by up to 2 %, so a search that stops unconverged
+    # from such a start fails here before the benchmark counts it
+    workloads = _load_workloads(monkeypatch)
+    workload = workloads.OptimizeWorkload(0)
+    assert workload.inputs(1) != workload.inputs(0)
+    ops = workload.run_pass(1, _NoTimer())
+    assert len(ops) == len(workloads.OPT_RUNS)
+    assert [op.problem for op in ops if op.problem is not None] == []
