@@ -20,13 +20,15 @@ one check (_check_admissible) on both paths below and re-checked on the
 nested path through quadrature convergence.
 
 The objective takes one of two paths.  A smooth profile (rational_power,
-deficit_optimal) with a closed-form weight (bump_poly, bump_simple,
-uniform: _MELLIN_WEIGHTS) is scored on the Mellin line (_mellin_log_j): by
-Mellin-Parseval J = (1/2 pi) int |F(-tau/2 + iy) Phi(1 + tau/2 - iy)|^2 dy
-with F the transform of 1 - f and Phi that of phi, both Gamma-function
-closed forms, and int phi^2 is closed-form too (_log_l2).  The trapezoid
-rule on y >= 0 sums the integrand in logs (specfun.log_abs_gamma and
-log_abs_gamma_step, real parts only), with the aliasing of the nearest pole
+deficit_optimal) with a closed-form weight (bump_poly and its fixed members
+bump_simple, the (1/4, 1) member, and uniform, the (1, 0) member) is scored
+on the Mellin line (_mellin_log_j): by Mellin-Parseval J = (1/2 pi) int
+|F(-tau/2 + iy) Phi(1 + tau/2 - iy)|^2 dy with F the transform of 1 - f and
+Phi(w) = (c / q) B(w / q, r + 1) that of phi = c (1 - s^q)^r, both
+Gamma-function closed forms read by one formula for all three kinds, and
+int phi^2 = c^2 B(1/q, 2r + 1) / q is closed-form too (_log_l2).  The
+trapezoid rule on y >= 0 sums the integrand in logs (specfun.log_abs_gamma
+and log_abs_gamma_step, real parts only), with the aliasing of the nearest pole
 pairs, +-i tau/2 and +-i (a - tau/2), subtracted in closed form
 (_pole_aliasing, finite through their merge at a = tau).  The step comes
 from the strip left after the subtraction, aliasing error 2^-60, and is
@@ -449,7 +451,6 @@ def _one_minus_g_factory(fam: ProfileFamily, wphi):
 # 0.01) takes the nested path instead, and so does p above _MELLIN_MAX_P, where
 # log Gamma(p) = 30.7 and more would cost the sum's logs its digits (a p = 64
 # profile came out 1.8e-13 off the nested path at tolerance 1e-15).
-_MELLIN_WEIGHTS = ("bump_poly", "bump_simple", "uniform")
 _MELLIN_MAX_P = 16.0
 _ALIAS = 2.0**-30
 _ALIAS_CHECK = 2.0**-22
@@ -459,61 +460,20 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _log_phi(weight: WeightFamily, w: float) -> float:
-    """log Phi(w) for real w > 0, Phi(w) = int_0^1 phi(s) s^(w-1) ds."""
-    if weight.kind == "uniform":
-        return -math.log(w)
-    if weight.kind == "bump_simple":
-        return math.log(1.25 / (w * (w + 0.25)))
+    """log Phi(w) for real w > 0, Phi(w) = int_0^1 phi(s) s^(w-1) ds = (c / q) B(w / q, r + 1)."""
     return math.log(weight.c / weight.q) + log_beta(w / weight.q, weight.r + 1.0)
 
 
 def _log_phi_step(weight: WeightFamily, w: float, eta: float) -> float:
     """log Phi(w + eta) - log Phi(w) for real w, w + eta > 0, to rounding
     relative to the step itself as eta -> 0."""
-    if weight.kind == "uniform":
-        return -math.log1p(eta / w)
-    if weight.kind == "bump_simple":
-        return -math.log1p(eta / w) - math.log1p(eta / (w + 0.25))
     u, d, b = w / weight.q, eta / weight.q, weight.r + 1.0
     return log_gamma_step(u, d) - log_gamma_step(u + b, d)
 
 
-def _log_phi_scale(weight: WeightFamily) -> float:
-    """log of Phi's constant factor: 0, log(5/4), or log(c Gamma(r + 1) / q)."""
-    if weight.kind == "uniform":
-        return 0.0
-    if weight.kind == "bump_simple":
-        return math.log(1.25)
-    return math.log(weight.c / weight.q) + math.lgamma(weight.r + 1.0)
-
-
-def _log_abs_phi(weight: WeightFamily, w0: float, y):
-    """log|Phi(w0 - i y)| - _log_phi_scale(weight) for an ndarray y."""
-    y2 = y * y
-    if weight.kind == "uniform":
-        return -0.5 * np.log(w0 * w0 + y2)
-    if weight.kind == "bump_simple":
-        w1 = w0 + 0.25
-        return -0.5 * np.log((w0 * w0 + y2) * (w1 * w1 + y2))
-    return -log_abs_gamma_step((w0 - 1j * y) / weight.q, weight.r + 1.0)
-
-
 def _log_l2(weight: WeightFamily) -> float:
-    """log int_0^1 phi^2 in closed form: 0, log(5/3), or log(c^2 B(1/q, 2r + 1) / q)."""
-    if weight.kind == "uniform":
-        return 0.0
-    if weight.kind == "bump_simple":
-        return math.log(5.0 / 3.0)
+    """log int_0^1 phi^2 in closed form, log(c^2 B(1/q, 2r + 1) / q)."""
     return math.log(weight.c * weight.c * beta_fn(1.0 / weight.q, 2.0 * weight.r + 1.0) / weight.q)
-
-
-def _phi_decay(weight: WeightFamily) -> tuple[float, float]:
-    """(nu, w): |Phi(w0 - iy)|^2 decays about like (1 + (y / (w0 + w))^2)^-nu."""
-    if weight.kind == "uniform":
-        return 1.0, 0.0
-    if weight.kind == "bump_simple":
-        return 2.0, 0.25
-    return weight.r + 1.0, weight.q * (weight.r + 1.0)
 
 
 def _log_k(x: float) -> float:
@@ -608,8 +568,10 @@ def _mellin_log_j(fam: ProfileFamily, weight: WeightFamily, tau: float):
     d = min(near, 2.0 * a - alpha) if both else min(beta, near)
     h = min(_TWO_PI * d / (-2.0 * math.log(_ALIAS)),
             _TWO_PI * (min(alpha, beta) if both else alpha) / math.log(2.0))
-    y_end = _tail_end(a, p, *_phi_decay(weight), 1.0 + alpha)
-    const = 2.0 * ((alpha / a) * math.log(mu) + math.log(a) - math.lgamma(p) + _log_phi_scale(weight))
+    q, b = weight.q, weight.r + 1.0
+    y_end = _tail_end(a, p, b, q * b, 1.0 + alpha)  # |Phi(w0 - iy)|^2 ~ (1 + (y / (w0 + q b))^2)^-b
+    log_phi_scale = math.log(weight.c / q) + math.lgamma(b)  # Phi = (c / q) Gamma(b) Gamma(u) / Gamma(u + b)
+    const = 2.0 * ((alpha / a) * math.log(mu) + math.log(a) - math.lgamma(p) + log_phi_scale)
     aliasing = _pole_aliasing(fam, weight, tau, both)
 
     def trapezoid(step, total, shift):  # (J / e^shift on this step, the pole terms' size)
@@ -623,7 +585,7 @@ def _mellin_log_j(fam: ProfileFamily, weight: WeightFamily, tau: float):
         y = h * np.arange(n + 1)
         lg = log_abs_gamma(np.concatenate(((a + beta) / a + 1j * y / a, p + alpha / a - 1j * y / a)))
         y2 = y * y
-        log_g = _log_abs_phi(weight, 1.0 + alpha, y)
+        log_g = -log_abs_gamma_step((1.0 + alpha - 1j * y) / q, b)  # log|Phi(1 + alpha - iy)| less its scale
         log_g += lg[:n + 1]
         log_g += lg[n + 1:]
         log_g *= 2.0
@@ -647,14 +609,15 @@ def averaging_objective(fam: ProfileFamily, weight: WeightFamily, problem: Probl
     """C(f, phi) = (int phi^2)^tau * tau * int (1 - g)^2 t^(-1-tau) dt.
 
     Upper-bounds the sharp averaging constant of the problem for every
-    admissible pair.  A smooth profile with p <= _MELLIN_MAX_P and a weight
-    of _MELLIN_WEIGHTS is scored on the Mellin line (_mellin_log_j),
-    everything else on the nested path (_nested_objective).  Raises DivergentError for inadmissible
+    admissible pair.  A smooth profile with p <= _MELLIN_MAX_P and a
+    closed-form weight (every kind but bump_rich) is scored on the Mellin
+    line (_mellin_log_j), everything else on the nested path
+    (_nested_objective).  Raises DivergentError for inadmissible
     profiles, for a C past the float range and, on the nested path, for a
     weight whose mass on quad.graded_rule is off 1 by more than 1e-12.
     """
     tau = problem.tau
-    if fam.kind != "indicator" and weight.kind in _MELLIN_WEIGHTS and fam.p <= _MELLIN_MAX_P:
+    if fam.kind != "indicator" and weight.kind != "bump_rich" and fam.p <= _MELLIN_MAX_P:
         _check_admissible(fam.a, 1.0 + tau, "averaging objective")
         log_j = _mellin_log_j(fam, weight, tau)
         if log_j is not None:

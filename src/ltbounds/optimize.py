@@ -3,18 +3,19 @@
 Two stages.  Plain Nelder-Mead with the textbook coefficients (reflection
 1, expansion 2, contraction 0.5, shrink 0.5) from a deterministic
 axis-aligned initial simplex descends until the simplex diameter is at
-most _RESTART_SCALE (1e-4) and the value spread at most _F_TOL.  A Newton
+most _HANDOFF_SCALE (1e-4), the scale at which the search hands over to
+the second stage, and the value spread at most _F_TOL.  A Newton
 refinement then starts from the best vertex, whose value is known: each
-round scores a central-difference stencil of steps _RESTART_SCALE relative
-to each coordinate, n(n + 3)/2 points, and steps to the minimum of the
-quadratic model it gives (Nocedal and Wright, Numerical Optimization, ch.
-8), until that step is at most _X_TOL and the stencil's first-order spread
-at most _F_TOL.  The objectives are smooth quadratics to rounding at this
-scale, so two or three rounds end a search.  A fresh stencil every round
-also guards against a collapsed simplex (McKinnon, SIAM J. Optim. 9, 1998).
-Tolerances and step sizes are fixed constants, so an OptConfig is just a
-seed and an iteration budget.  No randomness anywhere: identical configs
-produce bit-identical traces.
+round scores a central-difference stencil whose steps start at the same
+_HANDOFF_SCALE relative to each coordinate, n(n + 3)/2 points, and steps
+to the minimum of the quadratic model it gives (Nocedal and Wright,
+Numerical Optimization, ch. 8), until that step is at most _X_TOL and the
+stencil's first-order spread at most _F_TOL.  The objectives are smooth
+quadratics to rounding at this scale, so two or three rounds end a search.
+A fresh stencil every round also guards against a collapsed simplex
+(McKinnon, SIAM J. Optim. 9, 1998).  Tolerances and step sizes are fixed
+constants, so an OptConfig is just a seed and an iteration budget.  No
+randomness anywhere: identical configs produce bit-identical traces.
 
 Parameters are clipped into a fixed box before evaluation,
 
@@ -55,7 +56,7 @@ PENALTY = math.inf
 
 _X_TOL, _F_TOL = 1e-6, 1e-9  # converged: Newton step <= _X_TOL and first-order spread <= _F_TOL
 _SIMPLEX_SCALE = 0.15  # initial simplex step relative to |x0|
-_RESTART_SCALE = 1e-4  # the first descent stops at this diameter; the refinement's relative step
+_HANDOFF_SCALE = 1e-4  # the descent's stopping diameter and the refinement's first relative step
 
 _BOX = ((1.1, 20.0), (0.05, 3.0), (0.05, 3.0), (0.5, 10.0))
 
@@ -133,7 +134,7 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
         simplex, fvals = simplex[order], fvals[order]
 
         diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        if diameter <= _RESTART_SCALE and fvals[-1] - fvals[0] <= _F_TOL:
+        if diameter <= _HANDOFF_SCALE and fvals[-1] - fvals[0] <= _F_TOL:
             return _refine(objective, simplex[0], float(fvals[0]), iters, trace, cfg)
 
         iters += 1
@@ -175,7 +176,8 @@ def _refine(objective, x, fx: float, iters: int, trace: list, cfg: OptConfig) ->
     """Newton rounds on central differences from x, whose value fx is known.
 
     A round scores x +- h_i e_i and x + h_i e_i + h_j e_j, i < j, with h_i =
-    _RESTART_SCALE max(|x_i|, 0.1), for the gradient g and Hessian H; a
+    s max(|x_i|, 0.1), for the gradient g and Hessian H, where s starts at
+    _HANDOFF_SCALE, the diameter at which the descent handed x over.  A
     coordinate whose stencil leaves the box or scores PENALTY is held fixed
     for the round.  With H positive definite the round also scores the
     clipped x - H^-1 g.  The next round starts from the lowest point scored,
@@ -193,7 +195,7 @@ def _refine(objective, x, fx: float, iters: int, trace: list, cfg: OptConfig) ->
     lo, hi = np.array(_BOX[:n]).T
     x = np.array(_clipped(x))
     converged = False
-    scale = _RESTART_SCALE
+    scale = _HANDOFF_SCALE
     while iters < cfg.max_iters:
         iters += 1
         steps = np.diag(scale * np.maximum(np.abs(x), 0.1))

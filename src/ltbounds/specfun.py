@@ -12,7 +12,8 @@ A difference of log-Gammas at nearby or large arguments cancels, so it has
 its own routines, which shift by the recurrence and difference Stirling's
 series term by term: log_gamma_step (real, scalar), behind log_beta and the
 Mellin line's pole corrections, and log_abs_gamma_step (complex ndarray),
-behind bump_poly's transform.  beta forms B(a, b) as a product, to a few
+behind bump_poly's transform; an integer step of at most 8 is the log of a
+finite product in both.  beta forms B(a, b) as a product, to a few
 ulp, for bump_poly's c and int phi^2, whose powers tau and 2 tau + 2 the
 objective takes.  log_abs_gamma is log|Gamma(z)| on a complex ndarray,
 real parts only, for the Mellin line's transform of the profile.
@@ -46,8 +47,11 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 
 
 # log_gamma_step's Stirling difference starts at y >= _STEP_FROM, where the
-# first dropped term, c_8 y^-15 at most 2e-18, is far below rounding.
+# first dropped term, c_8 y^-15 at most 2e-18, is far below rounding.  An
+# integer step n <= _PRODUCT_MAX is the log of the finite product
+# Gamma(x + n) / Gamma(x) = prod_(k < n) (x + k) instead, in both step routines.
 _STEP_FROM = 12.0
+_PRODUCT_MAX = 8
 
 
 def log_gamma_step(x: float, d: float) -> float:
@@ -58,10 +62,16 @@ def log_gamma_step(x: float, d: float) -> float:
     least _STEP_FROM, summing log1p(d / (x + k)), and Stirling's series takes
     the difference at y >= _STEP_FROM as (y - 1/2) log1p(d/y) + d log(y + d)
     - d plus the tail terms c_k y^(1-2k) expm1((1-2k) log1p(d/y)); a
-    negative d is the negated step down from x + d.
+    negative d is the negated step down from x + d.  An integer d <= 8 is
+    the log of the product prod_(k < d) (x + k), whose roundings are each
+    relative to the product, unless it overflows; d = 0 gives exactly 0.
     """
     if d < 0.0:
         return -log_gamma_step(x + d, -d)
+    if d <= _PRODUCT_MAX and d == int(d):
+        prod = math.prod(x + k for k in range(int(d)))
+        if prod < math.inf:
+            return math.log(prod)
     acc = 0.0
     while x < _STEP_FROM:
         acc += math.log1p(d / x)
@@ -179,10 +189,16 @@ def log_abs_gamma_step(z, b: float):
     shift giving -log|prod (z + b + k) / (z + k)|, and Stirling's series
     gives the difference at w as (w - 1/2) log1p(b/w) + b log(w + b) - b + tail(w + b)
     - tail(w), real parts taken, with Re log1p(zeta) = log1p(2 Re zeta +
-    |zeta|^2) / 2 and Im log1p(zeta) = atan2(Im zeta, 1 + Re zeta).
+    |zeta|^2) / 2 and Im log1p(zeta) = atan2(Im zeta, 1 + Re zeta).  An
+    integer b <= 8 is log prod_(k < b) |z + k|^2 / 2 in real arithmetic
+    instead, unless the product overflows.
     """
     z = np.asarray(z, dtype=complex)
     x, y = z.real, z.imag
+    if b <= _PRODUCT_MAX and b == int(b):
+        prod = _shift_factors(x, y, int(b))[0]
+        if prod.max(initial=0.0) < math.inf:
+            return 0.5 * np.log(prod)
     n = _shift(x)
     w = z + n
     zeta = b / w

@@ -18,8 +18,12 @@ kind to the parameters it takes; the optimizer and the CLI read it:
 
   bump_rich    (q, r)  phi(t) = c (1 - t^q)^r / (1 + t), c on quad.graded_rule
   bump_poly    (q, r)  phi(t) = c (1 - t^q)^r, c = q / B(1/q, r + 1)
-  bump_simple  ()      phi(t) = 5 (1 - t^(1/4)), normalization exact
-  uniform      ()      phi = 1 on (0,1]
+  bump_simple  ()      phi(t) = 5 (1 - t^(1/4)), the bump_poly (1/4, 1) member
+  uniform      ()      phi = 1 on (0,1], the bump_poly (1, 0) member
+
+The two fixed members are stored with their (q, r) and the c that
+bump_poly's closed form gives, exactly 5 and 1, so everything downstream
+reads one formula for all three kinds.
 
 Families are immutable, and normalize_profile / normalize_weight are the
 only way to build one, so the stored scale constants always match the
@@ -54,6 +58,7 @@ __all__ = [
 ]
 
 WEIGHT_KINDS = {"bump_rich": ("q", "r"), "bump_poly": ("q", "r"), "bump_simple": (), "uniform": ()}
+_FIXED_MEMBERS = {"bump_simple": (0.25, 1.0), "uniform": (1.0, 0.0)}  # kind: bump_poly's (q, r)
 
 _EXP_OVERFLOW = 709.0
 
@@ -158,28 +163,28 @@ def one_minus_rational(p: float, x, out=None):
 def normalize_weight(kind: str, q: float | None = None, r: float | None = None) -> WeightFamily:
     """Build a weight with int_0^1 phi = 1.
 
-    bump_simple and uniform carry exact constants, bump_poly a Beta-function
-    closed form, bump_rich 1 / mass on quad.graded_rule(), the rule every
-    objective scores it on.  Raises ConstraintViolationError on bad parameters
-    or a degenerate (zero / non-finite) unnormalized integral.
+    bump_poly and its fixed members bump_simple and uniform carry a
+    Beta-function closed form, bump_rich 1 / mass on quad.graded_rule(), the
+    rule every objective scores it on.  Raises ConstraintViolationError on bad
+    parameters or a degenerate (zero / non-finite) unnormalized integral.
     """
     if not isinstance(kind, str) or kind not in WEIGHT_KINDS:
         raise ConstraintViolationError(f"unknown weight kind {kind!r}")
-    if not WEIGHT_KINDS[kind]:
+    if kind in _FIXED_MEMBERS:
         if q is not None or r is not None:
             raise ConstraintViolationError(f"{kind} takes no parameters")
-        return WeightFamily(kind=kind, c=5.0 if kind == "bump_simple" else 1.0)
+        q, r = _FIXED_MEMBERS[kind]
     if q is None or r is None or not (q > 0.0) or not (r >= 0.0):
         raise ConstraintViolationError(f"{kind} requires q > 0 and r >= 0, got q={q!r}, r={r!r}")
     q, r = float(q), float(r)
-    if kind == "bump_poly":
+    if kind != "bump_rich":
         # int_0^1 (1 - t^q)^r dt = B(1/q, r+1)/q via u = t^q; specfun.beta keeps
         # c to a few ulp where exp of the log Beta would carry its absolute error
         mass = beta(1.0 / q, r + 1.0) / q
         if not 0.0 < mass < np.inf:
             log_c = float(np.log(q) - log_beta(1.0 / q, r + 1.0))
             raise ConstraintViolationError(f"normalization constant overflows: log c = {log_c!r}")
-        return WeightFamily(kind="bump_poly", q=q, r=r, c=1.0 / mass)
+        return WeightFamily(kind=kind, q=q, r=r, c=1.0 / mass)
     s, w = quad.graded_rule()
     mass = float(w @ (_bump_on_rule(q, r) / (1.0 + s)))
     if not (mass > 0.0) or not np.isfinite(mass):
@@ -206,23 +211,15 @@ def eval_weight(fam: WeightFamily, t):
         out = np.multiply(fam.c, _bump_on_rule(fam.q, fam.r))
         return np.divide(out, np.add(1.0, t), out=out)
     inside = (t >= 0.0) & (t <= 1.0)
-    if fam.kind == "uniform":
-        return np.where(inside, 1.0, 0.0)
-    # u and out are arrays even for a scalar t, so every step below writes in place
-    if fam.kind == "bump_simple":
-        out = np.clip(t, 0.0, 1.0, out=np.empty_like(t))
-        np.power(out, 0.25, out=out)
-        np.subtract(1.0, out, out=out)
-        np.multiply(5.0, out, out=out)
-        out[~inside] = 0.0
-        return out
-    u = np.clip(t, 0.0, 1.0, out=np.empty_like(t))
-    out = np.power(u, fam.q, out=np.empty_like(t))
+    # out is an array even for a scalar t, so every step below writes in place
+    out = np.clip(t, 0.0, 1.0, out=np.empty_like(t))
+    one_plus = np.add(1.0, out) if fam.kind == "bump_rich" else None  # bump_rich's 1 + t, t clipped
+    np.power(out, fam.q, out=out)
     np.subtract(1.0, out, out=out)
     np.power(out, fam.r, out=out)
     np.multiply(fam.c, out, out=out)
-    if fam.kind == "bump_rich":
-        np.divide(out, np.add(1.0, u, out=u), out=out)
+    if one_plus is not None:
+        np.divide(out, one_plus, out=out)
     out[~inside] = 0.0
     return out
 

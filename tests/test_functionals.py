@@ -649,6 +649,30 @@ def test_weight_integrals_against_mpmath(q, r):
     np.testing.assert_allclose(math.exp(functionals._log_l2(poly)), float(c_poly**2 * poly_mass), rtol=1e-15)
 
 
+@pytest.mark.parametrize("kind, q, r, c", [("bump_simple", 0.25, 1.0, 5.0), ("uniform", 1.0, 0.0, 1.0)])
+def test_fixed_weights_are_bump_poly_members(kind, q, r, c):
+    # bump_simple and uniform are bump_poly's (1/4, 1) and (1, 0) members: the
+    # same exact c, phi bitwise on both graded rules and at the edges, and the
+    # same C bitwise on the Mellin line, the indicator's nested sum and the
+    # nested path that a p above 16 takes
+    fixed, member = trial.normalize_weight(kind), trial.normalize_weight("bump_poly", q=q, r=r)
+    assert (fixed.kind, fixed.q, fixed.r, fixed.c) == (kind, q, r, c)
+    assert (member.q, member.r, member.c) == (q, r, c)
+    edges = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 1e-300, -1e-300, 1.0 + 2.0**-52, 2.0, -3.0])
+    for t in (quad.graded_rule()[0], quad.graded_tails()[0], edges, *edges):
+        got = trial.eval_weight(fixed, t)
+        assert got.tobytes() == trial.eval_weight(member, t).tobytes()
+        if kind == "uniform":
+            assert got.tobytes() == np.where((t >= 0.0) & (t <= 1.0), 1.0, 0.0).tobytes()
+    profiles = [trial.normalize_profile("rational_power", a=4.5, p=0.25),
+                trial.normalize_profile("deficit_optimal", a=2.0), trial.normalize_profile("indicator"),
+                trial.normalize_profile("rational_power", a=4.5, p=20.0)]
+    for fam in profiles:
+        for problem in (P11, P3HALF):
+            want = functionals.averaging_objective(fam, member, problem)
+            assert functionals.averaging_objective(fam, fixed, problem) == want, (fam, problem)
+
+
 def test_weight_l2_values():
     # int (5(1 - t^(1/4)))^2 = 25 (1 - 8/5 + 2/3) = 5/3; uniform = 1
     np.testing.assert_allclose(functionals.weight_l2(trial.normalize_weight("bump_simple")),

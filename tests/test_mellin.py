@@ -118,9 +118,14 @@ def _pair(profile, tau, margin, p_frac, kind, q, r):
        kind=st.sampled_from(["bump_poly", "bump_simple", "uniform"]),
        q=st.floats(0.05, 3.0), r=st.floats(0.5, 10.0))
 @example(tau=40.0, margin=0.05, p_frac=(2.9 - 0.05) / 2.95, profile="rational_power", kind="uniform", q=1.0, r=1.0)
+@example(tau=1.0, margin=1.0, p_frac=0.3, profile="rational_power", kind="bump_poly", q=0.25, r=1.0)
+@example(tau=0.5, margin=2.0, p_frac=0.5, profile="deficit_optimal", kind="bump_poly", q=1.0, r=2.0)
+@example(tau=3.0, margin=8.5, p_frac=0.07, profile="rational_power", kind="bump_poly", q=2.0, r=4.0)
+@example(tau=150.0, margin=0.5, p_frac=0.8, profile="rational_power", kind="bump_poly", q=0.05, r=8.0)
 def test_mellin_line_against_oracle(tau, margin, p_frac, profile, kind, q, r):
-    # the example is the edge pair tau = 40, margin 0.05, p = 2.9, where the
-    # nested path is 2.6e-6 off
+    # the first example is the edge pair tau = 40, margin 0.05, p = 2.9, where
+    # the nested path is 2.6e-6 off; the others have integer r, whose
+    # log_abs_gamma_step is a finite product
     _check_against_oracle(*_pair(profile, tau, margin, p_frac, kind, q, r), tau)
 
 
@@ -154,7 +159,15 @@ RETARGETED_PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("profile, weight, problem, rtol", RETARGETED_PAIRS)
+# the two bump_poly points of ROADMAP's finding F1, where the nested path is
+# 1.6e-8 (tau = 15) and 7.4e-10 (tau = 200) off the oracle
+F1_PAIRS = [
+    (("rational_power", 42.08, 0.2035), ("bump_poly", 9.249, 3.455), functionals.ProblemSpec(d=15, sigma=0.5), 1e-13),
+    (("rational_power", 110.0, 0.5), ("bump_poly", 10.0, 1.0), functionals.ProblemSpec(d=200, sigma=0.5), 1e-13),
+]
+
+
+@pytest.mark.parametrize("profile, weight, problem, rtol", RETARGETED_PAIRS + F1_PAIRS)
 def test_closed_form_pairs_against_oracle(profile, weight, problem, rtol):
     fam = trial.normalize_profile(profile[0], a=profile[1], p=profile[2])
     w = trial.normalize_weight(*weight)

@@ -126,6 +126,41 @@ def test_log_abs_gamma_step_against_mpmath():
         assert np.all(np.abs(specfun.log_abs_gamma_step(z, b) - want) <= bound), b
 
 
+def test_integer_steps_against_mpmath():
+    # an integer step n <= 8 is the log of a finite product: within two ulp of
+    # the step's own size n + |want| of 40-digit mpmath, for x in [1e-3, 1e4]
+    # and |Im z| <= 1e4; at n +- 2^-30 the shift-and-Stirling path takes over
+    # with no jump past eight such ulps (4.4 the largest seen), and a zero
+    # step is exactly 0
+    rng = np.random.default_rng(7)
+    e = 2.0**-30
+    xs = np.concatenate(([1e-3, 0.5, 1.0, 7.5, 12.0, 1e4], 10.0 ** rng.uniform(-3.0, 4.0, 24)))
+    z = 10.0 ** rng.uniform(-3.0, 4.0, 40) + 1j * rng.uniform(-1e4, 1e4, 40)
+    z[:10] = 10.0 ** rng.uniform(-3.0, 1.0, 10) + 1j * rng.uniform(-5.0, 5.0, 10)
+    with mpmath.workdps(40):
+        def real_step(x, d):
+            return float(mpmath.loggamma(mpmath.mpf(x) + mpmath.mpf(d)) - mpmath.loggamma(mpmath.mpf(x)))
+
+        def complex_step(d):
+            return np.array([float(mpmath.re(mpmath.loggamma(mpmath.mpc(v) + mpmath.mpf(d))
+                                             - mpmath.loggamma(mpmath.mpc(v)))) for v in z])
+
+        for n in range(9):
+            for x in map(float, xs):
+                errs = {d: specfun.log_gamma_step(x, d) - real_step(x, d) for d in (n - e, n, n + e)}
+                ulp = 2.0**-52 * (n + abs(real_step(x, n)))
+                assert abs(errs[n]) <= 2.0 * ulp, (x, n, errs[n])
+                assert max(abs(errs[n - e] - errs[n]), abs(errs[n + e] - errs[n])) <= 8.0 * (ulp + 2.0**-52), (x, n)
+                assert n > 0 or specfun.log_gamma_step(x, 0.0) == 0.0
+            if n == 0:
+                continue
+            errs = {d: specfun.log_abs_gamma_step(z, d) - complex_step(d) for d in (n - e, n, n + e)}
+            ulp = 2.0**-52 * (n + np.abs(complex_step(n)))
+            assert np.all(np.abs(errs[n]) <= 2.0 * ulp), n
+            assert np.all(np.abs(errs[n - e] - errs[n]) <= 8.0 * ulp), n
+            assert np.all(np.abs(errs[n + e] - errs[n]) <= 8.0 * ulp), n
+
+
 def test_unit_ball_volume():
     want = {0: 1.0, 1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0,
             4: math.pi**2 / 2.0, 5: 8.0 * math.pi**2 / 15.0}
