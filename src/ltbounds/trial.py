@@ -214,9 +214,15 @@ def eval_weight(fam: WeightFamily, t):
     # out is an array even for a scalar t, so every step below writes in place
     out = np.clip(t, 0.0, 1.0, out=np.empty_like(t))
     one_plus = np.add(1.0, out) if fam.kind == "bump_rich" else None  # bump_rich's 1 + t, t clipped
-    np.power(out, fam.q, out=out)
-    np.subtract(1.0, out, out=out)
-    np.power(out, fam.r, out=out)
+    # the powers x^1 = x and x^0 = 1 (nan included) are skipped, as uniform's and bump_simple's are
+    if fam.r == 0.0:
+        out.fill(1.0)
+    else:
+        if fam.q != 1.0:
+            np.power(out, fam.q, out=out)
+        np.subtract(1.0, out, out=out)
+        if fam.r != 1.0:
+            np.power(out, fam.r, out=out)
     np.multiply(fam.c, out, out=out)
     if one_plus is not None:
         np.divide(out, one_plus, out=out)

@@ -34,7 +34,10 @@ the grid is built.  With e^2 = 1/h^4 the squared off-diagonal:
                  3/h^2 + V (odd)
 
 Each pivot pass therefore runs over one block, and sturm_count_below stays
-a count on the full matrix.  The right half reuses the left half's V, so an
+a count on the full matrix.  Every squared off-diagonal of a block is e^2
+but the last row's of the odd-n even block (row 0 couples to nothing: e^2
+over the infinite pivot before it is 0), so the slope loop reads e^2 as one
+scalar, and that last row is a run of its own.  The right half reuses the left half's V, so an
 eigenvalue differs from that of the matrix on the full grid's own rounded
 nodes by rounding only; the tests certify each one on that matrix.
 
@@ -58,17 +61,25 @@ count-only loop.
 
 Each search starts next to its root.  A grid of at least
 _COARSEN * _COARSE_MIN = 400 nodes first solves the same well in the same
-box on n // _COARSEN nodes, recursively, and the j-th eigenvalue of each
-coarse parity block, counted from the bottom, is the first shift probed for
-the j-th eigenvalue of the same block; smaller grids start from bracket
-midpoints.  A start outside its eigenvalue's current bracket is replaced by
-the midpoint.  Counts on the requested grid, with its own tolerance and
-lower end, still close every bracket, so a wrong, missing or extra start
-costs passes but never moves a result outside its bracket.  The coarse
-levels are solved below the advisories, which fire for the requested grid
-only.  SpectrumResult.sturm_passes counts the pivot passes on the requested
-grid, and row_steps the rows that the passes' loops ran, summed over every
-pass on every level; closed-form edge rows are not among them.
+box on n // _COARSEN nodes, recursively, coarsest level first.  With E1 and
+E2 the j-th eigenvalue, counted from the bottom, of the same parity block on
+the two coarser levels below a grid, of spacings h1 < h2, the first shift
+probed for the j-th eigenvalue on spacing h is the h^2 Richardson value
+E1 + (E1 - E2)(h^2 - h1^2)/(h1^2 - h2^2); where only one of the levels has
+that eigenvalue it is that level's value, and where neither does (and on
+grids under 400 nodes) the bracket midpoint.  The h^2 law fits the smooth
+wells; the square well's FD error is O(h), so there it starts a little
+further off, with no branch of its own.  A coarse level supplies starts
+only, so each of its searches ends at the first Newton step shorter than
+_START_TOL = 1e-6 that lands inside the eigenvalue's bracket, and returns
+where that step lands.  A start outside its eigenvalue's current bracket is
+replaced by the midpoint.  Counts on the requested grid, with its own
+tolerance and lower end, still close every bracket, so a wrong, missing or
+extra start costs passes but never moves a result outside its bracket.  The
+coarse levels are solved below the advisories, which fire for the requested
+grid only.  SpectrumResult.sturm_passes counts the pivot passes on the
+requested grid, and row_steps the rows that the passes' loops ran, summed
+over every pass on every level; closed-form edge rows are not among them.
 
 Discretization error in the eigenvalue sum scales as h^2 (the tests check
 the 4x decay per grid doubling).  A GridTooCoarseWarning advisory fires when
@@ -120,6 +131,7 @@ _EDGE_SLOPE_MIN = 1e-3  # below this k theta the edge's slope comes from the loo
 MAX_GRID_POINTS = 10**7  # about 80 MB per float array; the largest grid in use has 16,001 nodes
 _COARSEN = 4  # each coarser level that supplies starts has n_points // _COARSEN nodes
 _COARSE_MIN = 100  # no coarser level below this many nodes: grids under 400 nodes start cold
+_START_TOL = 1e-6  # a coarse level's search ends at a Newton step shorter than this inside its bracket
 
 
 class GridTooCoarseWarning(UserWarning):
@@ -277,9 +289,12 @@ def sturm_count_below(diag, off, shift: float) -> int:
 
 
 # Two loops run an LDL^T pivot pass of T - shift from row 0 of the lists on,
-# given the pivot q of the row before (inf before a matrix's first row, whose
-# off2[0] is 0): off2[i] couples row i to the row before it.  A pivot in
-# (-pivmin, pivmin) is replaced by -pivmin and counted.
+# given the pivot q of the row before (inf before a matrix's first row).  The
+# count loop reads the squared off-diagonals as a list, off2[i] coupling row i
+# to the row before it (off2[0] is 0 before a matrix's first row); the slope
+# loop reads one squared off-diagonal e2 for all its rows, and a finite e2 /
+# inf is 0 before a matrix's first row.  A pivot in (-pivmin, pivmin) is
+# replaced by -pivmin and counted.
 
 def _count(diag: list, off2: list, shift: float, pivmin: float, q: float) -> int:
     """The count of negative pivots q_i, for passes that need no slope."""
@@ -293,13 +308,15 @@ def _count(diag: list, off2: list, shift: float, pivmin: float, q: float) -> int
     return count
 
 
-def _pivots(diag: list, off2: list, shift: float, pivmin: float,
-            q: float = math.inf, t: float = 0.0, s: float = -0.0) -> tuple[int, float]:
+def _pivots(diag: list, e2: float, shift: float, pivmin: float, q: float = math.inf,
+            t: float = 0.0, s: float = -0.0) -> tuple[int, float, float, float]:
     """The count of negative pivots q_i, and s = sum q_i'/q_i = d/dshift
-    log|det(T - shift)|, carried as t_i = q_i'/q_i; t and s enter as those of
-    the rows before (0 and -0, which adds to any t exactly, before row 0)."""
+    log|det(T - shift)|, carried as t_i = q_i'/q_i.  q, t and s enter as those
+    of the rows before (inf, 0 and -0, which adds to any t exactly, before
+    row 0) and leave as those of the last row, so a pass can go on into rows
+    with another e2."""
     count = 0
-    for d, e2 in zip(diag, off2):
+    for d in diag:
         r = e2 / q
         q = d - shift - r
         if q < pivmin:
@@ -308,7 +325,7 @@ def _pivots(diag: list, off2: list, shift: float, pivmin: float,
             count += 1
         t = (r * t - 1.0) / q
         s += t
-    return count, s
+    return count, q, t, s
 
 
 def _edge(k: int, beta: float, x: float, slope: bool) -> tuple[float, float, float] | None:
@@ -345,24 +362,45 @@ def _edge(k: int, beta: float, x: float, slope: bool) -> tuple[float, float, flo
 
 
 class _Block(NamedTuple):
-    """A symmetric tridiagonal block: diag, off2 with off2[0] = 0, and its
-    edge prefix, the first `edge` rows (0 for none), whose diagonal is
-    2 beta and whose off-diagonal is beta; rest holds diag and off2 after it."""
+    """A symmetric tridiagonal block with diagonal diag, and its edge prefix,
+    the first `edge` rows (0 for none), whose diagonal is 2 beta and whose
+    off-diagonal is beta.  off2 holds the squared off-diagonal of each row
+    (off2[0] = 0), and runs the rows as (rows, e2) runs of one squared
+    off-diagonal each, for the slope loop; rest and rest_runs hold the same
+    after the prefix."""
 
     diag: list
     off2: list
+    runs: tuple
     edge: int
     beta: float
+    pivmin: float
     rest: tuple[list, list]
+    rest_runs: tuple
 
-    def start(self, x: float, slope: bool) -> tuple[list, list, float, float, float]:
-        """The rows a pass at shift x loops over, and the q, t and s it starts
-        from: after the edge prefix where x <= 0, else from row 0."""
+    def count(self, x: float) -> tuple[int, int]:
+        """The count of negative pivots at shift x, and the rows looped:
+        after the edge prefix where x <= 0, else from row 0."""
+        diag, off2, q = self.diag, self.off2, math.inf
         if self.edge and x <= 0.0:
-            state = _edge(self.edge, self.beta, x, slope)
+            (diag, off2), q = self.rest, _edge(self.edge, self.beta, x, slope=False)[0]
+        return _count(diag, off2, x, self.pivmin, q), len(diag)
+
+    def pivots(self, x: float) -> tuple[int, float, int]:
+        """The count of negative pivots at shift x, s = d/dx log|det(T - x)|
+        and the rows looped: after the edge prefix where x <= 0 and its slope
+        has a closed form, else from row 0."""
+        runs, q, t, s = self.runs, math.inf, 0.0, -0.0
+        if self.edge and x <= 0.0:
+            state = _edge(self.edge, self.beta, x, slope=True)
             if state is not None:
-                return *self.rest, *state
-        return self.diag, self.off2, math.inf, 0.0, -0.0
+                runs, (q, t, s) = self.rest_runs, state
+        count = rows = 0
+        for diag, e2 in runs:
+            run_count, q, t, s = _pivots(diag, e2, x, self.pivmin, q, t, s)
+            count += run_count
+            rows += len(diag)
+        return count, s, rows
 
 
 def _edge_rows(diag: np.ndarray, c: float) -> int:
@@ -371,52 +409,61 @@ def _edge_rows(diag: np.ndarray, c: float) -> int:
     return int(unequal[0]) if unequal.size else diag.size
 
 
-def _block(diag: list, off2: list, edge: int) -> _Block:
-    """The block with diagonal diag and squared off-diagonal off2, one entry
-    shorter, whose first `edge` rows have diagonal exactly 2 beta = diag[0],
-    beta > 0 with a normal beta^2, and squared off-diagonal exactly beta^2
-    among them.  The prefix is capped at all rows but the last and used from
+def _block(diag: list, e2: float, last: float, edge: int) -> _Block:
+    """The block with diagonal diag whose rows couple to the row before by the
+    squared off-diagonal e2, but the last row by last, both finite; its first
+    `edge` rows have diagonal exactly 2 beta = diag[0], beta > 0 with a normal
+    beta^2 = e2.  The prefix is capped at all rows but the last and used from
     2 rows on."""
     edge = min(edge, len(diag) - 1)
     edge = edge if edge >= 2 else 0
-    off2 = [0.0, *off2]
-    return _Block(diag, off2, edge, 0.5 * diag[0], (diag[edge:], off2[edge:]))
+    off2 = [0.0, *[e2] * (len(diag) - 2), last][:len(diag)]
+    tail = (diag[-1:], last)
+    return _Block(diag, off2, ((diag[:-1], e2), tail), edge, 0.5 * diag[0],
+                  _SAFE_MIN * max(1.0, max(off2)), (diag[edge:], off2[edge:]), ((diag[edge:-1], e2), tail))
 
 
-def _negative_eigenvalues(block: _Block, lower: float, starts) -> tuple[list, int, int]:
+def _negative_eigenvalues(block: _Block, lower: float, starts,
+                          start_tol: float = 0.0) -> tuple[list, int, int]:
     """All eigenvalues in [lower, 0) of the block, ascending, the pivot passes
     spent and the rows they looped over.  The search for eigenvalue j first
     probes starts[j] if it lies strictly inside that eigenvalue's bracket,
     else the bracket's midpoint.  Counts alone close every bracket, so a start
-    changes the passes spent, never what is certified."""
+    changes the passes spent, never what is certified.
+
+    A positive start_tol asks for starts only: the search for eigenvalue j
+    also ends at the first Newton step shorter than start_tol that lands
+    inside its bracket, and returns where that step lands, its bracket left
+    open."""
     tol = max(_BISECT_TOL, 4.0 * math.ulp(lower))  # from |lower| = 2^19 on, ulp(lower) > _BISECT_TOL
-    pivmin = _SAFE_MIN * max(1.0, max(block.off2))
-    diag, off2, q, _, _ = block.start(0.0, slope=False)
-    m = _count(diag, off2, 0.0, pivmin, q)
-    passes, rows = 1, len(diag)
+    m, rows = block.count(0.0)
+    passes = 1
     lo = [lower] * m
     hi = [0.0] * m
+    landed = {}
     for j in range(m):
         x = starts[j] if j < len(starts) and lo[j] < starts[j] < hi[j] else 0.5 * (lo[j] + hi[j])
         moved = older = hi[j] - lo[j]
         while hi[j] - lo[j] > tol:
-            diag, off2, q, t, s = block.start(x, slope=True)
-            count, s = _pivots(diag, off2, x, pivmin, q, t, s)
+            count, s, pass_rows = block.pivots(x)
             passes += 1
-            rows += len(diag)
+            rows += pass_rows
             for k in range(m):  # every count tightens every bracket
                 if count > k:
                     hi[k] = min(hi[k], x)
                 else:
                     lo[k] = max(lo[k], x)
             step = -1.0 / s if s else math.inf
+            if abs(step) < start_tol and lo[j] < x + step < hi[j]:
+                landed[j] = x + step
+                break
             if abs(step) < 0.5 * tol:  # converged: probe just past the root
                 step += math.copysign(0.25 * tol, step)
             y = x + step
             if not (lo[j] < y < hi[j] and abs(step) <= 0.5 * max(older, tol)):
                 y = 0.5 * (lo[j] + hi[j])
             x, moved, older = y, abs(y - x), moved
-    return [0.5 * (lo[k] + hi[k]) for k in range(m)], passes, rows
+    return [landed.get(k, 0.5 * (lo[k] + hi[k])) for k in range(m)], passes, rows
 
 
 def _coarser(grid: GridSpec) -> GridSpec | None:
@@ -431,16 +478,47 @@ def _coarser(grid: GridSpec) -> GridSpec | None:
         return None
 
 
+def _starts(h_sq: float, coarser: list) -> list:
+    """The first probes for a block's eigenvalues on a grid of squared spacing
+    h_sq, from (h^2, eigenvalues) of the same block on at most two coarser
+    levels, the finer (h1^2, E1) last and (h2^2, E2) before it, matched from
+    the bottom: the h^2 Richardson value E1 + (E1 - E2)(h_sq - h1^2)/(h1^2 - h2^2)
+    where both levels have the eigenvalue, and the one level's value where
+    only one has it."""
+    if not coarser:
+        return []
+    h1_sq, e1 = coarser[-1]
+    if len(coarser) == 1:
+        return e1
+    h2_sq, e2 = coarser[0]
+    ratio = (h_sq - h1_sq) / (h1_sq - h2_sq)
+    starts = [a + (a - b) * ratio for a, b in zip(e1, e2)]
+    return starts + max(e1, e2, key=len)[len(starts):]
+
+
 def _parity_spectra(pot: PotentialSpec, grid: GridSpec) -> tuple[list, int, int]:
     """The ascending negative eigenvalues of the even and the odd parity block,
     the pivot passes on this grid, and the pivot row-steps on it and on every
-    coarser level.  Each block's first probes are the eigenvalues of the
-    coarser grid, matched from the bottom; a grid with no coarser level
-    starts cold."""
-    coarse = _coarser(grid)
-    starts, row_steps = ([], []), 0
-    if coarse is not None:
-        starts, _, row_steps = _parity_spectra(pot, coarse)
+    coarser level.  The levels are solved coarsest first, each from the
+    starts that _starts extrapolates from the two below it; every level but
+    this grid only supplies starts, so it is solved to _START_TOL."""
+    levels = [grid]
+    while (coarse := _coarser(levels[-1])) is not None:
+        levels.append(coarse)
+    solved, row_steps = [], 0  # (h^2, spectra) of each level solved
+    for level in reversed(levels):
+        h_sq = (2.0 * level.half_width / (level.n_points + 1)) ** 2
+        starts = [_starts(h_sq, [(h, eigs[b]) for h, eigs in solved[-2:]]) for b in range(2)]
+        spectra, passes, rows = _level_spectra(pot, level, starts, 0.0 if level is grid else _START_TOL)
+        row_steps += rows
+        solved.append((h_sq, spectra))
+    return spectra, passes, row_steps
+
+
+def _level_spectra(pot: PotentialSpec, grid: GridSpec, starts, start_tol: float) -> tuple[list, int, int]:
+    """The ascending negative eigenvalues of the even and the odd parity block
+    on one grid, from the blocks' starts, and the pivot passes and row-steps
+    spent on it."""
     n, L = grid.n_points, grid.half_width
     h = 2.0 * L / (n + 1)
     m = n // 2
@@ -450,16 +528,16 @@ def _parity_spectra(pot: PotentialSpec, grid: GridSpec) -> tuple[list, int, int]
     edge = _edge_rows(diag, 2.0 / h**2)  # leading rows where V rounds away against 2/h^2
     diag = diag.tolist()
     e2 = (1.0 / h**2) ** 2
-    off2 = [e2] * (m - 1)
     if n % 2:  # even modes see the centre's two equal neighbours, odd modes vanish at the centre
-        blocks = ((diag, off2 + [2.0 * e2]), (diag[:m], off2))
+        blocks = ((diag, e2, 2.0 * e2), (diag[:m], e2, e2))
     else:  # the neighbour across the centre is +-u, folded into the corner
         corner = float(V[-1])
-        blocks = ((diag[:-1] + [1.0 / h**2 + corner], off2), (diag[:-1] + [3.0 / h**2 + corner], off2))
+        blocks = ((diag[:-1] + [1.0 / h**2 + corner], e2, e2), (diag[:-1] + [3.0 / h**2 + corner], e2, e2))
     lower = float(V.min()) - 1.0
-    spectra, passes = [], 0
+    spectra, passes, row_steps = [], 0, 0
     for block, block_starts in zip(blocks, starts):
-        block_eigs, block_passes, block_rows = _negative_eigenvalues(_block(*block, edge), lower, block_starts)
+        block_eigs, block_passes, block_rows = _negative_eigenvalues(_block(*block, edge), lower, block_starts,
+                                                                     start_tol)
         spectra.append(block_eigs)
         passes += block_passes
         row_steps += block_rows

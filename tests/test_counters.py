@@ -4,7 +4,8 @@ A change that moves one of them shows it here as a test diff: objective
 evaluations, iterations, integrand calls and nodes and kernel elements of the
 criterion-5 search, evaluations, iterations and Mellin nodes of the sweep's
 two closed-form runs, and the Sturm passes and row steps of the default
-verify suite.  Wrappers patched in for each test do the counting.
+verify suite and of one benchmark-sized well.  Wrappers patched in for each
+test do the counting.
 """
 
 from collections import Counter
@@ -77,5 +78,13 @@ def test_closed_form_sweep_counters(monkeypatch, d, sigma, phi_kind, seed_params
 
 def test_default_suite_counters():
     results = [verify.discretize_and_solve(pot, grid) for pot, grid in verify.default_suite()]
-    assert [res.sturm_passes for res in results] == [6, 10, 18, 12]
-    assert [res.row_steps for res in results] == [23_417, 43_060, 40_619, 3_442]
+    assert [res.sturm_passes for res in results] == [5, 8, 14, 12]
+    assert [res.row_steps for res in results] == [18_587, 31_518, 31_177, 3_190]
+
+
+def test_benchmark_sized_well_counters():
+    # a Poschl-Teller well of eight bound states on 16,061 nodes, as the benchmark's
+    # verify wells come: three coarse levels supply its starts
+    res = verify.discretize_and_solve(verify.PotentialSpec("poschl_teller", nu=8.0, width=1.31),
+                                      verify.GridSpec(23.6, 16061))
+    assert (res.sturm_passes, res.row_steps) == (31, 297_089)

@@ -32,7 +32,8 @@ def _full_block(pot, grid):
     """The full matrix of _tridiag as one pivot block, with its edge prefix."""
     diag, off, _ = _tridiag(pot, grid)
     h = 2.0 * grid.half_width / (grid.n_points + 1)
-    return verify._block(diag.tolist(), (off * off).tolist(), verify._edge_rows(diag, 2.0 / h**2))
+    e2 = float(off[0]) ** 2
+    return verify._block(diag.tolist(), e2, e2, verify._edge_rows(diag, 2.0 / h**2))
 
 
 def test_potential_spec_validation():
@@ -323,13 +324,14 @@ def test_sturm_count_rejects_nan_shift():
 
 def test_default_suite_pivot_passes():
     """Pivot passes per case stay below the bisection-only scan's 36 / 74 / 139 / 72, and the
-    rows looped on every level, 110,538 with the edge prefixes skipped, near that count."""
+    rows looped on every level, 84,472 with the edge prefixes skipped, extrapolated starts and
+    coarse levels solved to start accuracy, near that count."""
     results = [verify.discretize_and_solve(pot, grid) for pot, grid in verify.default_suite()]
     passes = [res.sturm_passes for res in results]
     row_steps = [res.row_steps for res in results]
     assert all(p < bisection for p, bisection in zip(passes, (36, 74, 139, 72))), passes
     assert sum(passes) <= 190, passes
-    assert sum(row_steps) <= 120_000, row_steps
+    assert sum(row_steps) <= 93_000, row_steps
     # the square well is 0 on 90 % of its box: whole blocks of 2,001 / 500 / 125 rows
     # would loop 34,256 rows over its passes
     assert results[3].potential.kind == "square_well" and row_steps[3] <= 4_000, row_steps
@@ -452,6 +454,16 @@ def _pivots_before_folding(diag, off2, shift, pivmin):
     return count, s
 
 
+def _pivots_by_row(diag, off2, shift, pivmin, q=math.inf, t=0.0, s=-0.0):
+    """_pivots one row at a time, off2[i] coupling row i to the row before it:
+    each call hands its q, t and s to the next, as a block's runs do."""
+    count = 0
+    for d, e2 in zip(diag, off2):
+        row_count, q, t, s = verify._pivots([d], e2, shift, pivmin, q, t, s)
+        count += row_count
+    return count, q, t, s
+
+
 TINY = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-160)
 
 
@@ -468,10 +480,35 @@ def test_pivots_bit_identical_to_unfolded_loop(entries, data):
     diag, off2 = entries
     shift = data.draw(st.one_of(st.sampled_from(diag), st.floats()))
     pivmin = verify._SAFE_MIN * max(1.0, max(off2, default=0.0))
-    count, s = verify._pivots(diag, [0.0, *off2], shift, pivmin)
+    count, _, _, s = _pivots_by_row(diag, [0.0, *off2], shift, pivmin)
     want_count, want_s = _pivots_before_folding(diag, off2, shift, pivmin)
     assert count == want_count
     assert struct.pack("<d", s) == struct.pack("<d", want_s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tridiagonals(st.one_of(st.sampled_from(TINY), st.floats()), st.one_of(st.sampled_from(TINY), st.floats())),
+       st.data())
+def test_pivots_run_bit_identical_to_rows(entries, data):
+    """One run with one squared off-diagonal e2 leaves the count, q, t and s of the same rows
+    taken one at a time, bit for bit, from any state before row 0 that a pass can hold; from
+    row 0 of a matrix (q = inf) every finite e2 acts as the 0 of its first row."""
+    diag, _ = entries
+    shift = data.draw(st.one_of(st.sampled_from(diag), st.floats()))
+    e2 = data.draw(st.one_of(st.sampled_from(TINY), st.floats()))
+    pivmin = verify._SAFE_MIN * max(1.0, e2)
+    q = data.draw(st.one_of(st.just(math.inf), st.floats()))
+    assume(not -pivmin < q < pivmin)
+    t, s = data.draw(st.floats()), data.draw(st.floats())
+
+    def bits(state):
+        return state[0], struct.pack("<3d", *state[1:])
+
+    run = verify._pivots(diag, e2, shift, pivmin, q, t, s)
+    assert bits(run) == bits(_pivots_by_row(diag, [e2] * len(diag), shift, pivmin, q, t, s))
+    if math.isfinite(e2):
+        first = verify._pivots(diag, e2, shift, pivmin)
+        assert bits(first) == bits(_pivots_by_row(diag, [0.0] + [e2] * (len(diag) - 1), shift, pivmin))
 
 
 @settings(max_examples=200, deadline=None)
@@ -493,7 +530,7 @@ def test_pivots_match_dense_spectrum(entries, data):
     scale = max(1.0, float(np.max(np.abs(eigs))))
     assume(np.min(np.abs(eigs - shift)) > 1e-8 * scale)
     pivmin = verify._SAFE_MIN * max(1.0, max(off2, default=0.0))
-    count, s = verify._pivots(diag, [0.0, *off2], shift, pivmin)
+    count, _, _, s = _pivots_by_row(diag, [0.0, *off2], shift, pivmin)
     assert count == int(np.sum(eigs < shift))
     # every pivot is det(T_k - shift) / det(T_(k-1) - shift), so none is tiny when the shift keeps
     # away from the spectrum of every leading block T_k; 1e-5 * scale away from T's own, the
@@ -516,7 +553,7 @@ def test_count_loop_matches_slope_loop(entries, data):
     q = data.draw(st.one_of(st.just(math.inf), st.floats()))
     assume(not -pivmin < q < pivmin)
     off2 = [data.draw(st.one_of(st.just(0.0), st.floats())), *off2]
-    assert verify._count(diag, off2, shift, pivmin, q) == verify._pivots(diag, off2, shift, pivmin, q)[0]
+    assert verify._count(diag, off2, shift, pivmin, q) == _pivots_by_row(diag, off2, shift, pivmin, q)[0]
 
 
 def _edge_shifts():
@@ -574,23 +611,25 @@ def test_edge_slope_matches_loop(h, k, x):
 
 def test_edge_prefix_keeps_every_probe_count(monkeypatch):
     """Every pass that the default suite runs, on every level, counts the same from after its
-    block's edge prefix as over the whole block."""
+    block's edge prefix, with or without the slope, as over the whole block."""
     probes = []
-    start = verify._Block.start
+    count, pivots = verify._Block.count, verify._Block.pivots
 
-    def recording(block, x, slope):
-        probes.append((block, x))
-        return start(block, x, slope)
+    def recording(method):
+        def record(block, x):
+            probes.append((block, x))
+            return method(block, x)
+        return record
 
-    monkeypatch.setattr(verify._Block, "start", recording)
+    monkeypatch.setattr(verify._Block, "count", recording(count))
+    monkeypatch.setattr(verify._Block, "pivots", recording(pivots))
     for pot, grid in verify.default_suite():
         verify.discretize_and_solve(pot, grid)
-    assert len(probes) > 46 and all(block.edge >= 2 for block, _ in probes)  # 46 on the requested grids
+    assert len(probes) > 39 and all(block.edge >= 2 for block, _ in probes)  # 39 on the requested grids
     for block, x in probes:
-        pivmin = verify._SAFE_MIN * max(1.0, max(block.off2))
-        diag, off2, q, _, _ = start(block, x, slope=False)
-        assert len(diag) == len(block.diag) - block.edge
-        assert verify._count(diag, off2, x, pivmin, q) == verify._count(block.diag, block.off2, x, pivmin, math.inf)
+        whole = verify._count(block.diag, block.off2, x, block.pivmin, math.inf)
+        assert count(block, x) == (whole, len(block.diag) - block.edge)
+        assert pivots(block, x)[0] == whole
 
 
 WELL = verify.PotentialSpec(kind="gaussian_well", depth=30.0)
@@ -624,6 +663,68 @@ def test_starts_change_passes_never_results(make_starts):
         assert verify.sturm_count_below(diag, off, lam + tol) > j
     if starts == cold:
         assert passes < cold_passes
+
+
+def _assert_certified(pot, grid, eigenvalues):
+    """Each eigenvalue, j-th from the bottom, within the bracket tolerance of a shift with at
+    most j and one with more than j eigenvalues of the full matrix below it."""
+    diag, off, vmin = _tridiag(pot, grid)
+    tol = max(1e-10, 4.0 * math.ulp(vmin - 1.0))
+    for j, lam in enumerate(sorted(eigenvalues)):
+        assert verify.sturm_count_below(diag, off, lam - tol) <= j < verify.sturm_count_below(diag, off, lam + tol)
+    return tol
+
+
+# a benchmark-sized well with three coarse levels of 4,015, 1,003 and 250 nodes
+PT8 = verify.PotentialSpec(kind="poschl_teller", nu=8.0, width=1.31)
+PT8_GRID = verify.GridSpec(23.6, 16061)
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda eigs: [e + 1e-3 for e in eigs],
+    lambda eigs: [e - 1e-3 for e in eigs],
+    lambda eigs: eigs[:-1],
+    lambda eigs: [(math.nan, math.inf, -math.inf)[k % 3] for k in range(len(eigs))],
+], ids=["raised", "lowered", "shallowest-dropped", "non-finite"])
+def test_coarse_levels_change_passes_never_results(monkeypatch, perturb):
+    """The coarse levels only supply starts: wrong, missing or non-finite values there cost
+    passes on the requested grid, but every eigenvalue stays certified on the full matrix and
+    within the bracket tolerance of the unperturbed one."""
+    base = verify.discretize_and_solve(PT8, PT8_GRID)
+    tol = _assert_certified(PT8, PT8_GRID, base.negative_eigenvalues)
+    assert len(base.negative_eigenvalues) == 8
+    levels, level_spectra = [], verify._level_spectra
+
+    def perturbed(pot, grid, starts, start_tol):
+        levels.append(grid.n_points)
+        spectra, passes, rows = level_spectra(pot, grid, starts, start_tol)
+        if grid != PT8_GRID:
+            spectra = [perturb(eigs) for eigs in spectra]
+        return spectra, passes, rows
+
+    monkeypatch.setattr(verify, "_level_spectra", perturbed)
+    res = verify.discretize_and_solve(PT8, PT8_GRID)
+    assert levels == [250, 1003, 4015, 16061]
+    assert res.sturm_passes != base.sturm_passes
+    np.testing.assert_allclose(res.negative_eigenvalues, base.negative_eigenvalues, rtol=0.0, atol=tol)
+    _assert_certified(PT8, PT8_GRID, res.negative_eigenvalues)
+
+
+# the default suite's eigenvalues, descending, as certified from unextrapolated starts
+SUITE_EIGENVALUES = [
+    [-1.0000009717520233],
+    [-1.000009221699968, -4.000004759544051],
+    [-0.02825555913260481, -0.7709907431659212, -2.140311328333098, -3.9763379676058612],
+    [-0.06140272677179167, -2.0540354477768457],
+]
+
+
+def test_default_suite_eigenvalues_frozen():
+    """A change of starts or of how a search ends moves no eigenvalue by more than the
+    bracket tolerance: two certified brackets of that width share the eigenvalue."""
+    for (pot, grid), want in zip(verify.default_suite(), SUITE_EIGENVALUES, strict=True):
+        res = verify.discretize_and_solve(pot, grid)
+        np.testing.assert_allclose(res.negative_eigenvalues, want, rtol=0.0, atol=verify._BISECT_TOL)
 
 
 def test_advisories_fire_for_the_requested_grid_only():
