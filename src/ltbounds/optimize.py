@@ -3,19 +3,20 @@
 Two stages.  Plain Nelder-Mead with the textbook coefficients (reflection
 1, expansion 2, contraction 0.5, shrink 0.5) from a deterministic
 axis-aligned initial simplex descends until the simplex diameter is at
-most _HANDOFF_SCALE (1e-4), the scale at which the search hands over to
-the second stage, and the value spread at most _F_TOL.  A Newton
-refinement then starts from the best vertex, whose value is known: each
-round scores a central-difference stencil whose steps start at the same
-_HANDOFF_SCALE relative to each coordinate, n(n + 3)/2 points, and steps
-to the minimum of the quadratic model it gives (Nocedal and Wright,
-Numerical Optimization, ch. 8), until that step is at most _X_TOL and the
-stencil's first-order spread at most _F_TOL.  The objectives are smooth
-quadratics to rounding at this scale, so two or three rounds end a search.
-A fresh stencil every round also guards against a collapsed simplex
-(McKinnon, SIAM J. Optim. 9, 1998).  Tolerances and step sizes are fixed
-constants, so an OptConfig is just a seed and an iteration budget.  No
-randomness anywhere: identical configs produce bit-identical traces.
+most _HANDOFF_DIAMETER (3e-2), below which the objectives are smooth
+quadratics.  A Newton refinement then starts from the best vertex, whose
+value is known: each round scores a central-difference stencil, n(n + 3)/2
+points whose steps start at _HANDOFF_SCALE (1e-4) relative to each
+coordinate, and steps towards the minimum of the quadratic model it gives
+(Nocedal and Wright, Numerical Optimization, ch. 8).  An indefinite model
+Hessian H is shifted to H + lambda I, positive definite (their Algorithm
+3.3), and the step is backtracked until it scores below the round's start
+(their ch. 3).  The search ends when that step is at most _X_TOL and the
+stencil's first-order spread at most _F_TOL.  A fresh stencil every round
+also guards against a collapsed simplex (McKinnon, SIAM J. Optim. 9,
+1998).  Tolerances and step sizes are fixed constants, so an OptConfig is
+just a seed and an iteration budget.  No randomness anywhere: identical
+configs produce bit-identical traces.
 
 Parameters are clipped into a fixed box before evaluation,
 
@@ -56,7 +57,9 @@ PENALTY = math.inf
 
 _X_TOL, _F_TOL = 1e-6, 1e-9  # converged: Newton step <= _X_TOL and first-order spread <= _F_TOL
 _SIMPLEX_SCALE = 0.15  # initial simplex step relative to |x0|
-_HANDOFF_SCALE = 1e-4  # the descent's stopping diameter and the refinement's first relative step
+_HANDOFF_DIAMETER = 3e-2  # the descent's stopping simplex diameter
+_HANDOFF_SCALE = 1e-4  # the refinement's first relative stencil step
+_HALVINGS = 8  # the most a refinement round halves its Newton step
 
 _BOX = ((1.1, 20.0), (0.05, 3.0), (0.05, 3.0), (0.5, 10.0))
 
@@ -134,7 +137,7 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
         simplex, fvals = simplex[order], fvals[order]
 
         diameter = float(np.max(np.abs(simplex[1:] - simplex[0])))
-        if diameter <= _HANDOFF_SCALE and fvals[-1] - fvals[0] <= _F_TOL:
+        if diameter <= _HANDOFF_DIAMETER:
             return _refine(objective, simplex[0], float(fvals[0]), iters, trace, cfg)
 
         iters += 1
@@ -173,23 +176,27 @@ def _nelder_mead(score, x0: np.ndarray, cfg: OptConfig) -> OptResult:
 
 
 def _refine(objective, x, fx: float, iters: int, trace: list, cfg: OptConfig) -> OptResult:
-    """Newton rounds on central differences from x, whose value fx is known.
+    """Newton rounds on central differences from x, whose value fx is known:
+    the best vertex of a simplex of diameter at most _HANDOFF_DIAMETER.
 
     A round scores x +- h_i e_i and x + h_i e_i + h_j e_j, i < j, with h_i =
     s max(|x_i|, 0.1), for the gradient g and Hessian H, where s starts at
-    _HANDOFF_SCALE, the diameter at which the descent handed x over.  A
-    coordinate whose stencil leaves the box or scores PENALTY is held fixed
-    for the round.  With H positive definite the round also scores the
-    clipped x - H^-1 g.  The next round starts from the lowest point scored,
-    which is the lowest stencil point when there is no model or the trial is
-    not lower.  Converged: the Newton step is at most _X_TOL in every
-    coordinate, or the round did not move, and the stencil's first-order
-    spread max |f(x + h_i e_i) - f(x - h_i e_i)| / 2 is at most _F_TOL (its
-    even part is curvature times h_i^2, which no step closes).  A round that
-    neither moves nor converges halves the steps for the rest of the search:
-    a repeat would score the same stencil, and one that straddles a jump in
-    the curvature (McKinnon's function at x = 0) resolves it only when
-    smaller.
+    _HANDOFF_SCALE.  A coordinate whose stencil leaves the box or scores
+    PENALTY is held fixed for the round.  The Newton step is d = -(H +
+    lambda I)^-1 g with lambda = 0 when H is positive definite; otherwise
+    lambda starts at max(0, -min H_ii) + 1e-3 max |H_ii| and doubles until
+    the Cholesky factorization succeeds (Nocedal and Wright, Algorithm 3.3).
+    The round then scores the clipped x + alpha d for alpha = 1, 1/2, ...,
+    at most _HALVINGS halvings, and stops at the first trial below fx.  The
+    next round starts from the lowest point scored, which is the lowest
+    stencil point when there is no model or no trial is lower.  Converged:
+    the Newton step is at most _X_TOL in every coordinate, or the round did
+    not move, and the stencil's first-order spread max |f(x + h_i e_i) -
+    f(x - h_i e_i)| / 2 is at most _F_TOL (its even part is curvature times
+    h_i^2, which no step closes).  A round that neither moves nor converges
+    halves the steps for the rest of the search: a repeat would score the
+    same stencil, and one that straddles a jump in the curvature (McKinnon's
+    function at x = 0) resolves it only when smaller.
     """
     n = x.size
     lo, hi = np.array(_BOX[:n]).T
@@ -221,16 +228,15 @@ def _refine(objective, x, fx: float, iters: int, trace: list, cfg: OptConfig) ->
 
         newton = None
         if np.all(np.isfinite(hess)):
-            try:
-                np.linalg.cholesky(hess)  # raises unless positive definite
-            except np.linalg.LinAlgError:
-                pass
-            else:
+            shifted = _shifted_newton_step(grad, hess)
+            if shifted is not None:
                 newton = np.zeros(n)
-                newton[free] = -np.linalg.solve(hess, grad)
+                newton[free] = shifted
         small = newton is not None and float(np.max(np.abs(newton))) <= _X_TOL
         if newton is not None and not (small and spread <= _F_TOL):
-            scored(np.array(_clipped(x + newton)))
+            for alpha in 0.5 ** np.arange(_HALVINGS + 1):
+                if scored(np.array(_clipped(x + alpha * newton))) < fx:
+                    break
         best = int(np.argmin(values))  # 0, the round's start, on a tie
         x, fx = points[best], float(values[best])
         trace.append((iters, fx))
@@ -241,6 +247,25 @@ def _refine(objective, x, fx: float, iters: int, trace: list, cfg: OptConfig) ->
             scale *= 0.5  # a repeat of a round that did not move would score the same stencil
     return OptResult(best_params=_clipped(x), best_value=fx, iterations=iters,
                      converged=converged, trace=tuple(trace))
+
+
+def _shifted_newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray | None:
+    """-(H + lambda I)^-1 g for the first lambda in 0, lambda_0, 2 lambda_0,
+    ... at which H + lambda I is positive definite, where lambda_0 =
+    max(0, -min H_ii) + 1e-3 max |H_ii|; None when lambda_0 is 0 (H has no
+    diagonal to scale a shift by)."""
+    diag = np.diag(hess)
+    first = max(0.0, -float(np.min(diag, initial=0.0))) + 1e-3 * float(np.max(np.abs(diag), initial=0.0))
+    shift, eye = 0.0, np.eye(grad.size)
+    while True:
+        try:
+            np.linalg.cholesky(hess + shift * eye)  # raises unless positive definite
+        except np.linalg.LinAlgError:
+            if not first > 0.0:
+                return None
+            shift = 2.0 * shift if shift else first
+        else:
+            return -np.linalg.solve(hess + shift * eye, grad)
 
 
 def minimize_deficit(beta: float, cfg: OptConfig) -> OptResult:
